@@ -6,7 +6,7 @@
 //
 //	ndpsim -workload pr -design NDPExt [-mem hbm|hmc] [-seed 1]
 //	       [-accesses 30000] [-scale 1.0] [-verbose] [-json]
-//	       [-parallel 4 [-parallel-mode pipeline|shard]]
+//	       [-parallel 2]
 //	       [-record run.ndptrc] [-trace-sample 100 [-trace-out trace.jsonl]]
 //	       [-bandit-seed 7 -arms paper,greedy]   (NDPExt-MAB only)
 //
@@ -16,19 +16,16 @@
 // With -json, the run emits the canonical JSON result document — the
 // same bytes ndpserve caches and serves — as one object on stdout.
 //
-// With -parallel=N (N >= 2), the run uses the parallel execution modes
-// in internal/parallel: "pipeline" (the default) overlaps epoch
-// bookkeeping with simulation and is byte-identical to the serial run;
-// "shard" splits cores across N independent simulator instances and
-// merges, which is statistically equivalent within the declared
-// tolerance gate but not bit-exact.
+// With -parallel=N (N >= 2), the run uses the epoch pipeline: epoch
+// bookkeeping overlaps simulation on a second goroutine, and the result
+// is byte-identical to the serial run.
 //
-// With -record=FILE, every simulated memory access is captured into a
-// native trace file (see internal/trace) that replays byte-identically
+// With -record=FILE, every simulated memory access is captured into an
+// NDPTRC trace file (see internal/trace) that replays byte-identically
 // via -load-trace, including runs under fault injection. -load-trace
-// accepts both native trace files (sniffed by magic, replayed with
-// bounded memory) and legacy gob traces; -save-trace writes the native
-// format unless the path ends in .gob.
+// replays an NDPTRC file with bounded memory; -save-trace writes the
+// generated workload as NDPTRC and exits. The two do not combine: to
+// copy or cut a recorded trace, use cp or ndptrace slice.
 //
 // With -trace-sample=N, every Nth simulated memory access is emitted as
 // a JSONL record (core, stream, level served, per-level latency in ns)
@@ -47,7 +44,6 @@ import (
 	"time"
 
 	"ndpext/internal/fault"
-	"ndpext/internal/parallel"
 	"ndpext/internal/server/result"
 	"ndpext/internal/stream"
 	"ndpext/internal/system"
@@ -71,9 +67,9 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the canonical JSON result document instead of text")
 	verbose := flag.Bool("verbose", false, "print per-component detail")
 	reconfig := flag.String("reconfig", "full", "reconfiguration mode: full, partial, static")
-	saveTrace := flag.String("save-trace", "", "write the generated trace to this file and exit (native format; .gob = legacy)")
-	loadTrace := flag.String("load-trace", "", "replay a trace file instead of generating (native or legacy gob)")
-	record := flag.String("record", "", "capture every simulated access into this native trace file")
+	saveTrace := flag.String("save-trace", "", "write the generated trace to this NDPTRC file and exit")
+	loadTrace := flag.String("load-trace", "", "replay an NDPTRC trace file instead of generating")
+	record := flag.String("record", "", "capture every simulated access into this NDPTRC trace file")
 	traceSample := flag.Uint64("trace-sample", 0, "emit every Nth access as a JSONL record (0 disables)")
 	traceOut := flag.String("trace-out", "-", "JSONL access trace destination (\"-\" = stdout)")
 	faults := flag.String("faults", "", `fault-injection spec, e.g. "vault-fail,unit=3,at=40us;cxl-retry,rate=0.01" (see internal/fault)`)
@@ -82,8 +78,7 @@ func main() {
 	arms := flag.String("arms", "", `NDPExt-MAB arm set, comma-separated (empty = all: "paper,static,greedy,replicate")`)
 	maxWall := flag.Duration("max-wall", 0, "abort after this much wall-clock time, flushing partial results (0 disables)")
 	maxCycles := flag.Int64("max-cycles", 0, "abort once simulated time passes this many core cycles (0 disables)")
-	parallelN := flag.Int("parallel", 1, "parallel workers: <=1 serial; pipeline mode uses one epoch worker, shard mode runs min(N, cores) shards")
-	parallelMode := flag.String("parallel-mode", "pipeline", `parallel strategy: "pipeline" (byte-identical to serial) or "shard" (statistically equivalent; see internal/parallel)`)
+	parallelN := flag.Int("parallel", 1, "parallel workers: <=1 serial; >=2 runs the byte-identical epoch pipeline (one extra goroutine)")
 	flag.Parse()
 
 	if *list {
@@ -127,48 +122,29 @@ func main() {
 	}
 	cfg.MaxWall = *maxWall
 	cfg.MaxCycles = *maxCycles
+	if *loadTrace != "" && *saveTrace != "" {
+		log.Fatal("-save-trace and -load-trace do not combine (copy the file, or cut it with ndptrace slice)")
+	}
 
-	// Load or generate the workload. Native trace files replay through
-	// the streaming source (bounded memory, any length); legacy gob
-	// traces and generated workloads are materialized.
+	// Load or generate the workload. Trace files replay through the
+	// streaming source (bounded memory, any length); generated workloads
+	// are materialized.
 	genStart := time.Now()
-	var (
-		tr  *workloads.Trace
-		src workloads.Source
-	)
+	var in system.Input
 	if *loadTrace != "" {
-		if isNativeTrace(*loadTrace) {
-			r, err := trace.OpenFile(*loadTrace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer r.Close()
-			if d != system.Host && r.Cores() != cfg.NumUnits() {
-				log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, r.Cores(), cfg.NumUnits())
-			}
-			if *saveTrace != "" {
-				var err error
-				tr, err = r.Materialize()
-				if err != nil {
-					log.Fatal(err)
-				}
-			} else {
-				s, err := r.Source()
-				if err != nil {
-					log.Fatal(err)
-				}
-				src = s
-			}
-		} else {
-			var err error
-			tr, err = workloads.LoadFile(*loadTrace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if d != system.Host && len(tr.PerCore) != cfg.NumUnits() {
-				log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, len(tr.PerCore), cfg.NumUnits())
-			}
+		r, err := trace.OpenFile(*loadTrace)
+		if err != nil {
+			log.Fatal(err)
 		}
+		defer r.Close()
+		if d != system.Host && r.Cores() != cfg.NumUnits() {
+			log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, r.Cores(), cfg.NumUnits())
+		}
+		src, err := r.Source()
+		if err != nil {
+			log.Fatal(err)
+		}
+		in.Source = src
 	} else {
 		gen, err := workloads.Get(*workload)
 		if err != nil {
@@ -177,31 +153,25 @@ func main() {
 		sc := workloads.DefaultScale()
 		sc.AccessesPerCore = *accesses
 		sc.Mult = *scale
-		tr, err = gen(cfg.NumUnits(), *seed, sc)
+		tr, err := gen(cfg.NumUnits(), *seed, sc)
 		if err != nil {
 			log.Fatal(err)
 		}
+		if *saveTrace != "" {
+			if err := trace.SaveFile(*saveTrace, tr); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Printf("saved %s (%d accesses, %d streams) to %s\n",
+				tr.Name, tr.TotalAccesses(), tr.Table.Len(), *saveTrace)
+			return
+		}
+		in.Trace = tr
 	}
 	genDur := time.Since(genStart)
 
-	if *saveTrace != "" {
-		var err error
-		if strings.HasSuffix(*saveTrace, ".gob") {
-			err = tr.SaveFile(*saveTrace)
-		} else {
-			err = trace.SaveFile(*saveTrace, tr)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("saved %s (%d accesses, %d streams) to %s\n",
-			tr.Name, tr.TotalAccesses(), tr.Table.Len(), *saveTrace)
-		return
-	}
-
 	// Workload identity for recording and the report, uniform across the
 	// materialized and streaming paths.
-	wname, wtable := workloadIdentity(tr, src)
+	wname, wtable := workloadIdentity(in)
 
 	var jsonl *telemetry.JSONLProbe
 	if *traceSample > 0 {
@@ -243,19 +213,8 @@ func main() {
 		cfg.AttachProbe(rec)
 	}
 
-	pmode, err := parallel.ParseMode(*parallelMode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	popts := parallel.Options{Workers: *parallelN, Mode: pmode}
-
 	simStart := time.Now()
-	var res *system.Result
-	if src != nil {
-		res, err = parallel.RunSource(context.Background(), cfg, src, popts)
-	} else {
-		res, err = parallel.Run(context.Background(), cfg, tr, popts)
-	}
+	res, err := system.RunContext(context.Background(), cfg, in, *parallelN >= 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -341,26 +300,11 @@ func main() {
 	}
 }
 
-// isNativeTrace sniffs the native trace magic so -load-trace accepts
-// both formats transparently.
-func isNativeTrace(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [6]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
-	}
-	return string(hdr[:]) == "NDPTRC"
-}
-
 // workloadIdentity returns the name and stream table of whichever
 // workload form is in play.
-func workloadIdentity(tr *workloads.Trace, src workloads.Source) (string, *stream.Table) {
-	if src != nil {
-		return src.Name(), src.Table()
+func workloadIdentity(in system.Input) (string, *stream.Table) {
+	if in.Source != nil {
+		return in.Source.Name(), in.Source.Table()
 	}
-	return tr.Name, tr.Table
+	return in.Trace.Name, in.Trace.Table
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -82,5 +83,31 @@ func TestMABJSONSerialParallelIdentical(t *testing.T) {
 	}
 	if !bytes.Contains(ser, []byte(`"adapt_arm"`)) {
 		t.Fatalf("document missing adapt_arm:\n%s", ser)
+	}
+}
+
+// TestLoadTraceRejectsNonNDPTRC: -load-trace on a file that is not an
+// NDPTRC trace (here, one in the retired gob format) exits non-zero
+// with the corrupt-trace message, and -load-trace refuses -save-trace.
+func TestLoadTraceRejectsNonNDPTRC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildNdpsim(t)
+	path := filepath.Join(t.TempDir(), "old.gob")
+	legacyMagic := []byte{'N', 'D', 'P', 'W', 'L', 1} // magic + version of the gob format
+	if err := os.WriteFile(path, append(legacyMagic, "not an ndptrc file"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-load-trace", path).CombinedOutput()
+	if err == nil {
+		t.Fatal("non-NDPTRC trace accepted")
+	}
+	if !strings.Contains(string(out), "corrupt trace") {
+		t.Fatalf("error does not name the corrupt trace:\n%s", out)
+	}
+	out, err = exec.Command(bin, "-load-trace", path, "-save-trace", path+".ndptrc").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "do not combine") {
+		t.Fatalf("-load-trace with -save-trace: err=%v\n%s", err, out)
 	}
 }

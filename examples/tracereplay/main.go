@@ -5,7 +5,7 @@
 //
 // Run from the repository root:
 //
-//	go run ./examples/tracereplay [-trace /tmp/gnn.trace] [-accesses 8000]
+//	go run ./examples/tracereplay [-trace /tmp/ndpext-gnn.ndptrc] [-accesses 8000]
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	path := flag.String("trace", "/tmp/ndpext-gnn.trace", "trace file path")
+	path := flag.String("trace", "/tmp/ndpext-gnn.ndptrc", "trace file path")
 	workload := flag.String("workload", "gnn", "workload to generate if the file is missing")
 	accesses := flag.Int("accesses", 16000, "per-core budget when generating")
 	flag.Parse()

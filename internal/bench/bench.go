@@ -134,7 +134,7 @@ func run(cfg system.Config, name string, opt Options) (*system.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return system.RunContext(opt.context(), cfg, tr)
+		return system.RunContext(opt.context(), cfg, system.Input{Trace: tr}, false)
 	}
 	if testRunHook != nil || cfg.OnEpoch != nil || cfg.Probe != nil {
 		// Hooks are excluded from the canonical config bytes (they don't

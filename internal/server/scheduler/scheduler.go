@@ -69,11 +69,9 @@ type Options struct {
 	// peers and a proxied lookup is unambiguous.
 	IDPrefix string
 	// Parallel >= 2 runs each simulation epoch-pipelined
-	// (system.RunPipelinedContext). Only the byte-identical pipeline mode
-	// is offered here: the content-addressed result cache requires every
-	// execution mode behind a key to produce the same document, which the
-	// golden parity suite proves for the pipeline and which shard mode's
-	// statistical equivalence cannot promise.
+	// (system.RunContext with pipelined set). The pipeline is
+	// byte-identical to the serial run — the golden parity suite proves
+	// it — so both modes can share one content-addressed result cache.
 	Parallel int
 }
 
@@ -510,10 +508,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 	// Trace-backed jobs replay through a streaming source — memory stays
 	// bounded at one decoded chunk per core however long the file is.
 	// Generated workloads keep the materialized fast path.
-	var (
-		tr  *workloads.Trace
-		src workloads.Source
-	)
+	var in system.Input
 	if job.Spec.Trace != "" {
 		path, err := s.traces.Resolve(job.Spec.Trace)
 		if err != nil {
@@ -528,16 +523,17 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 			return nil, fmt.Errorf("scheduler: trace %q has %d cores, machine has %d units",
 				job.Spec.Trace, r.Cores(), job.cfg.NumUnits())
 		}
-		src, err = r.Source()
+		src, err := r.Source()
 		if err != nil {
 			return nil, s.quarantineIfCorrupt(job.Spec.Trace, err)
 		}
+		in.Source = src
 	} else {
-		var err error
-		tr, err = s.genTrace(job.Spec)
+		tr, err := s.genTrace(job.Spec)
 		if err != nil {
 			return nil, err
 		}
+		in.Trace = tr
 	}
 	cfg := job.cfg
 	cfg.OnEpoch = func(ei system.EpochInfo) {
@@ -574,18 +570,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		runCtx, cancel = context.WithTimeout(runCtx, time.Duration(job.Spec.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	var res *system.Result
-	var err error
-	switch {
-	case s.opt.Parallel >= 2 && src != nil:
-		res, err = system.RunSourcePipelinedContext(runCtx, cfg, src)
-	case s.opt.Parallel >= 2:
-		res, err = system.RunPipelinedContext(runCtx, cfg, tr)
-	case src != nil:
-		res, err = system.RunSourceContext(runCtx, cfg, src)
-	default:
-		res, err = system.RunContext(runCtx, cfg, tr)
-	}
+	res, err := system.RunContext(runCtx, cfg, in, s.opt.Parallel >= 2)
 	if err != nil {
 		if job.Spec.Trace != "" && errors.Is(err, trace.ErrCorrupt) {
 			// Mid-replay corruption (a CRC mismatch the admission-time

@@ -49,7 +49,7 @@ func (h *boxedHeap) Pop() any {
 
 // queueSizes are the resident event counts benchmarked: the simulator
 // keeps one event per core in flight, so 8 (unit tests), 128 (the
-// default machine), and 1024 (a large sharded run) bracket reality.
+// default machine), and 1024 (a scaled-up machine) bracket reality.
 var queueSizes = []int{8, 128, 1024}
 
 // nextWhen advances a synthetic event time the way the simulator does:

@@ -3,18 +3,20 @@ package system
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 )
 
-// serialVsPipelined runs the same config + trace through both modes and
-// fails on any externally visible divergence: the fingerprint (every
-// Result field), the per-stream reports, and the full telemetry
-// registry must all be byte-identical.
-func serialVsPipelined(t *testing.T, cfg Config, workload string) {
+// serialVsPipelined runs the same config + trace (generated with the
+// given seed) through both modes and fails on any externally visible
+// divergence: the fingerprint (every Result field), the per-stream
+// reports, and the full telemetry registry must all be byte-identical.
+func serialVsPipelined(t *testing.T, cfg Config, workload string, seed uint64) {
 	t.Helper()
-	tr := tinyTrace(t, workload)
+	tr := tinyTraceSeed(t, workload, seed)
 	serial, err := Run(cfg, tr.Clone())
 	if err != nil {
 		t.Fatalf("serial: %v", err)
@@ -43,7 +45,7 @@ func serialVsPipelined(t *testing.T, cfg Config, workload string) {
 func TestPipelinedMatchesSerialAllDesigns(t *testing.T) {
 	for _, d := range NDPDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
-			serialVsPipelined(t, smallConfig(d), "pr")
+			serialVsPipelined(t, smallConfig(d), "pr", 42)
 		})
 	}
 }
@@ -52,7 +54,7 @@ func TestPipelinedMatchesSerialAllDesigns(t *testing.T) {
 func TestPipelinedMatchesSerialWorkloads(t *testing.T) {
 	for _, w := range []string{"recsys", "gnn", "bfs", "backprop"} {
 		t.Run(w, func(t *testing.T) {
-			serialVsPipelined(t, smallConfig(NDPExt), w)
+			serialVsPipelined(t, smallConfig(NDPExt), w, 42)
 		})
 	}
 }
@@ -63,7 +65,31 @@ func TestPipelinedMatchesSerialWorkloads(t *testing.T) {
 func TestPipelinedMatchesSerialFaults(t *testing.T) {
 	cfg := faultConfig(t, NDPExt,
 		"vault-fail,unit=5,at=100us;cxl-retry,rate=0.05,lat=200ns;cxl-degrade,at=200us,dur=100us,factor=4")
-	serialVsPipelined(t, cfg, "pr")
+	serialVsPipelined(t, cfg, "pr", 42)
+}
+
+// Property test: 20 seeded draws over design, workload, generation
+// seed, epoch length, ConsistentHash and partial reconfiguration must
+// all be byte-identical between the serial and pipelined runs.
+func TestPipelinedMatchesSerialProperty(t *testing.T) {
+	designs := NDPDesigns()
+	names := []string{"pr", "recsys", "gnn", "bfs", "backprop", "mv"}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20; i++ {
+		d := designs[rng.Intn(len(designs))]
+		w := names[rng.Intn(len(names))]
+		seed := uint64(rng.Int63n(1 << 30))
+		cfg := smallConfig(d)
+		cfg.EpochCycles = []int64{20_000, 50_000, 120_000}[rng.Intn(3)]
+		cfg.ConsistentHash = rng.Intn(2) == 0
+		if rng.Intn(3) == 0 {
+			cfg.Reconfig = ReconfigPartial
+			cfg.PartialEpochs = 1 + rng.Intn(3)
+		}
+		t.Run(fmt.Sprintf("draw%02d/%v/%s/seed=%d", i, d, w, seed), func(t *testing.T) {
+			serialVsPipelined(t, cfg, w, seed)
+		})
+	}
 }
 
 // OnEpoch forces the synchronous reassignment join; the per-epoch info
@@ -102,7 +128,7 @@ func TestPipelinedCancellation(t *testing.T) {
 	cfg := smallConfig(NDPExt)
 	cfg.OnEpoch = func(EpochInfo) { cancel() } // cancel mid-run, after the first boundary
 	tr := tinyTrace(t, "pr")
-	res, err := RunPipelinedContext(ctx, cfg, tr)
+	res, err := RunContext(ctx, cfg, Input{Trace: tr}, true)
 	if err == nil {
 		t.Fatal("want context error")
 	}

@@ -110,63 +110,107 @@ type StreamReport struct {
 // designs only; empty otherwise).
 func (r *Result) StreamReports() []StreamReport { return r.streams }
 
-// Run simulates the trace on the configured machine.
+// Input is the workload a run simulates: either a materialized trace or
+// a streaming access source (e.g. a recorded trace file replayed with
+// bounded memory). Exactly one field must be set. A Source is consumed
+// by the run; open a fresh one per run.
+type Input struct {
+	Trace  *workloads.Trace
+	Source workloads.Source
+}
+
+// RunContext simulates the input on the configured machine.
+//
+// With pipelined set, each epoch's sampler and miss-curve bookkeeping
+// runs on a dedicated worker goroutine, overlapping the event-loop
+// simulation of the next epoch. The result is byte-identical to the
+// serial run on the same inputs — the pipeline changes where the
+// bookkeeping runs, never what it computes — so cached and golden
+// results are interchangeable between the two modes. Designs without
+// epoch profiling (Host, NDPExtStatic, StaticInterleave) run serially
+// either way.
+//
+// Cancellation is cooperative: when ctx is canceled mid-run the event
+// loop stops at the next check point, partial statistics are flushed
+// exactly as for a tripped watchdog (Truncated set, TruncateReason =
+// "canceled"), and the partial Result is returned ALONGSIDE ctx.Err().
+// Callers that only want clean aborts can ignore the Result on error;
+// callers that checkpoint (the serving layer) use both. A source read
+// error likewise surfaces after the event loop alongside the partial
+// Result.
+func RunContext(ctx context.Context, cfg Config, input Input, pipelined bool) (*Result, error) {
+	var in simInput
+	switch {
+	case input.Trace != nil && input.Source == nil:
+		in = traceInput(input.Trace)
+	case input.Source != nil && input.Trace == nil:
+		in = sourceInput(input.Source)
+	default:
+		return nil, fmt.Errorf("system: input must set exactly one of Trace and Source")
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if cfg.Design == Host {
+		return runHost(ctx, cfg, in)
+	}
+	if in.cores != cfg.NumUnits() {
+		return nil, fmt.Errorf("system: trace has %d cores, machine has %d units",
+			in.cores, cfg.NumUnits())
+	}
+	s, err := newNDPSim(cfg, in)
+	if err != nil {
+		return nil, err
+	}
+	s.ctx = ctx
+	s.bootstrap()
+	if pipelined && s.profiles() {
+		// Start the epoch worker only after bootstrap installed the
+		// initial samplers: bank ownership transfers to the worker here.
+		s.pipe = newEpochPipe(s.samplers, s.cfg.Sampler)
+		s.deps.observe = s.pipe.observe
+		// If the event loop panics (a simulator bug surfacing mid-run),
+		// stop the worker so the panic-isolating callers (the ndpserve
+		// scheduler) do not leak a goroutine per failed job. The normal
+		// path clears s.pipe before finishStats.
+		defer func() {
+			if s.pipe != nil {
+				s.pipe.abort()
+			}
+		}()
+	}
+	s.loop()
+	if err := in.err(); err != nil {
+		return s.result(), fmt.Errorf("system: access feed failed mid-run: %w", err)
+	}
+	if s.res.Truncated && s.res.TruncateReason == truncatedCanceled {
+		return s.result(), context.Cause(ctx)
+	}
+	return s.result(), nil
+}
+
+// Run simulates the trace serially (RunContext without cancellation).
 func Run(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, tr)
+	return RunContext(context.Background(), cfg, Input{Trace: tr}, false)
 }
 
-// RunContext is Run with cooperative cancellation: when ctx is canceled
-// mid-run the event loop stops at the next check point, partial
-// statistics are flushed exactly as for a tripped watchdog (Truncated
-// set, TruncateReason = "canceled"), and the partial Result is returned
-// ALONGSIDE ctx.Err(). Callers that only want clean aborts can ignore
-// the Result on error; callers that checkpoint (the serving layer) use
-// both.
-func RunContext(ctx context.Context, cfg Config, tr *workloads.Trace) (*Result, error) {
-	return runInput(ctx, cfg, traceInput(tr), false)
-}
-
-// RunSource simulates a streaming access source (e.g. a recorded trace
-// file replayed with bounded memory) on the configured machine.
+// RunSource simulates a streaming access source serially.
 func RunSource(cfg Config, src workloads.Source) (*Result, error) {
-	return RunSourceContext(context.Background(), cfg, src)
+	return RunContext(context.Background(), cfg, Input{Source: src}, false)
 }
 
-// RunSourceContext is RunSource with cooperative cancellation
-// (RunContext's contract). The source is consumed; open a fresh one per
-// run. A source read error surfaces after the event loop alongside the
-// partial Result.
-func RunSourceContext(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
-	return runInput(ctx, cfg, sourceInput(src), false)
-}
-
-// RunPipelined simulates the trace with the epoch pipeline: sampler and
-// miss-curve bookkeeping for each epoch runs on a dedicated worker
-// goroutine, overlapping the event-loop simulation of the next epoch.
-// The result is byte-identical to Run on the same inputs — the pipeline
-// changes where the bookkeeping runs, never what it computes — so cached
-// and golden results are interchangeable between the two modes. Designs
-// without epoch profiling (Host, NDPExtStatic, StaticInterleave) fall
-// back to the serial path.
+// RunPipelined simulates the trace with the epoch pipeline.
 func RunPipelined(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunPipelinedContext(context.Background(), cfg, tr)
+	return RunContext(context.Background(), cfg, Input{Trace: tr}, true)
 }
 
-// RunPipelinedContext is RunPipelined with cooperative cancellation
-// (RunContext's contract).
-func RunPipelinedContext(ctx context.Context, cfg Config, tr *workloads.Trace) (*Result, error) {
-	return runInput(ctx, cfg, traceInput(tr), true)
-}
-
-// RunSourcePipelined is RunSource with the epoch pipeline (RunPipelined's
-// byte-identity contract).
+// RunSourcePipelined simulates a streaming access source with the epoch
+// pipeline.
 func RunSourcePipelined(cfg Config, src workloads.Source) (*Result, error) {
-	return RunSourcePipelinedContext(context.Background(), cfg, src)
-}
-
-// RunSourcePipelinedContext is RunSourceContext with the epoch pipeline.
-func RunSourcePipelinedContext(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
-	return runInput(ctx, cfg, sourceInput(src), true)
+	return RunContext(context.Background(), cfg, Input{Source: src}, true)
 }
 
 // simInput is the normalized workload feed handed to the simulators:
@@ -213,52 +257,6 @@ func (in *simInput) err() error {
 		return in.src.Err()
 	}
 	return nil
-}
-
-// runInput validates and dispatches one simulation.
-func runInput(ctx context.Context, cfg Config, in simInput, pipelined bool) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if cfg.Design == Host {
-		return runHost(ctx, cfg, in)
-	}
-	if in.cores != cfg.NumUnits() {
-		return nil, fmt.Errorf("system: trace has %d cores, machine has %d units",
-			in.cores, cfg.NumUnits())
-	}
-	s, err := newNDPSim(cfg, in)
-	if err != nil {
-		return nil, err
-	}
-	s.ctx = ctx
-	s.bootstrap()
-	if pipelined && s.profiles() {
-		// Start the epoch worker only after bootstrap installed the
-		// initial samplers: bank ownership transfers to the worker here.
-		s.pipe = newEpochPipe(s.samplers, s.cfg.Sampler)
-		s.deps.observe = s.pipe.observe
-		// If the event loop panics (a simulator bug surfacing mid-run),
-		// stop the worker so the panic-isolating callers (the ndpserve
-		// scheduler) do not leak a goroutine per failed job. The normal
-		// path clears s.pipe before finishStats.
-		defer func() {
-			if s.pipe != nil {
-				s.pipe.abort()
-			}
-		}()
-	}
-	s.loop()
-	if err := in.err(); err != nil {
-		return s.result(), fmt.Errorf("system: access feed failed mid-run: %w", err)
-	}
-	if s.res.Truncated && s.res.TruncateReason == truncatedCanceled {
-		return s.result(), context.Cause(ctx)
-	}
-	return s.result(), nil
 }
 
 // truncatedCanceled is the TruncateReason for context cancellation.
@@ -567,7 +565,7 @@ func (s *ndpSim) loop() {
 	if s.pipe != nil {
 		// End-of-run join: drain every observation still in flight and
 		// adopt the worker's authoritative counters before finishStats
-		// reads them. s.pipe is cleared first so the runInput panic
+		// reads them. s.pipe is cleared first so the RunContext panic
 		// guard does not double-close on a worker panic re-raised here.
 		p := s.pipe
 		s.pipe = nil
@@ -733,9 +731,7 @@ func cacheMisses(reg *telemetry.Registry, streamCache bool) uint64 {
 }
 
 // staticPowerMW is the machine's static power draw: every NDP unit's
-// DRAM + core static power plus the extended memory's. Shared by
-// finishStats and the shard merge so both derive StaticPJ from the same
-// expression.
+// DRAM + core static power plus the extended memory's.
 func staticPowerMW(cfg *Config) float64 {
 	return float64(cfg.NumUnits())*(cfg.Mem.StaticMWPerU+cfg.CoreStaticMW) +
 		float64(cfg.CXL.Channels)*cfg.CXL.DRAM.StaticMWPerU

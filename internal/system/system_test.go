@@ -21,8 +21,13 @@ func smallConfig(d Design) Config {
 	return cfg
 }
 
-// tinyTrace generates a cached tiny trace for the 8-core machine.
+// tinyTrace generates a tiny trace for the 8-core machine.
 func tinyTrace(t *testing.T, name string) *workloads.Trace {
+	return tinyTraceSeed(t, name, 42)
+}
+
+// tinyTraceSeed is tinyTrace with an explicit generation seed.
+func tinyTraceSeed(t *testing.T, name string, seed uint64) *workloads.Trace {
 	t.Helper()
 	gen, err := workloads.Get(name)
 	if err != nil {
@@ -30,7 +35,7 @@ func tinyTrace(t *testing.T, name string) *workloads.Trace {
 	}
 	sc := workloads.TinyScale()
 	sc.CoresPerProc = 4
-	tr, err := gen(8, 42, sc)
+	tr, err := gen(8, seed, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ import (
 	"ndpext/internal/sim"
 	"ndpext/internal/stream"
 	"ndpext/internal/system"
+	"ndpext/internal/trace"
 	"ndpext/internal/workloads"
 )
 
@@ -123,12 +124,22 @@ func NewBuilder(name string, cores, accessesPerCore int) *Builder {
 	return workloads.NewBuilder(name, cores, accessesPerCore)
 }
 
-// SaveTrace writes a trace to a file so expensive generated workloads
-// can be replayed across runs; LoadTrace reads it back.
-func SaveTrace(tr *Trace, path string) error { return tr.SaveFile(path) }
+// SaveTrace writes a trace to an NDPTRC file so expensive generated
+// workloads can be replayed across runs; LoadTrace reads it back.
+func SaveTrace(tr *Trace, path string) error { return trace.SaveFile(path, tr) }
 
-// LoadTrace reads a trace written by SaveTrace.
-func LoadTrace(path string) (*Trace, error) { return workloads.LoadFile(path) }
+// LoadTrace reads an NDPTRC trace file (written by SaveTrace, ndpsim
+// -save-trace or -record, or ndptrace convert) into memory. A file that
+// is not a valid NDPTRC trace fails with an error wrapping
+// trace.ErrCorrupt.
+func LoadTrace(path string) (*Trace, error) {
+	r, err := trace.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.Materialize()
+}
 
 // Simulate runs the trace on the configured machine.
 func Simulate(cfg Config, tr *Trace) (*Result, error) {

@@ -1,9 +1,15 @@
 package ndpext_test
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ndpext"
+	"ndpext/internal/server/result"
+	"ndpext/internal/trace"
 )
 
 // smallConfig shrinks the machine so API tests run in milliseconds.
@@ -104,5 +110,50 @@ func TestExperimentScales(t *testing.T) {
 	}
 	if len(f.Workloads) != 13 {
 		t.Fatalf("full scale covers %d workloads", len(f.Workloads))
+	}
+}
+
+// SaveTrace -> LoadTrace -> Simulate must give the same canonical result
+// document as simulating the in-memory trace.
+func TestSaveLoadTraceRoundTrip(t *testing.T) {
+	tr, err := ndpext.GenerateTraceN("recsys", 8, 1, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "recsys.ndptrc")
+	if err := ndpext.SaveTrace(tr, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ndpext.LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := func(tr *ndpext.Trace) []byte {
+		t.Helper()
+		res, err := ndpext.Simulate(smallConfig(ndpext.DesignNDPExt), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := result.Encode(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if want, got := doc(tr), doc(loaded); !bytes.Equal(want, got) {
+		t.Fatalf("replayed document differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// A file in the retired gob trace format is rejected as corrupt, not
+// decoded and not a panic.
+func TestLoadTraceRejectsLegacyGob(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.gob")
+	legacyMagic := []byte{'N', 'D', 'P', 'W', 'L', 1} // magic + version of the gob format
+	if err := os.WriteFile(path, append(legacyMagic, bytes.Repeat([]byte{0x7f}, 64)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ndpext.LoadTrace(path); !errors.Is(err, trace.ErrCorrupt) {
+		t.Fatalf("LoadTrace error = %v, want one wrapping trace.ErrCorrupt", err)
 	}
 }
