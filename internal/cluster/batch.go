@@ -5,253 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"ndpext/internal/client"
 	"ndpext/internal/server/scheduler"
-	"ndpext/internal/simcache"
 )
-
-// clusterCell is one matrix position of a cluster batch: its spec and
-// content address, the peer currently running it, and its outcome.
-type clusterCell struct {
-	idx      int
-	design   string
-	workload string
-	trace    string
-	key      simcache.Key
-	spec     scheduler.JobSpec
-
-	mu       sync.Mutex
-	owner    string
-	jobID    string
-	state    scheduler.State
-	errMsg   string
-	result   []byte
-	cacheHit bool
-	deduped  bool
-}
-
-func (c *clusterCell) setRouted(owner, jobID string) {
-	c.mu.Lock()
-	c.owner, c.jobID = owner, jobID
-	c.state = scheduler.StateRunning
-	c.mu.Unlock()
-}
-
-func (c *clusterCell) finishFromStatus(st scheduler.JobStatus) {
-	c.mu.Lock()
-	if !c.state.Terminal() {
-		c.state = st.State
-		c.errMsg = st.Error
-		c.result = []byte(st.Result)
-		c.cacheHit = st.CacheHit
-		c.deduped = st.Deduped
-		if st.ID != "" {
-			c.jobID = st.ID
-		}
-	}
-	c.mu.Unlock()
-}
-
-func (c *clusterCell) fail(msg string) {
-	c.mu.Lock()
-	if !c.state.Terminal() {
-		c.state = scheduler.StateFailed
-		c.errMsg = msg
-	}
-	c.mu.Unlock()
-}
-
-// clusterBatch is one accepted matrix submission fanned out across the
-// ring: the accepting node tracks every cell, re-routes cells lost to
-// peer deaths, and multiplexes per-cell SSE through one hub.
-type clusterBatch struct {
-	id    string
-	spec  scheduler.BatchSpec
-	cells []*clusterCell
-	hub   *hub
-	done  chan struct{}
-}
-
-// terminal reports whether every cell has finished.
-func (b *clusterBatch) terminal() bool {
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// state aggregates cells exactly like a single-node batch: failed if
-// any cell failed, truncated if any was cut short, running while any is
-// unfinished, else done.
-func (b *clusterBatch) state() scheduler.State {
-	state := scheduler.StateDone
-	for _, c := range b.cells {
-		c.mu.Lock()
-		s := c.state
-		c.mu.Unlock()
-		switch s {
-		case scheduler.StateFailed:
-			return scheduler.StateFailed
-		case scheduler.StateTruncated:
-			state = scheduler.StateTruncated
-		case scheduler.StateDone:
-		default:
-			return scheduler.StateRunning
-		}
-	}
-	return state
-}
-
-// ClusterBatchStatus is the wire form of a cluster batch: the
-// single-node BatchStatus shape plus per-cell owners.
-type ClusterBatchStatus struct {
-	ID        string              `json:"id"`
-	State     scheduler.State     `json:"state"`
-	Designs   []string            `json:"designs"`
-	Workloads []string            `json:"workloads,omitempty"`
-	Traces    []string            `json:"traces,omitempty"`
-	Cells     []ClusterCellStatus `json:"cells"`
-	Pending   int                 `json:"pending"`
-}
-
-// ClusterCellStatus is one cell's state with its owning node.
-type ClusterCellStatus struct {
-	Design   string          `json:"design"`
-	Workload string          `json:"workload,omitempty"`
-	Trace    string          `json:"trace,omitempty"`
-	Job      string          `json:"job,omitempty"`
-	Key      string          `json:"key"`
-	Owner    string          `json:"owner,omitempty"`
-	State    scheduler.State `json:"state"`
-	CacheHit bool            `json:"cache_hit,omitempty"`
-	Deduped  bool            `json:"deduped,omitempty"`
-	Error    string          `json:"error,omitempty"`
-}
-
-// status snapshots the batch for API responses.
-func (b *clusterBatch) status() ClusterBatchStatus {
-	st := ClusterBatchStatus{
-		ID:        b.id,
-		State:     b.state(),
-		Designs:   b.spec.Designs,
-		Workloads: b.spec.Workloads,
-		Traces:    b.spec.Traces,
-	}
-	for _, c := range b.cells {
-		c.mu.Lock()
-		cs := ClusterCellStatus{
-			Design:   c.design,
-			Workload: c.workload,
-			Trace:    c.trace,
-			Job:      c.jobID,
-			Key:      c.key.String(),
-			Owner:    c.owner,
-			State:    c.state,
-			CacheHit: c.cacheHit,
-			Deduped:  c.deduped,
-			Error:    c.errMsg,
-		}
-		c.mu.Unlock()
-		if cs.State == "" {
-			cs.State = scheduler.StateQueued
-		}
-		if !cs.State.Terminal() {
-			st.Pending++
-		}
-		st.Cells = append(st.Cells, cs)
-	}
-	return st
-}
-
-// resultDoc renders the canonical matrix document through the same
-// encoder a single node uses, so the bytes are identical for identical
-// specs and results.
-func (b *clusterBatch) resultDoc() ([]byte, error) {
-	cells := make([]scheduler.BatchResultCell, 0, len(b.cells))
-	for _, c := range b.cells {
-		c.mu.Lock()
-		state, errMsg, result := c.state, c.errMsg, c.result
-		c.mu.Unlock()
-		if !state.Terminal() {
-			return nil, scheduler.ErrBatchIncomplete
-		}
-		cells = append(cells, scheduler.BatchResultCell{
-			Design:   c.design,
-			Workload: c.workload,
-			Trace:    c.trace,
-			Key:      c.key.String(),
-			State:    state,
-			Error:    errMsg,
-			Result:   json.RawMessage(result),
-		})
-	}
-	return scheduler.BuildBatchResultDoc(b.spec, cells)
-}
-
-// SubmitBatch validates and expands a matrix, keys every cell, and fans
-// the cells out across the ring: each cell is submitted to its current
-// owner (this node included) and tracked to completion, with cells on a
-// dying peer re-routed to the ring successor. Admission differs from a
-// single node in one documented way: it is per-cell best-effort rather
-// than atomic all-or-nothing, because cells land on different peers.
-func (n *Node) SubmitBatch(spec scheduler.BatchSpec) (*clusterBatch, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cellSpecs := spec.Expand()
-	b := &clusterBatch{spec: spec, hub: newHub(), done: make(chan struct{})}
-	for i, cs := range cellSpecs {
-		key, err := n.sched.KeyFor(cs)
-		if err != nil {
-			return nil, fmt.Errorf("batch cell (design=%s workload=%s%s): %w",
-				cs.Design, cs.Workload, cs.Trace, err)
-		}
-		b.cells = append(b.cells, &clusterCell{
-			idx:      i,
-			design:   cs.Design,
-			workload: cs.Workload,
-			trace:    cs.Trace,
-			key:      key,
-			spec:     cs,
-			state:    scheduler.StateQueued,
-		})
-	}
-
-	n.mu.Lock()
-	n.nextBatch++
-	b.id = fmt.Sprintf("cb-%06d", n.nextBatch)
-	n.batches[b.id] = b
-	n.batchOrder = append(n.batchOrder, b.id)
-	n.mu.Unlock()
-
-	var wg sync.WaitGroup
-	for _, c := range b.cells {
-		wg.Add(1)
-		go func(c *clusterCell) {
-			defer wg.Done()
-			n.runCell(b, c)
-		}(c)
-	}
-	go func() {
-		wg.Wait()
-		close(b.done)
-		b.hub.close()
-	}()
-	return b, nil
-}
-
-// batch returns a cluster batch by ID.
-func (n *Node) batch(id string) (*clusterBatch, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	b, ok := n.batches[id]
-	return b, ok
-}
 
 // cellRouteAttempts bounds how many times one cell is re-routed after
 // transport failures before the accepting node runs it itself.
@@ -264,42 +22,41 @@ const cellRouteAttempts = 4
 // replicated result, piggybacks on an identical in-flight job, or
 // re-runs the cell from scratch). After cellRouteAttempts transport
 // failures the accepting node runs the cell locally as a last resort.
-func (n *Node) runCell(b *clusterBatch, c *clusterCell) {
+func (n *Node) runCell(c *scheduler.BatchCell) {
 	for attempt := 0; attempt < cellRouteAttempts; attempt++ {
 		if n.baseCtx.Err() != nil {
-			c.fail("cluster: node shutting down")
+			c.Fail("cluster: node shutting down")
 			return
 		}
-		owner, local := n.shouldRunLocally(c.key, 0)
+		owner, local := n.shouldRunLocally(c.Key, 0)
 		if local {
-			n.runCellLocal(b, c)
+			n.runCellLocal(c)
 			return
 		}
-		if n.runCellRemote(b, c, owner) {
+		if n.runCellRemote(c, owner) {
 			return
 		}
 		// Transport-level failure: the peer was demoted by ReportFailure;
 		// the next iteration re-resolves the owner against the new view.
 		n.cfg.Logf("cluster: cell %d (%s) lost on %s; re-routing (attempt %d)",
-			c.idx, c.key.String()[:12], owner, attempt+1)
+			c.Index, c.Key.String()[:12], owner, attempt+1)
 	}
-	n.runCellLocal(b, c)
+	n.runCellLocal(c)
 }
 
-// runCellLocal submits the cell to the local scheduler and pumps its
-// replay-then-follow stream into the batch hub. A full local queue is
-// waited out (the accepting node must eventually land every cell it
-// could not place remotely).
-func (n *Node) runCellLocal(b *clusterBatch, c *clusterCell) {
+// runCellLocal submits the cell to the local scheduler and follows the
+// job into the batch. A full local queue is waited out (the accepting
+// node must eventually land every cell it could not place remotely).
+func (n *Node) runCellLocal(c *scheduler.BatchCell) {
 	var job *scheduler.Job
 	for {
 		var err error
-		job, err = n.sched.Submit(c.spec)
+		job, err = n.sched.Submit(c.Spec)
 		if err == nil {
 			break
 		}
 		if !errors.Is(err, scheduler.ErrQueueFull) {
-			c.fail(err.Error())
+			c.Fail(err.Error())
 			return
 		}
 		wait := n.sched.RetryAfterHint()
@@ -309,85 +66,64 @@ func (n *Node) runCellLocal(b *clusterBatch, c *clusterCell) {
 		select {
 		case <-time.After(wait):
 		case <-n.baseCtx.Done():
-			c.fail("cluster: node shutting down")
+			c.Fail("cluster: node shutting down")
 			return
 		}
 	}
 	n.cellsOwned.Add(1)
-	c.setRouted(n.cfg.Self, job.ID)
-	ch, unsub := job.ProgressTarget().Subscribe()
-	defer unsub()
-	for ev := range ch {
-		data, err := json.Marshal(ev.Data)
-		if err != nil {
-			data = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-		}
-		b.hub.publish(hubEvent{
-			Cell: c.idx, Design: c.design, Workload: c.workload, Trace: c.trace,
-			Type: ev.Type, Data: data,
-		})
-	}
-	<-job.Done()
-	c.finishFromStatus(job.Status())
+	c.Follow(n.cfg.Self, job)
 }
 
 // runCellRemote submits the cell to owner and follows it to a terminal
-// state, pumping proxied SSE into the batch hub. It returns false when
-// the owner failed at the transport level (or forgot the job after a
+// state, relaying proxied SSE into the batch. It returns false when the
+// owner failed at the transport level (or forgot the job after a
 // restart) and the cell should be re-routed; in that case the peer has
 // already been reported down. A replay after re-routing can repeat
-// events already in the hub — consumers see a superset, never a gap.
-func (n *Node) runCellRemote(b *clusterBatch, c *clusterCell, owner string) bool {
+// events already in the batch log — consumers see a superset, never a
+// gap.
+func (n *Node) runCellRemote(c *scheduler.BatchCell, owner string) bool {
 	ctx, cancel := context.WithCancel(n.baseCtx)
 	defer cancel()
 	cl := n.forwardClient(owner, 1)
 
-	st, err := cl.Submit(ctx, c.spec)
+	st, err := cl.Submit(ctx, c.Spec)
 	if err != nil {
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
 			// The owner answered and rejected: a verdict, not an outage.
-			c.fail(fmt.Sprintf("cluster: owner %s rejected cell: %v", owner, apiErr))
+			c.Fail(fmt.Sprintf("cluster: owner %s rejected cell: %v", owner, apiErr))
 			return true
 		}
 		n.members.ReportFailure(owner, err)
 		return false
 	}
 	n.forwardsOut.Add(1)
-	c.setRouted(owner, st.ID)
+	c.Routed(owner, st.ID)
 	if st.State.Terminal() {
-		c.finishFromStatus(st)
-		n.publishTerminal(b, c, st)
+		finishPolled(c, st)
 		return true
 	}
 
-	var terminalStatus *scheduler.JobStatus
 	for ev := range cl.Events(ctx, st.ID) {
-		b.hub.publish(hubEvent{
-			Cell: c.idx, Design: c.design, Workload: c.workload, Trace: c.trace,
-			Type: ev.Type, Data: ev.Data,
-		})
+		// Payloads stay raw JSON: the owner's bytes pass through.
+		c.Publish(scheduler.Event{Type: ev.Type, Data: ev.Data})
 		if scheduler.State(ev.Type).Terminal() {
+			// The terminal event carries the full final status, result
+			// included — no extra round trip, and it survives the owner
+			// dying right after finishing.
 			var fin scheduler.JobStatus
 			if json.Unmarshal(ev.Data, &fin) == nil && fin.State.Terminal() {
-				terminalStatus = &fin
+				c.Finish(fin)
+				return true
 			}
 		}
-	}
-	if terminalStatus != nil {
-		// The terminal SSE event carries the full final status, result
-		// included — no extra round trip, and it survives the owner dying
-		// right after finishing.
-		c.finishFromStatus(*terminalStatus)
-		return true
 	}
 
 	// The stream gave up without a terminal event; fall back to polling.
 	fin, err := cl.Await(ctx, st.ID)
 	switch {
 	case err == nil:
-		c.finishFromStatus(fin)
-		n.publishTerminal(b, c, fin)
+		finishPolled(c, fin)
 		return true
 	case errors.Is(err, client.ErrUnknownJob):
 		// The owner restarted and lost its job table: requeue elsewhere.
@@ -396,7 +132,7 @@ func (n *Node) runCellRemote(b *clusterBatch, c *clusterCell, owner string) bool
 	default:
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
-			c.fail(fmt.Sprintf("cluster: owner %s failed cell: %v", owner, apiErr))
+			c.Fail(fmt.Sprintf("cluster: owner %s failed cell: %v", owner, apiErr))
 			return true
 		}
 		n.members.ReportFailure(owner, err)
@@ -404,15 +140,10 @@ func (n *Node) runCellRemote(b *clusterBatch, c *clusterCell, owner string) bool
 	}
 }
 
-// publishTerminal synthesizes the terminal hub event for paths that
-// learned the outcome by polling rather than from the SSE stream.
-func (n *Node) publishTerminal(b *clusterBatch, c *clusterCell, st scheduler.JobStatus) {
-	data, err := json.Marshal(st)
-	if err != nil {
-		data = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	b.hub.publish(hubEvent{
-		Cell: c.idx, Design: c.design, Workload: c.workload, Trace: c.trace,
-		Type: string(st.State), Data: data,
-	})
+// finishPolled records an outcome learned by polling rather than from
+// the SSE stream, publishing the terminal event the stream never
+// carried.
+func finishPolled(c *scheduler.BatchCell, st scheduler.JobStatus) {
+	c.Publish(scheduler.Event{Type: string(st.State), Data: st})
+	c.Finish(st)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -228,9 +230,13 @@ func TestClusterBatchMatchesSingleNode(t *testing.T) {
 
 // TestClusterBatchSSE: the accepting node multiplexes every cell's
 // events — local and proxied — onto one stream, ending with the
-// terminal "batch" event.
+// terminal "batch" event. The same spec on a standalone scheduler must
+// stream the same shape: both kinds of batch share one event log, so
+// each carries exactly one terminal event per cell and ends with
+// "batch".
 func TestClusterBatchSSE(t *testing.T) {
 	nodes := newTestCluster(t, 3, scheduler.Options{})
+	_, single := newSingleNode(t)
 	spec := scheduler.BatchSpec{
 		Designs:   []string{"Host", "NDPExt"},
 		Workloads: []string{"pr"},
@@ -238,41 +244,94 @@ func TestClusterBatchSSE(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	cl := client.New(nodes[1].URL, testClientOptions())
-	bst, err := cl.SubmitBatch(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, base := range []string{nodes[1].URL, single} {
+		cl := client.New(base, testClientOptions())
+		bst, err := cl.SubmitBatch(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		nodes[1].URL+"/v1/batch/"+bst.ID+"/events", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch events status %d", resp.StatusCode)
-	}
-	types, cells := scanSSE(t, resp)
-	if len(types) == 0 || types[len(types)-1] != "batch" {
-		t.Fatalf("stream did not end with the batch event: %v", types)
-	}
-	terminalCells := 0
-	for i, typ := range types {
-		if scheduler.State(typ).Terminal() {
-			terminalCells++
-			if cells[i] < 0 || cells[i] >= 2 {
-				t.Errorf("terminal event for out-of-range cell %d", cells[i])
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			base+"/v1/batch/"+bst.ID+"/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: batch events status %d", bst.ID, resp.StatusCode)
+		}
+		types, cells := scanSSE(t, resp)
+		resp.Body.Close()
+		if len(types) == 0 || types[len(types)-1] != "batch" {
+			t.Fatalf("%s: stream did not end with the batch event: %v", bst.ID, types)
+		}
+		terminal := make([]int, 2)
+		for i, typ := range types {
+			if scheduler.State(typ).Terminal() {
+				if cells[i] < 0 || cells[i] >= len(terminal) {
+					t.Fatalf("%s: terminal event for out-of-range cell %d", bst.ID, cells[i])
+				}
+				terminal[cells[i]]++
+			}
+		}
+		for cell, n := range terminal {
+			if n != 1 {
+				t.Errorf("%s: cell %d has %d terminal events, want 1 (types: %v)", bst.ID, cell, n, types)
 			}
 		}
 	}
-	if terminalCells != 2 {
-		t.Errorf("saw %d terminal cell events, want 2 (types: %v)", terminalCells, types)
+}
+
+// TestUnknownDesign422 runs the transport suite's submission-error
+// cases against a cluster node as one more target: a job or batch naming
+// an unknown design must get the single node's 422 with the accepted
+// design list, and a draining node the single node's 503 — same status,
+// same body.
+func TestUnknownDesign422(t *testing.T) {
+	nodes := newTestCluster(t, 3, scheduler.Options{})
+	singleSched, single := newSingleNode(t)
+
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
 	}
+	same := func(path, body string, want int) {
+		t.Helper()
+		code, doc := post(single+path, body)
+		if code != want {
+			t.Fatalf("single node POST %s = %d, want %d: %s", path, code, want, doc)
+		}
+		ccode, cdoc := post(nodes[0].URL+path, body)
+		if ccode != code || cdoc != doc {
+			t.Errorf("cluster POST %s = %d %s\nsingle node = %d %s", path, ccode, cdoc, code, doc)
+		}
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/jobs", `{"workload":"pr","design":"bogus"}`},
+		{"/v1/batch", `{"designs":["bogus"],"workloads":["pr"]}`},
+		{"/batch", `{"designs":["bogus"],"workloads":["pr"]}`},
+	} {
+		same(c.path, c.body, http.StatusUnprocessableEntity)
+		if _, doc := post(nodes[0].URL+c.path, c.body); !strings.Contains(doc, "NDPExt-MAB") {
+			t.Errorf("cluster POST %s: body lacks valid_designs: %s", c.path, doc)
+		}
+	}
+
+	singleSched.Drain(context.Background())
+	nodes[0].Sched.Drain(context.Background())
+	same("/v1/batch", `{"designs":["NDPExt"],"workloads":["pr"]}`, http.StatusServiceUnavailable)
 }
 
 // scanSSE reads one SSE response to completion, returning the event

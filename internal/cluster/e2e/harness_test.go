@@ -126,6 +126,25 @@ func newTestCluster(t *testing.T, n int, schedOpt scheduler.Options) []*testNode
 	return nodes
 }
 
+// newSingleNode serves one standalone scheduler through the plain
+// transport handler — no cluster anywhere — as the single-node
+// reference the cluster's answers are compared against.
+func newSingleNode(t *testing.T) (*scheduler.Scheduler, string) {
+	t.Helper()
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := scheduler.New(st, nil, scheduler.Options{})
+	sched.Start()
+	srv := httptest.NewServer(transport.NewHandler(sched, transport.Options{}))
+	t.Cleanup(func() {
+		srv.Close()
+		sched.Drain(context.Background())
+	})
+	return sched, srv.URL
+}
+
 // ownerIndex returns which node owns spec's key, plus the key hex, plus
 // the index of some other node (the accepting non-owner).
 func ownerIndex(t *testing.T, nodes []*testNode, spec scheduler.JobSpec) (owner, other int) {

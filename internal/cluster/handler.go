@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 
 	"ndpext/internal/client"
 	"ndpext/internal/server/scheduler"
@@ -26,16 +25,15 @@ const replicaMaxBody = 8 << 20
 //	GET  /v1/jobs/{id}/result      submission was forwarded to
 //	GET  /v1/jobs/{id}/events      SSE proxied with reconnect/replay
 //	POST /v1/batch  (and /batch)   fan the matrix out across the ring
-//	GET  /v1/batch/{id}            cluster batches ("cb-" IDs); local
-//	GET  /v1/batch/{id}/result     ("b-") batches fall through to inner
-//	GET  /v1/batch/{id}/events     multiplexed SSE from every owner
 //	PUT  /v1/cluster/cache/{key}   accept a replicated result document
 //	GET  /v1/cluster               the node's ring/membership document
 //
-// Everything else — listings, stats, healthz, traces — falls through to
-// inner unchanged. inner is deliberately typed http.Handler, not the
-// transport package's concrete type: cluster sits beside transport at
-// the HTTP edge and neither imports the other.
+// Everything else — listings, stats, healthz, traces, and every batch
+// GET — falls through to inner unchanged: a routed batch lives in the
+// local scheduler beside atomic ones, so transport serves both. inner
+// is deliberately typed http.Handler, not the transport package's
+// concrete type: cluster sits beside transport at the HTTP edge and
+// neither imports the other.
 func NewHandler(n *Node, inner http.Handler) http.Handler {
 	h := &handler{n: n, inner: inner}
 	mux := http.NewServeMux()
@@ -46,9 +44,6 @@ func NewHandler(n *Node, inner http.Handler) http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/events", h.handleJobEvents)
 	mux.HandleFunc("POST /v1/batch", h.handleBatchSubmit)
 	mux.HandleFunc("POST /batch", h.handleBatchSubmit)
-	mux.HandleFunc("GET /v1/batch/{id}", h.handleBatchStatus)
-	mux.HandleFunc("GET /v1/batch/{id}/result", h.handleBatchResult)
-	mux.HandleFunc("GET /v1/batch/{id}/events", h.handleBatchEvents)
 	mux.HandleFunc("PUT /v1/cluster/cache/{key}", h.handleReplica)
 	mux.HandleFunc("GET /v1/cluster", h.handleInfo)
 	return mux
@@ -96,16 +91,6 @@ func sseWriter(w http.ResponseWriter) http.Flusher {
 func writeSSERaw(w http.ResponseWriter, fl http.Flusher, event string, data []byte) {
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
 	fl.Flush()
-}
-
-// writeSSE emits one event, marshaling the payload; marshal failures
-// degrade to an inline error object rather than killing the stream.
-func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, data any) {
-	body, err := json.Marshal(data)
-	if err != nil {
-		body = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	writeSSERaw(w, fl, event, body)
 }
 
 // writeAPIError maps a client-layer error from a peer onto this
@@ -270,11 +255,15 @@ func (h *handler) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleBatchSubmit fans a matrix out across the ring. Unlike a single
-// node's atomic all-or-nothing admission, cluster admission is per-cell
-// best-effort: cells land on different peers, so one full peer fails
-// its cells rather than rejecting the whole matrix. The response is
-// always 202 — cells complete asynchronously even when fully cached.
+// handleBatchSubmit fans a matrix out across the ring as a routed
+// batch of the local scheduler; runCell places each cell. Unlike a
+// single node's atomic all-or-nothing admission, cluster admission is
+// per-cell best-effort: cells land on different peers, so one full peer
+// fails its cells rather than rejecting the whole matrix. The response
+// is always 202 — cells complete asynchronously even when fully cached.
+// A matrix the scheduler rejects (malformed, unknown design,
+// quarantined trace, draining) routes to the inner handler, which
+// answers with the single-node status and body.
 func (h *handler) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	body, ok := h.readBody(w, r)
 	if !ok {
@@ -285,100 +274,12 @@ func (h *handler) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		h.serveInner(w, r, body)
 		return
 	}
-	b, err := h.n.SubmitBatch(spec)
+	b, err := h.n.sched.SubmitRoutedBatch(spec, h.n.runCell)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		h.serveInner(w, r, body)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, b.status())
-}
-
-// clusterBatchID reports whether id names a cluster batch; single-node
-// ("b-") batch IDs fall through to the inner handler.
-func clusterBatchID(id string) bool { return strings.HasPrefix(id, "cb-") }
-
-func (h *handler) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !clusterBatchID(id) {
-		h.inner.ServeHTTP(w, r)
-		return
-	}
-	b, ok := h.n.batch(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, b.status())
-}
-
-func (h *handler) handleBatchResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !clusterBatchID(id) {
-		h.inner.ServeHTTP(w, r)
-		return
-	}
-	b, ok := h.n.batch(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", id))
-		return
-	}
-	doc, err := b.resultDoc()
-	if err != nil {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("batch %s is %s; no matrix document yet", b.id, b.state()))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(doc)
-}
-
-// batchEventDoc matches the single-node multiplexed SSE payload shape:
-// the cell's matrix position wrapping the original event payload.
-type batchEventDoc struct {
-	Cell     int             `json:"cell"`
-	Design   string          `json:"design"`
-	Workload string          `json:"workload,omitempty"`
-	Trace    string          `json:"trace,omitempty"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// handleBatchEvents streams a cluster batch's multiplexed progress:
-// replay-then-follow over the hub, events from every owning peer
-// interleaved, and a final "batch" event with the terminal status. A
-// cell re-routed mid-flight may replay events already delivered —
-// consumers see a superset, never a gap.
-func (h *handler) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !clusterBatchID(id) {
-		h.inner.ServeHTTP(w, r)
-		return
-	}
-	b, ok := h.n.batch(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", id))
-		return
-	}
-	fl := sseWriter(w)
-	if fl == nil {
-		return
-	}
-	ch, unsub := b.hub.subscribe()
-	defer unsub()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				writeSSE(w, fl, "batch", b.status())
-				return
-			}
-			writeSSE(w, fl, ev.Type, batchEventDoc{
-				Cell: ev.Cell, Design: ev.Design, Workload: ev.Workload,
-				Trace: ev.Trace, Data: ev.Data,
-			})
-		case <-r.Context().Done():
-			return
-		}
-	}
+	writeJSON(w, http.StatusAccepted, b.Status())
 }
 
 // handleReplica accepts a result document pushed by a peer's OnStored

@@ -50,9 +50,9 @@ type Config struct {
 }
 
 // Node is one member of an ndpserve cluster: the ring, the membership
-// view, the forwarding/replication counters, and the cluster-batch
-// tracker. It wraps a scheduler (bound with Bind) and is exposed over
-// HTTP by NewHandler.
+// view, the forwarding/replication counters, and the cell router of
+// routed batches. It wraps a scheduler (bound with Bind) and is exposed
+// over HTTP by NewHandler.
 type Node struct {
 	cfg     Config
 	ring    *Ring
@@ -62,11 +62,8 @@ type Node struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	mu         sync.Mutex
-	routes     map[string]string // forwarded job ID -> owner URL at submit time
-	batches    map[string]*clusterBatch
-	batchOrder []string
-	nextBatch  int
+	mu     sync.Mutex
+	routes map[string]string // forwarded job ID -> owner URL at submit time
 
 	forwardsIn      atomic.Uint64 // submissions that arrived already forwarded
 	forwardsOut     atomic.Uint64 // submissions this node forwarded to an owner
@@ -103,7 +100,6 @@ func NewNode(cfg Config) (*Node, error) {
 		baseCtx: ctx,
 		cancel:  cancel,
 		routes:  make(map[string]string),
-		batches: make(map[string]*clusterBatch),
 	}, nil
 }
 
@@ -309,9 +305,6 @@ type Info struct {
 
 // Info snapshots the node for API documents.
 func (n *Node) Info() Info {
-	n.mu.Lock()
-	batches := len(n.batches)
-	n.mu.Unlock()
 	return Info{
 		Self:            n.cfg.Self,
 		RingSize:        n.ring.Size(),
@@ -323,7 +316,7 @@ func (n *Node) Info() Info {
 		ReplicationsIn:  n.replicationsIn.Load(),
 		ReplicationsOut: n.replicationsOut.Load(),
 		CellsOwned:      n.cellsOwned.Load(),
-		Batches:         batches,
+		Batches:         len(n.sched.Batches()),
 	}
 }
 

@@ -66,7 +66,7 @@ func TestBatchDAGDedup(t *testing.T) {
 	}
 	hits := 0
 	for _, c := range b.Cells {
-		st := c.Job.Status()
+		st := c.Status()
 		if st.State != StateDone {
 			t.Errorf("cell %s/%s: state %s (err %q)", c.Design, c.Workload, st.State, st.Error)
 		}
@@ -75,7 +75,7 @@ func TestBatchDAGDedup(t *testing.T) {
 			want := warm[[2]string{c.Design, c.Workload}]
 			if want == nil {
 				t.Errorf("cell %s/%s claims a cache hit but was never pre-warmed", c.Design, c.Workload)
-			} else if !bytes.Equal(st.Result, want) {
+			} else if !bytes.Equal(c.Result(), want) {
 				t.Errorf("cell %s/%s: batch document differs from the single-submission bytes", c.Design, c.Workload)
 			}
 		}
@@ -97,7 +97,7 @@ func TestBatchDAGDedup(t *testing.T) {
 		if !j.CacheHit() {
 			t.Errorf("re-submitting cell %s/%s missed the store", c.Design, c.Workload)
 		}
-		if !bytes.Equal(j.Result(), c.Job.Result()) {
+		if !bytes.Equal(j.Result(), c.Result()) {
 			t.Errorf("cell %s/%s: single-submit document differs from the batch cell", c.Design, c.Workload)
 		}
 	}
@@ -144,7 +144,7 @@ func TestBatchSharedCellsRunOnce(t *testing.T) {
 	}
 	deduped := 0
 	for _, c := range b2.Cells {
-		if c.Job.Status().Deduped {
+		if c.Status().Deduped {
 			deduped++
 		}
 	}
@@ -163,7 +163,7 @@ func TestBatchSharedCellsRunOnce(t *testing.T) {
 	cellDoc := func(b *Batch, d, w string) []byte {
 		for _, c := range b.Cells {
 			if c.Design == d && c.Workload == w {
-				return c.Job.Result()
+				return c.Result()
 			}
 		}
 		t.Fatalf("batch %s has no cell %s/%s", b.ID, d, w)

@@ -73,41 +73,8 @@ type LaggedEvent struct {
 	Dropped int `json:"dropped"`
 }
 
-// subscriberBuffer is the default per-subscriber live-event buffer.
-const subscriberBuffer = 64
-
-// subscriber is one bounded, non-blocking event sink. A publish into a
-// full buffer drops the event and counts it; the next successful send
-// is preceded by a "lagged" event carrying the count, so a stalled SSE
-// client learns it missed events instead of silently seeing a gap — and
-// can never back-pressure the worker goroutine publishing to it.
-type subscriber struct {
-	ch      chan Event
-	dropped int // events dropped since the last successful send
-}
-
-// send delivers ev without ever blocking. Called with the job's mu
-// held, which serializes access to dropped.
-func (s *subscriber) send(ev Event) {
-	if s.dropped > 0 {
-		select {
-		case s.ch <- Event{Type: "lagged", Data: LaggedEvent{Dropped: s.dropped}}:
-			s.dropped = 0
-		default:
-			s.dropped++ // ev joins the dropped run
-			return
-		}
-	}
-	select {
-	case s.ch <- ev:
-	default:
-		s.dropped++
-	}
-}
-
 // Job is one accepted submission. All mutable state is behind mu; the
-// event history plus subscriber set implement replay-then-follow
-// semantics for SSE.
+// event log implements replay-then-follow semantics for SSE.
 type Job struct {
 	ID   string
 	Key  simcache.Key
@@ -129,8 +96,7 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	live      telemetry.Live
-	history   []Event
-	subs      map[*subscriber]struct{}
+	events    *eventLog[Event]
 	followers []*Job // jobs piggybacking on this one
 	done      chan struct{}
 }
@@ -142,7 +108,7 @@ func newJob(key simcache.Key, spec JobSpec, cfg system.Config) *Job {
 		cfg:     cfg,
 		state:   StateQueued,
 		created: time.Now(),
-		subs:    make(map[*subscriber]struct{}),
+		events:  newEventLog(func(ev Event) Event { return ev }),
 		done:    make(chan struct{}),
 	}
 }
@@ -172,55 +138,16 @@ func (j *Job) CacheHit() bool {
 	return j.cacheHit
 }
 
-// publish appends ev to the history and fans it out to subscribers.
-// Fan-out is bounded and non-blocking: a subscriber whose buffer is
-// full has events dropped and counted, surfacing later as a "lagged"
-// event — a stalled client never back-pressures the worker.
-func (j *Job) publish(ev Event) {
-	j.mu.Lock()
-	j.history = append(j.history, ev)
-	for sub := range j.subs {
-		sub.send(ev)
-	}
-	j.mu.Unlock()
-}
+// publish appends ev to the job's event log and fans it out without
+// ever blocking the publisher (see eventLog).
+func (j *Job) publish(ev Event) { j.events.publish(ev) }
 
 // Subscribe returns a channel that first replays the event history and
 // then follows live events, plus an unsubscribe func. The channel is
 // closed after the terminal event once the job finishes. Live delivery
 // is best-effort with an explicit "lagged" marker on overflow; replay
 // always carries the complete history.
-func (j *Job) Subscribe() (<-chan Event, func()) { return j.subscribeBuf(subscriberBuffer) }
-
-func (j *Job) subscribeBuf(buf int) (<-chan Event, func()) {
-	j.mu.Lock()
-	replay := make([]Event, len(j.history))
-	copy(replay, j.history)
-	ch := make(chan Event, len(replay)+buf)
-	for _, ev := range replay {
-		ch <- ev
-	}
-	terminal := j.state.terminal()
-	var sub *subscriber
-	if !terminal {
-		sub = &subscriber{ch: ch}
-		j.subs[sub] = struct{}{}
-	}
-	j.mu.Unlock()
-	if terminal {
-		close(ch)
-		return ch, func() {}
-	}
-	var once sync.Once
-	unsub := func() {
-		once.Do(func() {
-			j.mu.Lock()
-			delete(j.subs, sub)
-			j.mu.Unlock()
-		})
-	}
-	return ch, unsub
-}
+func (j *Job) Subscribe() (<-chan Event, func()) { return j.events.subscribe(subscriberBuffer) }
 
 // setRunning transitions queued -> running and announces it.
 func (j *Job) setRunning() {
@@ -231,8 +158,10 @@ func (j *Job) setRunning() {
 	j.publish(Event{Type: "state", Data: map[string]string{"state": string(StateRunning)}})
 }
 
-// finish moves the job to a terminal state, records the outcome, emits
-// the terminal event, closes subscriber channels, and releases waiters.
+// finish moves the job to a terminal state, records the outcome, closes
+// the event log with the terminal event, and releases waiters. A
+// Subscribe racing with finish always ends with the terminal event:
+// the log appends it and closes subscribers in one critical section.
 func (j *Job) finish(state State, result []byte, errMsg string) {
 	j.mu.Lock()
 	if j.state.terminal() {
@@ -245,21 +174,7 @@ func (j *Job) finish(state State, result []byte, errMsg string) {
 	j.finished = time.Now()
 	j.mu.Unlock()
 
-	j.publish(Event{Type: string(state), Data: j.Status()})
-	j.mu.Lock()
-	for sub := range j.subs {
-		if sub.dropped > 0 {
-			// Best-effort: tell a lagging subscriber it missed events
-			// before its channel closes (replay still has everything).
-			select {
-			case sub.ch <- Event{Type: "lagged", Data: LaggedEvent{Dropped: sub.dropped}}:
-			default:
-			}
-		}
-		close(sub.ch)
-		delete(j.subs, sub)
-	}
-	j.mu.Unlock()
+	j.events.close(Event{Type: string(state), Data: j.Status()})
 	close(j.done)
 }
 

@@ -221,7 +221,7 @@ func TestLaggedSubscriber(t *testing.T) {
 	cfg := mustBuild(t, spec)
 	j := newJob(spec.key(cfg, ""), spec, cfg)
 
-	ch, unsub := j.subscribeBuf(2)
+	ch, unsub := j.events.subscribe(2)
 	defer unsub()
 
 	for i := 0; i < 10; i++ {
@@ -258,7 +258,7 @@ func TestLaggedSubscriber(t *testing.T) {
 
 	// A subscriber lagging at finish gets a best-effort lagged marker
 	// before its channel closes.
-	tiny, unsub3 := j.subscribeBuf(0)
+	tiny, unsub3 := j.events.subscribe(0)
 	_ = unsub3
 	j.publish(Event{Type: "epoch", Data: 11}) // replay full: dropped
 	<-tiny                                    // free one slot: the marker is best-effort

@@ -125,10 +125,10 @@ func TestTraceBatch(t *testing.T) {
 	}
 	for _, c := range b.Cells {
 		if c.Design == "Nexus" && c.Trace == "a.ndptrc" {
-			if !c.Job.CacheHit() {
+			if !c.Status().CacheHit {
 				t.Error("batch cell overlapping the single trace submission missed the store")
 			}
-			if string(c.Job.Result()) != string(single.Result()) {
+			if string(c.Result()) != string(single.Result()) {
 				t.Error("trace batch cell differs from the single-submission document")
 			}
 		}

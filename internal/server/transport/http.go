@@ -34,7 +34,8 @@ import (
 //	POST /v1/batch              submit a BatchSpec matrix; 202 with the
 //	                            batch status (200 when every cell was
 //	                            already cached); also served at /batch
-//	GET  /v1/batch/{id}         batch status with per-cell states
+//	GET  /v1/batch/{id}         batch status with per-cell states (any
+//	                            batch: local "b-" or cluster-routed "cb-")
 //	GET  /v1/batch/{id}/result  the canonical matrix document (409 until
 //	                            every cell is terminal)
 //	GET  /v1/batch/{id}/events  multiplexed per-cell progress as SSE
@@ -380,9 +381,12 @@ type batchEventDoc struct {
 	Data     any    `json:"data"`
 }
 
-// handleBatchEvents multiplexes every cell's progress stream onto one
-// SSE connection; each event keeps its type and gains the cell's matrix
-// position. A final "batch" event carries the terminal batch status.
+// handleBatchEvents streams a batch's event log — atomic or routed
+// alike — onto one SSE connection: each cell event keeps its type and
+// gains the cell's matrix position, a subscriber that overflowed gets a
+// "lagged" marker at cell -1, and the final "batch" event carries the
+// terminal batch status. A routed cell re-run after a peer death may
+// repeat events: consumers see a superset, never a gap.
 func (a *api) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	b, ok := a.s.Batch(r.PathValue("id"))
 	if !ok {
@@ -399,9 +403,11 @@ func (a *api) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, ok := <-ch:
 			if !ok {
-				// Every cell stream closed: the batch is terminal.
-				writeSSE(w, fl, "batch", b.Status())
-				return
+				return // final event delivered; stream complete
+			}
+			if ev.Event.Type == "batch" {
+				writeSSE(w, fl, "batch", ev.Event.Data)
+				continue
 			}
 			writeSSE(w, fl, ev.Event.Type, batchEventDoc{
 				Cell: ev.Cell, Design: ev.Design, Workload: ev.Workload,
