@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // Pruning folds only intervals strictly older than t-pruneWindow into the
 // floor: an interval ending exactly at the window edge must survive.
@@ -66,5 +69,17 @@ func TestResourceMaxIntervalsEdge(t *testing.T) {
 	// the gap before interval 0 looks free.
 	if s, _ := r.Acquire(0, 1); s < 1 {
 		t.Fatalf("reservation at %v inside the folded region", s)
+	}
+}
+
+// A Resource header stays one 64-byte cache line on 64-bit hosts: the
+// NoC, DRAM and CXL models keep resources in slices, and every Acquire
+// reads the whole header.
+func TestResourceHeaderIsOneCacheLine(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("64-bit layout only")
+	}
+	if s := unsafe.Sizeof(Resource{}); s != 64 {
+		t.Fatalf("sizeof(Resource) = %d, want 64", s)
 	}
 }
