@@ -73,7 +73,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "cluster health-probe period")
 	downAfter := flag.Int("down-after", 3, "consecutive failed probes before a peer is down (ownership moves to its successor)")
 	replicate := flag.Bool("replicate", true, "replicate completed results to the ring successor")
-	parallel := flag.Int("parallel", 1, "run each simulation epoch-pipelined when >= 2 (byte-identical to serial)")
 	flag.Parse()
 
 	st, err := store.Open(store.Options{
@@ -114,7 +113,6 @@ func main() {
 		RetryAfterMax: *retryAfterMax,
 		MaxWall:       *maxWall,
 		MaxCycles:     *maxCycles,
-		Parallel:      *parallel,
 	}
 	if node != nil {
 		schedOpt.IDPrefix = node.IDPrefix()

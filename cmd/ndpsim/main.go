@@ -6,7 +6,6 @@
 //
 //	ndpsim -workload pr -design NDPExt [-mem hbm|hmc] [-seed 1]
 //	       [-accesses 30000] [-scale 1.0] [-verbose] [-json]
-//	       [-parallel 2]
 //	       [-record run.ndptrc] [-trace-sample 100 [-trace-out trace.jsonl]]
 //	       [-bandit-seed 7 -arms paper,greedy]   (NDPExt-MAB only)
 //
@@ -15,10 +14,6 @@
 //
 // With -json, the run emits the canonical JSON result document — the
 // same bytes ndpserve caches and serves — as one object on stdout.
-//
-// With -parallel=N (N >= 2), the run uses the epoch pipeline: epoch
-// bookkeeping overlaps simulation on a second goroutine, and the result
-// is byte-identical to the serial run.
 //
 // With -record=FILE, every simulated memory access is captured into an
 // NDPTRC trace file (see internal/trace) that replays byte-identically
@@ -78,7 +73,6 @@ func main() {
 	arms := flag.String("arms", "", `NDPExt-MAB arm set, comma-separated (empty = all: "paper,static,greedy,replicate")`)
 	maxWall := flag.Duration("max-wall", 0, "abort after this much wall-clock time, flushing partial results (0 disables)")
 	maxCycles := flag.Int64("max-cycles", 0, "abort once simulated time passes this many core cycles (0 disables)")
-	parallelN := flag.Int("parallel", 1, "parallel workers: <=1 serial; >=2 runs the byte-identical epoch pipeline (one extra goroutine)")
 	flag.Parse()
 
 	if *list {
@@ -214,7 +208,7 @@ func main() {
 	}
 
 	simStart := time.Now()
-	res, err := system.RunContext(context.Background(), cfg, in, *parallelN >= 2)
+	res, err := system.RunContext(context.Background(), cfg, in)
 	if err != nil {
 		log.Fatal(err)
 	}

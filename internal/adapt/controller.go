@@ -15,9 +15,9 @@ import (
 // migration penalty for candidates that would move rows) into rewards,
 // updates the bandit, and returns the sampled arm's allocation for the
 // system layer to install. It is single-threaded by design — Decide is
-// called from the simulator's event-loop thread at epoch boundaries in
-// both serial and pipelined mode, which is what keeps the pick sequence
-// byte-identical across the two.
+// called from the simulator's event-loop thread at epoch boundaries,
+// never from the epoch worker goroutine, which is what keeps the pick
+// sequence deterministic however the worker is scheduled.
 type Controller struct {
 	params Params
 	arms   []Arm

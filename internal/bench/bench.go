@@ -134,7 +134,7 @@ func run(cfg system.Config, name string, opt Options) (*system.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return system.RunContext(opt.context(), cfg, system.Input{Trace: tr}, false)
+		return system.RunContext(opt.context(), cfg, system.Input{Trace: tr})
 	}
 	if testRunHook != nil || cfg.OnEpoch != nil || cfg.Probe != nil {
 		// Hooks are excluded from the canonical config bytes (they don't

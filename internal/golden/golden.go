@@ -150,14 +150,6 @@ func (c Case) Trace() (*workloads.Trace, error) {
 // Run simulates the case and returns the indented canonical result
 // document — the exact bytes the golden files hold.
 func (c Case) Run() ([]byte, error) {
-	return c.RunWith(system.Run)
-}
-
-// RunWith simulates the case through the given entry point (system.Run,
-// system.RunPipelined, ...) and returns the indented canonical result
-// document. The parallel parity suite uses it to assert that every
-// execution mode reproduces the serial oracle's bytes.
-func (c Case) RunWith(run func(system.Config, *workloads.Trace) (*system.Result, error)) ([]byte, error) {
 	cfg, err := c.Config()
 	if err != nil {
 		return nil, err
@@ -166,7 +158,7 @@ func (c Case) RunWith(run func(system.Config, *workloads.Trace) (*system.Result,
 	if err != nil {
 		return nil, err
 	}
-	res, err := run(cfg, tr)
+	res, err := system.Run(cfg, tr)
 	if err != nil {
 		return nil, err
 	}

@@ -20,43 +20,8 @@ func TestGoldenRecordReplay(t *testing.T) {
 	for _, c := range Cases() {
 		t.Run(c.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg, err := c.Config()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := c.Trace()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Recorded run. Host designs fold the trace onto host cores, so
-			// the probe events — and the recorded trace — live in that space.
-			recCores := cfg.NumUnits()
-			if cfg.Design == system.Host {
-				recCores = cfg.HostCores
-			}
-			var file bytes.Buffer
-			w, err := trace.NewWriter(&file, trace.Options{
-				Name: tr.Name, Table: tr.Table, Cores: recCores, Compress: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec := trace.NewRecorder(w)
-			cfg.AttachProbe(rec)
-			res, err := system.Run(cfg, tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := rec.Close(); err != nil {
-				t.Fatalf("recorder: %v", err)
-			}
-			recorded, err := encodeIndent(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			r, err := trace.NewReader(bytes.NewReader(file.Bytes()), int64(file.Len()))
+			file, recorded := recordCase(t, c)
+			r, err := trace.NewReader(bytes.NewReader(file), int64(len(file)))
 			if err != nil {
 				t.Fatalf("reopen recorded trace: %v", err)
 			}
@@ -104,6 +69,47 @@ func TestGoldenRecordReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// recordCase runs the case with a trace recorder attached and returns
+// the recorded NDPTRC bytes and the run's indented canonical document.
+// Host designs fold the trace onto host cores, so the probe events — and
+// the recorded trace — live in that space.
+func recordCase(t *testing.T, c Case) (trc, doc []byte) {
+	t.Helper()
+	cfg, err := c.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := c.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recCores := cfg.NumUnits()
+	if cfg.Design == system.Host {
+		recCores = cfg.HostCores
+	}
+	var file bytes.Buffer
+	w, err := trace.NewWriter(&file, trace.Options{
+		Name: tr.Name, Table: tr.Table, Cores: recCores, Compress: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(w)
+	cfg.AttachProbe(rec)
+	res, err := system.Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatalf("recorder: %v", err)
+	}
+	doc, err = encodeIndent(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file.Bytes(), doc
 }
 
 // encodeIndent renders a result as the indented canonical document the

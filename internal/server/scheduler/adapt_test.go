@@ -64,7 +64,7 @@ func TestMABUnknownDesignStructured(t *testing.T) {
 }
 
 // TestMABDeterminismAcrossSchedulers is the adaptive design's serving
-// determinism fence: one NDPExt-MAB spec simulated serially and on two
+// determinism fence: one NDPExt-MAB spec simulated directly and on two
 // independent scheduler instances must produce byte-identical canonical
 // documents, and a second identical submission must be a cache hit
 // returning the same bytes.

@@ -68,11 +68,6 @@ type Options struct {
 	// Cluster nodes set a per-node prefix so IDs never collide across
 	// peers and a proxied lookup is unambiguous.
 	IDPrefix string
-	// Parallel >= 2 runs each simulation epoch-pipelined
-	// (system.RunContext with pipelined set). The pipeline is
-	// byte-identical to the serial run — the golden parity suite proves
-	// it — so both modes can share one content-addressed result cache.
-	Parallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -570,7 +565,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		runCtx, cancel = context.WithTimeout(runCtx, time.Duration(job.Spec.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := system.RunContext(runCtx, cfg, in, s.opt.Parallel >= 2)
+	res, err := system.RunContext(runCtx, cfg, in)
 	if err != nil {
 		if job.Spec.Trace != "" && errors.Is(err, trace.ErrCorrupt) {
 			// Mid-replay corruption (a CRC mismatch the admission-time

@@ -42,16 +42,17 @@ func TestMABRunsAndReportsTelemetry(t *testing.T) {
 	}
 }
 
-// TestMABPipelinedParity: the epoch pipeline must not change a single
-// bit of the adaptive design's result — the bandit decision runs on the
-// event-loop thread in both modes.
+// TestMABPipelinedParity: the epoch worker goroutine must not change a
+// single bit of the adaptive design's result against the inline
+// reference — the bandit decision runs on the event-loop thread either
+// way.
 func TestMABPipelinedParity(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
-	ser, err := Run(mabConfig(), tr.Clone())
+	ser, err := runInline(mabConfig(), tr.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPipelined(mabConfig(), tr.Clone())
+	par, err := Run(mabConfig(), tr.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

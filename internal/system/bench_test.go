@@ -67,10 +67,12 @@ func BenchmarkPerAccessHost(b *testing.B) {
 }
 
 // BenchmarkMemPath isolates the per-access memory path — serve() through
-// the design's MemPath stages, the NoC, the DRAM models, and telemetry —
-// with no epoch runtime in the timed region. This is the path whose
-// optimization BENCH_core.json tracks; it must not allocate in steady
-// state beyond what the component models themselves require.
+// the design's memory path stages, the NoC, the DRAM models, and
+// telemetry — with no epoch boundary in the timed region. The epoch pipe
+// runs inline, so sampler observations are applied on the timed thread.
+// This is the path whose optimization BENCH_core.json tracks; it must
+// not allocate in steady state beyond what the component models
+// themselves require.
 func BenchmarkMemPath(b *testing.B) {
 	for _, d := range []Design{NDPExt, Jigsaw} {
 		b.Run(d.String(), func(b *testing.B) {
@@ -81,6 +83,7 @@ func BenchmarkMemPath(b *testing.B) {
 				b.Fatal(err)
 			}
 			s.bootstrap()
+			s.startPipe(true)
 			cores := len(tr.PerCore)
 			idx := make([]int, cores)
 			t := make([]sim.Time, cores)

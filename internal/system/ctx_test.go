@@ -27,7 +27,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		lastSnap = ei.Counters.Accesses
 		cancel()
 	}
-	res, err := RunContext(ctx, cfg, Input{Trace: tr.Clone()}, false)
+	res, err := RunContext(ctx, cfg, Input{Trace: tr.Clone()})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
 	}
@@ -54,7 +54,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, smallConfig(NDPExt), Input{Trace: tinyTrace(t, "pr")}, false)
+	res, err := RunContext(ctx, smallConfig(NDPExt), Input{Trace: tinyTrace(t, "pr")})
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
@@ -65,7 +65,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 func TestRunContextRejectsBadInput(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 	for i, in := range []Input{{}, {Trace: tr, Source: tr.Clone().Source()}} {
-		if res, err := RunContext(context.Background(), smallConfig(NDPExt), in, false); err == nil || res != nil {
+		if res, err := RunContext(context.Background(), smallConfig(NDPExt), in); err == nil || res != nil {
 			t.Fatalf("input %d: got (%v, %v), want an error", i, res, err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestRunContextCancelHost(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := RunContext(ctx, cfg, Input{Trace: tr}, false)
+	res, err := RunContext(ctx, cfg, Input{Trace: tr})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("host RunContext error = %v, want context.Canceled", err)
 	}

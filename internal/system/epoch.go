@@ -47,6 +47,41 @@ func allocationsClose(old, new streamcache.Allocation) bool {
 	return float64(d)/float64(oldTotal) < 0.25
 }
 
+// onFailedUnits reports whether an allocation holds rows on any of the
+// failed units.
+func onFailedUnits(a streamcache.Allocation, failed []int) bool {
+	for _, u := range failed {
+		if u < len(a.Shares) && a.Shares[u] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// damp removes from allocs every stream whose new allocation is close to
+// its installed one: a near-identical allocation is not worth the
+// invalidations its installation would cause (every moved row is a
+// string of extended-memory refetches). A stream whose installed
+// allocation holds rows on a failed vault is never damped — keeping it
+// would strand the stream on failed hardware — and installing its
+// rebuilt allocation counts as a fault remap.
+func (s *ndpSim) damp(allocs map[stream.ID]streamcache.Allocation,
+	installed func(stream.ID) (streamcache.Allocation, bool), failed []int) {
+	for sid, a := range allocs {
+		old, had := installed(sid)
+		if !had {
+			continue
+		}
+		if onFailedUnits(old, failed) {
+			s.tel.FaultRemappedStreams++
+			continue
+		}
+		if allocationsClose(old, a) {
+			delete(allocs, sid)
+		}
+	}
+}
+
 // policyConfig builds the Algorithm 1 configuration for this machine.
 func (s *ndpSim) policyConfig() policy.Config {
 	seg := s.cfg.UnitRows / 32
@@ -181,15 +216,21 @@ func (s *ndpSim) bootstrap() {
 			panic(err)
 		}
 	}
-	// Initial sampler guess: stream sid sampled at unit sid mod N. The
-	// first epoch boundary replaces this with the max-flow assignment.
-	if s.profiles() {
-		for _, st := range s.table.All() {
-			u := int(st.SID) % s.cfg.NumUnits()
-			s.samplers.local[u][st.SID] = s.samplers.get(s.cfg.Sampler, s.itemBytes(st.SID))
-			s.samplers.global[st.SID] = s.samplers.get(s.cfg.Sampler, s.itemBytes(st.SID))
-		}
+}
+
+// startPipe installs the initial samplers and starts the epoch pipeline
+// over them (inline: on the event-loop thread). The initial guess samples
+// stream sid at unit sid mod N; the first epoch boundary replaces it with
+// the max-flow assignment.
+func (s *ndpSim) startPipe(inline bool) {
+	bank := newSamplerBank(s.cfg.NumUnits())
+	for _, st := range s.table.All() {
+		u := int(st.SID) % s.cfg.NumUnits()
+		bank.local[u][st.SID] = bank.get(s.cfg.Sampler, s.itemBytes(st.SID))
+		bank.global[st.SID] = bank.get(s.cfg.Sampler, s.itemBytes(st.SID))
 	}
+	s.pipe = newEpochPipe(bank, s.cfg.Sampler, inline)
+	s.deps.pipe = s.pipe
 }
 
 // profiles reports whether this design uses samplers and epochs at all.
@@ -323,24 +364,16 @@ func (s *ndpSim) epochBoundary() {
 
 	// Harvest miss curves: the global sampler (home-set view, all
 	// cores) drives sizing; the local sampler (one core) reveals whether
-	// per-core reuse would survive replication. In pipelined mode the
-	// curves come from the epoch worker (which has, by hand-off order,
-	// already applied every observation of the closing epoch); the
-	// extraction itself is the shared harvestCurves, so both modes
-	// produce identical curves.
-	var hg, hl []harvestedCurve
-	if s.pipe != nil {
-		rep := s.pipe.harvest()
-		s.tel.Observes = rep.observes
-		hg, hl = rep.global, rep.local
-	} else {
-		hg, hl = harvestCurves(s.samplers)
-	}
-	for _, h := range hg {
+	// per-core reuse would survive replication. The epoch worker has, by
+	// hand-off order, already applied every observation of the closing
+	// epoch.
+	rep := s.pipe.harvest()
+	s.tel.Observes = rep.observes
+	for _, h := range rep.global {
 		h.cv.Accesses = totals[h.sid]
 		s.curves[h.sid] = h.cv
 	}
-	for _, h := range hl {
+	for _, h := range rep.local {
 		h.cv.Accesses = totals[h.sid]
 		s.localCurves[h.sid] = h.cv
 	}
@@ -384,16 +417,6 @@ func (s *ndpSim) epochBoundary() {
 		})
 	}
 
-	// onFailed reports whether an allocation holds rows on a dead vault.
-	onFailed := func(a streamcache.Allocation) bool {
-		for _, u := range failed {
-			if u < len(a.Shares) && a.Shares[u] > 0 {
-				return true
-			}
-		}
-		return false
-	}
-
 	var epochArm string
 	var epochArmSwitched bool
 	if s.shouldReconfig() && len(ins) > 0 {
@@ -413,8 +436,8 @@ func (s *ndpSim) epochBoundary() {
 				// NDPExt-MAB: the bandit picks which arm's allocation to
 				// install, scoring every candidate against this epoch's
 				// curves. The decision runs here, on the event-loop
-				// thread, in both serial and pipelined mode — that is
-				// what keeps the pick sequence byte-identical.
+				// thread, never on the epoch worker — that is what keeps
+				// the pick sequence deterministic.
 				live := make(map[stream.ID]streamcache.Allocation, len(ins))
 				var epochAcc uint64
 				for i := range ins {
@@ -458,25 +481,7 @@ func (s *ndpSim) epochBoundary() {
 					allocs[st.SID] = streamcache.NewAllocation(s.cfg.NumUnits())
 				}
 			}
-			// Damping: a near-identical allocation is not worth the
-			// invalidations its installation would cause (every moved
-			// row is a string of extended-memory refetches). A stream
-			// holding rows on a dead vault is never damped — keeping
-			// its old allocation would strand it on failed hardware —
-			// and installing its rebuilt allocation counts as a remap.
-			for sid, a := range allocs {
-				old, had := s.sc.Allocation(sid)
-				if !had {
-					continue
-				}
-				if onFailed(old) {
-					s.tel.FaultRemappedStreams++
-					continue
-				}
-				if allocationsClose(old, a) {
-					delete(allocs, sid)
-				}
-			}
+			s.damp(allocs, s.sc.Allocation, failed)
 			if s.cfg.DebugReconfig {
 				w := s.cfg.debugWriter()
 				for _, sid := range sortedAllocSIDs(allocs) {
@@ -513,7 +518,7 @@ func (s *ndpSim) epochBoundary() {
 			// degraded mode zeroes any shares they place on failed
 			// vaults; freed rows just go unused for the epoch.
 			for sid, a := range allocs {
-				if !onFailed(a) {
+				if !onFailedUnits(a, failed) {
 					continue
 				}
 				for _, u := range failed {
@@ -524,21 +529,8 @@ func (s *ndpSim) epochBoundary() {
 				allocs[sid] = a
 			}
 			// The baselines damp churn the same way (Jigsaw-class
-			// systems also keep stable partitions stable), with the
-			// same dead-vault override.
-			for sid, a := range allocs {
-				old, had := s.nc.Allocation(sid)
-				if !had {
-					continue
-				}
-				if onFailed(old) {
-					s.tel.FaultRemappedStreams++
-					continue
-				}
-				if allocationsClose(old, a) {
-					delete(allocs, sid)
-				}
-			}
+			// systems also keep stable partitions stable).
+			s.damp(allocs, s.nc.Allocation, failed)
 			inv, _, err := s.nc.Apply(allocs)
 			if err != nil {
 				panic(err)
@@ -553,21 +545,16 @@ func (s *ndpSim) epochBoundary() {
 	// and the leftover sampler slots go to the rest (the multi-epoch
 	// rotation of §V-B). The job's inputs are built here (they depend on
 	// the injector and the stream table, both owned by the event-loop
-	// thread); in pipelined mode its execution moves to the epoch
-	// worker, overlapping the next epoch's event loop, and is joined
-	// lazily — immediately only when OnEpoch needs the coverage count.
+	// thread); it runs on the epoch worker, overlapping the next epoch's
+	// event loop, and is joined lazily — immediately only when OnEpoch
+	// needs the coverage count.
 	job := s.buildReassignJob(totals, accBy, failed)
 	covered := 0
-	if s.pipe != nil {
-		if s.cfg.OnEpoch != nil {
-			covered = s.pipe.reassignSync(job)
-			s.tel.SamplerCovered = covered
-		} else {
-			s.pipe.reassignAsync(job)
-		}
-	} else {
-		covered, s.uncovered = job.run(s.samplers, s.uncovered)
+	if s.cfg.OnEpoch != nil {
+		covered = s.pipe.reassignSync(job)
 		s.tel.SamplerCovered = covered
+	} else {
+		s.pipe.reassignAsync(job)
 	}
 
 	if s.cfg.OnEpoch != nil {
@@ -598,9 +585,7 @@ type harvestedCurve struct {
 // harvestCurves extracts the miss curve every installed sampler observed
 // this epoch, in deterministic bank order (the global bank by ascending
 // stream ID, then each unit's local bank). Samplers that saw no accesses
-// or produced empty curves are skipped. The function is shared by the
-// serial epoch boundary and the epoch-pipeline worker so both modes
-// extract bit-identical curves.
+// or produced empty curves are skipped. It runs on the epoch worker.
 func harvestCurves(b *samplerBank) (global, local []harvestedCurve) {
 	for sid, smp := range b.global {
 		if smp == nil || smp.Accesses() == 0 {
@@ -632,8 +617,7 @@ func harvestCurves(b *samplerBank) (global, local []harvestedCurve) {
 // units, at what sampler item granularity, and how many sampler slots
 // each unit offers (zero on failed vaults). It is built on the
 // event-loop thread — its inputs depend on the fault injector and the
-// stream table, both owned there — and executed either inline (serial
-// mode) or on the epoch-pipeline worker.
+// stream table, both owned there — and executed on the epoch worker.
 type reassignJob struct {
 	sids      []stream.ID
 	unitsOf   [][]int
@@ -682,9 +666,7 @@ func (s *ndpSim) buildReassignJob(totals map[stream.ID]uint64, accBy map[stream.
 // max-flow, honoring the §V-B rotation: streams the previous epoch could
 // not cover are assigned first, then the leftover slots go to the rest.
 // It returns the covered-stream count and the new uncovered set. The
-// receiver-side state (bank, uncovered) belongs to whichever goroutine
-// executes the job — the event loop in serial mode, the epoch worker in
-// pipelined mode — so the same code serves both byte-identically.
+// bank and the uncovered set belong to the epoch worker.
 func (j *reassignJob) run(bank *samplerBank, uncovered map[stream.ID]bool) (int, map[stream.ID]bool) {
 	bank.retire()
 	install := func(u, i int) {

@@ -6,22 +6,33 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"ndpext/internal/workloads"
 )
 
+// runInline runs the trace with the epoch pipeline's work done inline on
+// the event-loop thread: the single-threaded reference the worker
+// goroutine must match.
+func runInline(cfg Config, tr *workloads.Trace) (*Result, error) {
+	return runContext(context.Background(), cfg, Input{Trace: tr}, true)
+}
+
 // serialVsPipelined runs the same config + trace (generated with the
-// given seed) through both modes and fails on any externally visible
-// divergence: the fingerprint (every Result field), the per-stream
-// reports, and the full telemetry registry must all be byte-identical.
+// given seed) with the pipeline inline (serial) and on its worker
+// goroutine, and fails on any externally visible divergence: the
+// fingerprint (every Result field), the per-stream reports, and the full
+// telemetry registry must all be byte-identical.
 func serialVsPipelined(t *testing.T, cfg Config, workload string, seed uint64) {
 	t.Helper()
 	tr := tinyTraceSeed(t, workload, seed)
-	serial, err := Run(cfg, tr.Clone())
+	serial, err := runInline(cfg, tr.Clone())
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	par, err := RunPipelined(cfg, tr.Clone())
+	par, err := Run(cfg, tr.Clone())
 	if err != nil {
 		t.Fatalf("pipelined: %v", err)
 	}
@@ -39,9 +50,9 @@ func serialVsPipelined(t *testing.T, cfg Config, workload string, seed uint64) {
 	}
 }
 
-// Every NDP design must produce byte-identical results in pipelined
-// mode, including the designs that do not profile (they fall back to the
-// serial path internally, but the entry point must still work).
+// Every NDP design must produce byte-identical results on the worker,
+// including the designs that do not profile (they start no pipe, so both
+// runs take the same path, but the entry point must still work).
 func TestPipelinedMatchesSerialAllDesigns(t *testing.T) {
 	for _, d := range NDPDesigns() {
 		t.Run(d.String(), func(t *testing.T) {
@@ -70,7 +81,7 @@ func TestPipelinedMatchesSerialFaults(t *testing.T) {
 
 // Property test: 20 seeded draws over design, workload, generation
 // seed, epoch length, ConsistentHash and partial reconfiguration must
-// all be byte-identical between the serial and pipelined runs.
+// all be byte-identical between the inline and worker runs.
 func TestPipelinedMatchesSerialProperty(t *testing.T) {
 	designs := NDPDesigns()
 	names := []string{"pr", "recsys", "gnn", "bfs", "backprop", "mv"}
@@ -93,24 +104,24 @@ func TestPipelinedMatchesSerialProperty(t *testing.T) {
 }
 
 // OnEpoch forces the synchronous reassignment join; the per-epoch info
-// stream must match the serial run field for field.
+// stream must match the inline run field for field.
 func TestPipelinedOnEpochParity(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	collect := func(pipelined bool) []EpochInfo {
+	collect := func(inline bool) []EpochInfo {
 		var infos []EpochInfo
 		cfg := smallConfig(NDPExt)
 		cfg.OnEpoch = func(ei EpochInfo) { infos = append(infos, ei) }
 		run := Run
-		if pipelined {
-			run = RunPipelined
+		if inline {
+			run = runInline
 		}
 		if _, err := run(cfg, tr.Clone()); err != nil {
-			t.Fatalf("pipelined=%v: %v", pipelined, err)
+			t.Fatalf("inline=%v: %v", inline, err)
 		}
 		return infos
 	}
-	serial := collect(false)
-	par := collect(true)
+	serial := collect(true)
+	par := collect(false)
 	if len(serial) == 0 {
 		t.Fatal("no epochs observed")
 	}
@@ -120,15 +131,14 @@ func TestPipelinedOnEpochParity(t *testing.T) {
 }
 
 // Cancellation mid-run must drain the pipeline cleanly and flush the
-// same partial-statistics shape as the serial path (Truncated set, the
-// context error returned).
+// partial statistics (Truncated set, the context error returned).
 func TestPipelinedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := smallConfig(NDPExt)
 	cfg.OnEpoch = func(EpochInfo) { cancel() } // cancel mid-run, after the first boundary
 	tr := tinyTrace(t, "pr")
-	res, err := RunContext(ctx, cfg, Input{Trace: tr}, true)
+	res, err := RunContext(ctx, cfg, Input{Trace: tr})
 	if err == nil {
 		t.Fatal("want context error")
 	}
@@ -142,7 +152,7 @@ func TestPipelinedCancellation(t *testing.T) {
 func TestPipelinedWatchdog(t *testing.T) {
 	cfg := smallConfig(NDPExt)
 	cfg.MaxWall = time.Nanosecond
-	res, err := RunPipelined(cfg, tinyTrace(t, "pr"))
+	res, err := Run(cfg, tinyTrace(t, "pr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,16 +162,30 @@ func TestPipelinedWatchdog(t *testing.T) {
 }
 
 // A panic inside worker-side code must surface on the caller's
-// goroutine, exactly where the serial path would have raised it.
+// goroutine at the next join, with the worker on its goroutine or inline.
 func TestPipePanicPropagates(t *testing.T) {
-	bank := newSamplerBank(2)
-	cfg := smallConfig(NDPExt)
-	p := newEpochPipe(bank, cfg.Sampler)
-	p.observe(99, 1, 0) // out-of-range unit: worker's apply will panic
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic did not propagate")
-		}
-	}()
-	p.harvest()
+	for _, inline := range []bool{false, true} {
+		t.Run(fmt.Sprintf("inline=%v", inline), func(t *testing.T) {
+			bank := newSamplerBank(2)
+			cfg := smallConfig(NDPExt)
+			p := newEpochPipe(bank, cfg.Sampler, inline)
+			p.observe(99, 1, 0) // out-of-range unit: worker's apply will panic
+			defer func() {
+				if recover() == nil {
+					t.Fatal("worker panic did not propagate")
+				}
+			}()
+			p.harvest()
+		})
+	}
+}
+
+// With one P the event loop and the epoch worker take turns on it: the
+// bounded hand-off channel must neither deadlock nor change a result, on
+// the main design and on the degraded (fault) epoch boundary.
+func TestPipelinedSingleP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serialVsPipelined(t, smallConfig(NDPExt), "recsys", 42)
+	serialVsPipelined(t, faultConfig(t, NDPExt,
+		"vault-fail,unit=5,at=100us;cxl-retry,rate=0.05,lat=200ns;cxl-degrade,at=200us,dur=100us,factor=4"), "pr", 42)
 }

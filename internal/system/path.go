@@ -10,27 +10,6 @@ import (
 	"ndpext/internal/workloads"
 )
 
-// MemPath is one pipeline stage arrangement serving post-L1 memory
-// accesses for a design family: the NDPExt stream cache path
-// (streamPath), the NUCA baseline path (nucaPath), or future policies.
-// A path is selected by construction in newNDPSim, not by branching in
-// the hot loop.
-//
-// Access serves the access issued by core at time t and returns its
-// completion time, the level that supplied the data, and the stream the
-// access belongs to (stream.NoStream when none).
-type MemPath interface {
-	Access(t sim.Time, core int, a workloads.Access) (done sim.Time, served telemetry.Level, sid stream.ID)
-}
-
-// The simulator stores the selected path as a concrete pointer (see
-// ndpSim.spath/npath) to keep the per-access dispatch direct; these
-// assertions keep both implementations honest against the interface.
-var (
-	_ MemPath = (*streamPath)(nil)
-	_ MemPath = (*nucaPath)(nil)
-)
-
 // pathDeps bundles the hardware and accounting shared by every memory
 // path stage.
 type pathDeps struct {
@@ -41,8 +20,9 @@ type pathDeps struct {
 	ext   *extPath
 	tel   *telemetry.Counters
 
-	// observe feeds a stream access to the host runtime's samplers.
-	observe func(unit int, sid stream.ID, item uint64)
+	// pipe receives each stream access for the host runtime's
+	// samplers; nil for designs that do not profile.
+	pipe *epochPipe
 
 	// inj, when non-nil, injects faults; paths consult it to redirect
 	// accesses whose home vault is offline to extended memory.
@@ -50,7 +30,7 @@ type pathDeps struct {
 }
 
 // serve is the head of the memory pipeline: compute gap + L1, then the
-// design's MemPath on a miss. All accounting flows through s.tel; the
+// design's memory path (spath or npath) on a miss. All accounting flows through s.tel; the
 // optional probe receives a per-access record with per-level latencies.
 func (s *ndpSim) serve(start sim.Time, core int, a workloads.Access) sim.Time {
 	tel := &s.tel

@@ -15,7 +15,9 @@ type nucaPath struct {
 	nc *nuca.Controller
 }
 
-// Access implements MemPath.
+// Access serves the access issued by core at time t and returns its
+// completion time, the level that supplied the data, and its stream
+// (stream.NoStream when none).
 func (p *nucaPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time, telemetry.Level, stream.ID) {
 	tel := p.tel
 	lk := p.nc.Lookup(core, a.Addr, a.Write)
@@ -23,8 +25,8 @@ func (p *nucaPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time, t
 	m := t
 	t += p.clock.Cycles(p.cfg.MetaLatCycles)
 	tel.Add(telemetry.LevelMeta, t-m)
-	if lk.SID != stream.NoStream {
-		p.observe(core, lk.SID, a.Addr/uint64(64))
+	if lk.SID != stream.NoStream && p.pipe != nil {
+		p.pipe.observe(core, lk.SID, a.Addr/uint64(64))
 	}
 
 	if p.inj != nil && p.devs[lk.Home].Offline(t) {

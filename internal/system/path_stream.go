@@ -16,7 +16,8 @@ type streamPath struct {
 	table *stream.Table
 }
 
-// Access implements MemPath.
+// Access serves the access issued by core at time t and returns its
+// completion time, the level that supplied the data, and its stream.
 func (p *streamPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time, telemetry.Level, stream.ID) {
 	tel := p.tel
 	lk := p.sc.Lookup(core, a.Addr, a.Write)
@@ -32,10 +33,10 @@ func (p *streamPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time,
 	}
 	tel.Add(telemetry.LevelMeta, t-m)
 
-	if !lk.Bypass {
+	if !lk.Bypass && p.pipe != nil {
 		// Sample before the no-space branch: an unfunded stream must
 		// still be profiled, or it could never earn an allocation.
-		p.observe(core, lk.SID, lk.ItemID)
+		p.pipe.observe(core, lk.SID, lk.ItemID)
 	}
 	if lk.Bypass || lk.NoSpace {
 		return p.ext.access(t, core, a.Addr, max(lk.FetchBytes, 64), a.Write),

@@ -5,16 +5,17 @@ import (
 	"ndpext/internal/stream"
 )
 
-// The epoch pipeline overlaps the host runtime's sampler bookkeeping
-// with the event-loop simulation, byte-identically to the serial path.
+// The epoch pipeline runs the host runtime's sampler bookkeeping on a
+// worker goroutine, overlapping the event-loop simulation. Every design
+// that profiles runs through it.
 //
 // The key observation is that sampler observations never influence the
 // timing of the epoch that produces them: Observe feeds shadow state
 // whose only outputs are the miss curves harvested at the next epoch
 // boundary and the Observes counter (SRAM energy). So the event loop can
-// hand each observation to a dedicated worker goroutine over a bounded
-// channel of immutable batches, and keep simulating. The boundary then
-// proceeds in three beats:
+// hand each observation to the worker over a bounded channel of
+// immutable batches, and keep simulating. The boundary then proceeds in
+// three beats:
 //
 //  1. join — the boundary flushes the batch in flight and asks the
 //     worker to harvest curves; FIFO hand-off order guarantees every
@@ -26,12 +27,14 @@ import (
 //  3. detach — the sampler reassignment (retire, max-flow, install) is
 //     posted to the worker and overlaps the next epoch's event loop.
 //     Observations of the next epoch queue behind it, so they meet the
-//     newly installed samplers exactly as they would serially.
+//     newly installed samplers.
 //
 // Everything the worker owns after start-up — the sampler bank, the
 // uncovered-stream rotation set, the observation counter — is touched by
 // the event-loop thread only through the channel protocol, and rejoined
-// at the boundary (curves, counters) or at end of run.
+// at the boundary (curves, counters) or at end of run. An inline pipe
+// runs each message on the event-loop thread instead, as it is sent: the
+// single-threaded reference the pipeline tests compare the worker with.
 const (
 	// obsBatchSize is the hand-off granularity: big enough to amortize
 	// channel overhead, small enough that a batch is cache-resident.
@@ -82,8 +85,8 @@ type pipeMsg struct {
 // epochPipe is the event-loop side of the pipeline plus the worker's
 // exclusive state.
 type epochPipe struct {
-	msgs chan pipeMsg
-	free chan []obs // batch recycling; best-effort
+	msgs chan pipeMsg // nil when inline
+	free chan []obs   // batch recycling; best-effort
 	cur  []obs
 
 	// Worker-owned after newEpochPipe returns.
@@ -95,23 +98,36 @@ type epochPipe struct {
 	panicked  any
 }
 
-// newEpochPipe starts the epoch worker over the given sampler bank. The
-// caller must not touch the bank again until the pipe is closed.
-func newEpochPipe(bank *samplerBank, scfg sampler.Config) *epochPipe {
+// newEpochPipe starts the epoch worker over the given sampler bank, or,
+// with inline set, a pipe that runs every message on the sender's
+// thread. The caller must not touch the bank again until the pipe is
+// closed.
+func newEpochPipe(bank *samplerBank, scfg sampler.Config, inline bool) *epochPipe {
 	p := &epochPipe{
-		msgs: make(chan pipeMsg, pipeDepth),
 		free: make(chan []obs, pipeDepth+1),
 		cur:  make([]obs, 0, obsBatchSize),
 		bank: bank,
 		scfg: scfg,
 	}
-	go p.worker()
+	if !inline {
+		p.msgs = make(chan pipeMsg, pipeDepth)
+		go p.worker()
+	}
 	return p
 }
 
-// observe is the pipelined counterpart of ndpSim.observe: record the
-// observation and hand it off once the batch fills. Runs on the
-// event-loop thread.
+// send hands one message to the worker, or handles it right away when
+// the pipe is inline.
+func (p *epochPipe) send(m pipeMsg) {
+	if p.msgs == nil {
+		p.handle(m)
+		return
+	}
+	p.msgs <- m
+}
+
+// observe records the observation and hands it off once the batch
+// fills. Runs on the event-loop thread.
 func (p *epochPipe) observe(unit int, sid stream.ID, item uint64) {
 	p.cur = append(p.cur, obs{unit: int32(unit), sid: sid, item: item})
 	if len(p.cur) == cap(p.cur) {
@@ -124,7 +140,7 @@ func (p *epochPipe) flush() {
 	if len(p.cur) == 0 {
 		return
 	}
-	p.msgs <- pipeMsg{batch: p.cur}
+	p.send(pipeMsg{batch: p.cur})
 	select {
 	case b := <-p.free:
 		p.cur = b[:0]
@@ -138,7 +154,7 @@ func (p *epochPipe) flush() {
 func (p *epochPipe) harvest() harvestReply {
 	p.flush()
 	ch := make(chan harvestReply, 1)
-	p.msgs <- pipeMsg{harvest: ch}
+	p.send(pipeMsg{harvest: ch})
 	rep := <-ch
 	if rep.panicked != nil {
 		panic(rep.panicked)
@@ -149,14 +165,14 @@ func (p *epochPipe) harvest() harvestReply {
 // reassignAsync posts the reassignment without waiting: the worker runs
 // it concurrently with the next epoch's event loop.
 func (p *epochPipe) reassignAsync(job *reassignJob) {
-	p.msgs <- pipeMsg{job: job}
+	p.send(pipeMsg{job: job})
 }
 
 // reassignSync posts the reassignment and waits for the coverage count
 // (needed when Config.OnEpoch observes it at the boundary).
 func (p *epochPipe) reassignSync(job *reassignJob) int {
 	ch := make(chan jobReply, 1)
-	p.msgs <- pipeMsg{job: job, jobDone: ch}
+	p.send(pipeMsg{job: job, jobDone: ch})
 	rep := <-ch
 	if rep.panicked != nil {
 		panic(rep.panicked)
@@ -166,11 +182,11 @@ func (p *epochPipe) reassignSync(job *reassignJob) int {
 
 // close drains the pipeline, stops the worker, and returns the final
 // counters. A panic that escaped the worker is re-raised here, on the
-// event-loop thread, where the serial path would have raised it.
+// event-loop thread.
 func (p *epochPipe) close() finalReply {
 	p.flush()
 	ch := make(chan finalReply, 1)
-	p.msgs <- pipeMsg{final: ch}
+	p.send(pipeMsg{final: ch})
 	rep := <-ch
 	if rep.panicked != nil {
 		panic(rep.panicked)
@@ -185,7 +201,7 @@ func (p *epochPipe) close() finalReply {
 // receive both complete.
 func (p *epochPipe) abort() {
 	ch := make(chan finalReply, 1)
-	p.msgs <- pipeMsg{final: ch}
+	p.send(pipeMsg{final: ch})
 	<-ch
 }
 
@@ -193,12 +209,21 @@ func (p *epochPipe) abort() {
 // curves, run reassignments — strictly in hand-off order.
 func (p *epochPipe) worker() {
 	for m := range p.msgs {
-		p.step(m)
-		if m.final != nil {
-			m.final <- finalReply{observes: p.observes, covered: p.covered, panicked: p.panicked}
+		if p.handle(m) {
 			return
 		}
 	}
+}
+
+// handle processes one message and answers the end-of-run join; it
+// reports whether the message was that join.
+func (p *epochPipe) handle(m pipeMsg) bool {
+	p.step(m)
+	if m.final == nil {
+		return false
+	}
+	m.final <- finalReply{observes: p.observes, covered: p.covered, panicked: p.panicked}
+	return true
 }
 
 // step processes one message. A panic inside sampler or max-flow code is
@@ -254,9 +279,11 @@ func (p *epochPipe) step(m pipeMsg) {
 	}
 }
 
-// apply feeds one observation to the stream's samplers — the same
-// local/global/pair logic as ndpSim.observe, applied in identical order,
-// so shadow state and the Observes counter match the serial run exactly.
+// apply feeds one observation to the stream's samplers: the local
+// sampler (this epoch's assigned unit only — the per-core reuse view)
+// and the global one (the home sets see traffic from every core, §V-A).
+// When both fire (accesses at the assigned unit) the pair update shares
+// the shadow-set arithmetic.
 func (p *epochPipe) apply(o obs) {
 	l := p.bank.local[o.unit][o.sid]
 	g := p.bank.global[o.sid]

@@ -121,14 +121,11 @@ type Input struct {
 
 // RunContext simulates the input on the configured machine.
 //
-// With pipelined set, each epoch's sampler and miss-curve bookkeeping
-// runs on a dedicated worker goroutine, overlapping the event-loop
-// simulation of the next epoch. The result is byte-identical to the
-// serial run on the same inputs — the pipeline changes where the
-// bookkeeping runs, never what it computes — so cached and golden
-// results are interchangeable between the two modes. Designs without
-// epoch profiling (Host, NDPExtStatic, StaticInterleave) run serially
-// either way.
+// Designs that profile (NDPExt, NDPExt-MAB, Jigsaw, Whirlpool, Nexus)
+// run their sampler and miss-curve bookkeeping on an epoch worker
+// goroutine that overlaps the event-loop simulation of the next epoch
+// (pipeline.go). Host, NDPExt-static and static interleave do not
+// profile and start no worker.
 //
 // Cancellation is cooperative: when ctx is canceled mid-run the event
 // loop stops at the next check point, partial statistics are flushed
@@ -138,7 +135,14 @@ type Input struct {
 // callers that checkpoint (the serving layer) use both. A source read
 // error likewise surfaces after the event loop alongside the partial
 // Result.
-func RunContext(ctx context.Context, cfg Config, input Input, pipelined bool) (*Result, error) {
+func RunContext(ctx context.Context, cfg Config, input Input) (*Result, error) {
+	return runContext(ctx, cfg, input, false)
+}
+
+// runContext is RunContext with a choice of where the epoch pipeline's
+// work runs: on its worker goroutine, or, with inlineWorker set, on the
+// event-loop thread as each message is sent (the tests' reference).
+func runContext(ctx context.Context, cfg Config, input Input, inlineWorker bool) (*Result, error) {
 	var in simInput
 	switch {
 	case input.Trace != nil && input.Source == nil:
@@ -167,11 +171,8 @@ func RunContext(ctx context.Context, cfg Config, input Input, pipelined bool) (*
 	}
 	s.ctx = ctx
 	s.bootstrap()
-	if pipelined && s.profiles() {
-		// Start the epoch worker only after bootstrap installed the
-		// initial samplers: bank ownership transfers to the worker here.
-		s.pipe = newEpochPipe(s.samplers, s.cfg.Sampler)
-		s.deps.observe = s.pipe.observe
+	if s.profiles() {
+		s.startPipe(inlineWorker)
 		// If the event loop panics (a simulator bug surfacing mid-run),
 		// stop the worker so the panic-isolating callers (the ndpserve
 		// scheduler) do not leak a goroutine per failed job. The normal
@@ -192,25 +193,29 @@ func RunContext(ctx context.Context, cfg Config, input Input, pipelined bool) (*
 	return s.result(), nil
 }
 
-// Run simulates the trace serially (RunContext without cancellation).
+// Run simulates the trace (RunContext without cancellation).
 func Run(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, Input{Trace: tr}, false)
+	return RunContext(context.Background(), cfg, Input{Trace: tr})
 }
 
-// RunSource simulates a streaming access source serially.
+// RunSource simulates a streaming access source.
 func RunSource(cfg Config, src workloads.Source) (*Result, error) {
-	return RunContext(context.Background(), cfg, Input{Source: src}, false)
+	return RunContext(context.Background(), cfg, Input{Source: src})
 }
 
-// RunPipelined simulates the trace with the epoch pipeline.
+// RunPipelined is Run.
+//
+// Deprecated: every profiling run uses the epoch pipeline; call Run.
 func RunPipelined(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, Input{Trace: tr}, true)
+	return Run(cfg, tr)
 }
 
-// RunSourcePipelined simulates a streaming access source with the epoch
-// pipeline.
+// RunSourcePipelined is RunSource.
+//
+// Deprecated: every profiling run uses the epoch pipeline; call
+// RunSource.
 func RunSourcePipelined(cfg Config, src workloads.Source) (*Result, error) {
-	return RunContext(context.Background(), cfg, Input{Source: src}, true)
+	return RunSource(cfg, src)
 }
 
 // simInput is the normalized workload feed handed to the simulators:
@@ -261,12 +266,6 @@ func (in *simInput) err() error {
 
 // truncatedCanceled is the TruncateReason for context cancellation.
 const truncatedCanceled = "canceled"
-
-// samplerKey identifies one hardware sampler's assignment.
-type samplerKey struct {
-	unit int
-	sid  stream.ID
-}
 
 // samplerBank holds the installed samplers densely indexed by stream ID
 // (local: [unit][sid], global: [sid]). Stream IDs are at most 9 bits, so
@@ -350,10 +349,8 @@ type ndpSim struct {
 	inj  *fault.Injector // nil unless Config.Faults is non-empty
 
 	// Exactly one of spath/npath serves post-L1 accesses; selected by
-	// design at construction. The two are held as concrete pointers (not
-	// one MemPath interface value) so the per-access dispatch in serve is
-	// a nil check plus a direct — inlinable — call rather than an
-	// interface method call.
+	// design at construction. The per-access dispatch in serve is a nil
+	// check plus a direct call.
 	spath *streamPath
 	npath *nucaPath
 	// Exactly one of sc/nc is set, by design (epoch logic still needs
@@ -364,19 +361,17 @@ type ndpSim struct {
 	tel   telemetry.Counters
 	probe telemetry.Probe
 
-	deps *pathDeps  // the serving path's wiring; observe is re-pointed in pipelined mode
-	pipe *epochPipe // non-nil in pipelined mode: the epoch bookkeeping worker
+	deps *pathDeps  // the serving path's wiring; startPipe hands it the pipe
+	pipe *epochPipe // the epoch bookkeeping worker; nil for designs that do not profile
 
 	adapt *adapt.Controller // non-nil for NDPExtMAB: the bandit configurator
 
 	att [][]float64 // attenuation factors for the policy
 
-	samplers    *samplerBank                  // local + global samplers, pooled
 	curves      map[stream.ID]sampler.Curve   // global curves
 	localCurves map[stream.ID]sampler.Curve   // per-core curves
 	hist        map[stream.ID]map[int]float64 // decayed per-unit access history
 	netLatMemo  map[int]float64               // degree -> mean nearest-replica latency
-	uncovered   map[stream.ID]bool            // streams no sampler covered last epoch (§V-B rotation)
 
 	epoch     int
 	nextEpoch sim.Time
@@ -407,7 +402,6 @@ func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
 		net:         net,
 		ext:         ext,
 		probe:       cfg.Probe,
-		samplers:    newSamplerBank(n),
 		curves:      make(map[stream.ID]sampler.Curve),
 		localCurves: make(map[stream.ID]sampler.Curve),
 	}
@@ -432,14 +426,13 @@ func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
 		}
 	}
 	deps := &pathDeps{
-		cfg:     &s.cfg,
-		clock:   s.clock,
-		net:     s.net,
-		devs:    s.devs,
-		ext:     &extPath{net: s.net, ext: s.ext, tel: &s.tel},
-		tel:     &s.tel,
-		observe: s.observe,
-		inj:     s.inj,
+		cfg:   &s.cfg,
+		clock: s.clock,
+		net:   s.net,
+		devs:  s.devs,
+		ext:   &extPath{net: s.net, ext: s.ext, tel: &s.tel},
+		tel:   &s.tel,
+		inj:   s.inj,
 	}
 	s.deps = deps
 	switch cfg.Design {
@@ -574,27 +567,6 @@ func (s *ndpSim) loop() {
 		s.tel.SamplerCovered = rep.covered
 	}
 	s.finishStats()
-}
-
-// observe feeds the access to the stream's samplers: the local sampler
-// (this epoch's assigned unit only -- the per-core reuse view) and the
-// global one (the home sets see traffic from every core, §V-A). When
-// both fire (accesses at the assigned unit) the pair update shares the
-// shadow-set arithmetic.
-func (s *ndpSim) observe(unit int, sid stream.ID, item uint64) {
-	l := s.samplers.local[unit][sid]
-	g := s.samplers.global[sid]
-	switch {
-	case l != nil && g != nil:
-		sampler.ObservePair(l, g, item)
-		s.tel.Observes += 2
-	case g != nil:
-		g.Observe(item)
-		s.tel.Observes++
-	case l != nil:
-		l.Observe(item)
-		s.tel.Observes++
-	}
 }
 
 // collectMetrics publishes every component's counters into one registry.
