@@ -40,7 +40,6 @@ import (
 
 	"ndpext/internal/fault"
 	"ndpext/internal/server/result"
-	"ndpext/internal/stream"
 	"ndpext/internal/system"
 	"ndpext/internal/telemetry"
 	"ndpext/internal/trace"
@@ -124,21 +123,18 @@ func main() {
 	// streaming source (bounded memory, any length); generated workloads
 	// are materialized.
 	genStart := time.Now()
-	var in system.Input
+	var src workloads.Source
 	if *loadTrace != "" {
 		r, err := trace.OpenFile(*loadTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
 		defer r.Close()
-		if d != system.Host && r.Cores() != cfg.NumUnits() {
-			log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, r.Cores(), cfg.NumUnits())
-		}
-		src, err := r.Source()
+		rs, err := r.Source()
 		if err != nil {
 			log.Fatal(err)
 		}
-		in.Source = src
+		src = rs
 	} else {
 		gen, err := workloads.Get(*workload)
 		if err != nil {
@@ -159,13 +155,9 @@ func main() {
 				tr.Name, tr.TotalAccesses(), tr.Table.Len(), *saveTrace)
 			return
 		}
-		in.Trace = tr
+		src = tr.Source()
 	}
 	genDur := time.Since(genStart)
-
-	// Workload identity for recording and the report, uniform across the
-	// materialized and streaming paths.
-	wname, wtable := workloadIdentity(in)
 
 	var jsonl *telemetry.JSONLProbe
 	if *traceSample > 0 {
@@ -194,11 +186,11 @@ func main() {
 			log.Fatal(err)
 		}
 		recFile = f
-		// The writer snapshots the stream table now, before the run
-		// mutates read-only bits: the recorded header must describe the
-		// freshly configured state a replay starts from.
+		// The recorded header carries the workload's stream table, which
+		// the run leaves as it found it: a replay starts from the same
+		// configured streams.
 		w, err := trace.NewWriter(f, trace.Options{
-			Name: wname, Table: wtable, Cores: recCores, Compress: true,
+			Name: src.Name(), Table: src.Table(), Cores: recCores, Compress: true,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -208,7 +200,7 @@ func main() {
 	}
 
 	simStart := time.Now()
-	res, err := system.RunContext(context.Background(), cfg, in)
+	res, err := system.RunContext(context.Background(), cfg, src)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -250,7 +242,7 @@ func main() {
 	}
 
 	fmt.Printf("workload      %s (%d accesses, %d streams; loaded in %v)\n",
-		wname, res.Accesses, wtable.Len(), genDur.Round(time.Millisecond))
+		src.Name(), res.Accesses, src.Table().Len(), genDur.Round(time.Millisecond))
 	fmt.Printf("design        %v on %s (%d units; simulated in %v)\n",
 		res.Design, cfg.Mem.Name, cfg.NumUnits(), simDur.Round(time.Millisecond))
 	fmt.Printf("makespan      %v\n", res.Time)
@@ -292,13 +284,4 @@ func main() {
 				sr.SID, sr.Type, sr.ReadOnly, sr.Bytes, sr.KneeBytes, sr.Rows, sr.Groups, sr.Hits+sr.Misses, mr)
 		}
 	}
-}
-
-// workloadIdentity returns the name and stream table of whichever
-// workload form is in play.
-func workloadIdentity(in system.Input) (string, *stream.Table) {
-	if in.Source != nil {
-		return in.Source.Name(), in.Source.Table()
-	}
-	return in.Trace.Name, in.Trace.Table
 }

@@ -36,11 +36,11 @@ func main() {
 			cfg.CXL.LinkLatency = ndpext.FromNS(ns)
 			return cfg
 		}
-		nd, err := ndpext.Simulate(mk(ndpext.DesignNDPExt), tr.Clone())
+		nd, err := ndpext.Simulate(mk(ndpext.DesignNDPExt), tr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		nx, err := ndpext.Simulate(mk(ndpext.DesignNexus), tr.Clone())
+		nx, err := ndpext.Simulate(mk(ndpext.DesignNexus), tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func main() {
 	for _, ways := range []int{1, 4, 16, 64} {
 		cfg := ndpext.DefaultConfig(ndpext.DesignNDPExt)
 		cfg.Stream.IndirectWays = ways
-		res, err := ndpext.Simulate(cfg, tr.Clone())
+		res, err := ndpext.Simulate(cfg, tr)
 		if err != nil {
 			log.Fatal(err)
 		}

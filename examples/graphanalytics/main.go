@@ -37,7 +37,7 @@ func main() {
 		fmt.Printf("%-15s %12s %8s %8s %10s %s\n",
 			"design", "makespan", "hit", "miss", "inter-ns", "latency breakdown")
 		var host *ndpext.Result
-		h, err := ndpext.Simulate(ndpext.DefaultConfig(ndpext.DesignHost), tr.Clone())
+		h, err := ndpext.Simulate(ndpext.DefaultConfig(ndpext.DesignHost), tr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func main() {
 			"Host", host.Time, "-", "-", "-", host.Breakdown.String())
 
 		for _, d := range ndpext.Designs() {
-			res, err := ndpext.Simulate(ndpext.DefaultConfig(d), tr.Clone())
+			res, err := ndpext.Simulate(ndpext.DefaultConfig(d), tr)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -28,11 +28,11 @@ func main() {
 	fmt.Printf("workload: %s -- %d accesses across %d cores, %d annotated streams\n\n",
 		tr.Name, tr.TotalAccesses(), len(tr.PerCore), tr.Table.Len())
 
-	ndp, err := ndpext.Simulate(ndpext.DefaultConfig(ndpext.DesignNDPExt), tr.Clone())
+	ndp, err := ndpext.Simulate(ndpext.DefaultConfig(ndpext.DesignNDPExt), tr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	nexus, err := ndpext.Simulate(ndpext.DefaultConfig(ndpext.DesignNexus), tr.Clone())
+	nexus, err := ndpext.Simulate(ndpext.DefaultConfig(ndpext.DesignNexus), tr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 
 	fmt.Printf("\n%-15s %12s %9s %10s\n", "design", "makespan", "hit", "energy-uJ")
 	for _, d := range []ndpext.Design{ndpext.DesignNexus, ndpext.DesignNDPExtStatic, ndpext.DesignNDPExt} {
-		res, err := ndpext.Simulate(ndpext.DefaultConfig(d), tr.Clone())
+		res, err := ndpext.Simulate(ndpext.DefaultConfig(d), tr)
 		if err != nil {
 			log.Fatal(err)
 		}

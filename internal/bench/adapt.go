@@ -74,7 +74,7 @@ func AdaptSweep(opt Options) (Table, map[string]float64, error) {
 			cfg := adaptMachine()
 			cfg.Adapt.Arms = arms
 			cfg.BanditSeed = 1
-			results[i], errs[i] = system.RunContext(opt.context(), cfg, system.Input{Trace: base.Clone()})
+			results[i], errs[i] = system.RunContext(opt.context(), cfg, base.Source())
 		}(i, reg.arms)
 	}
 	wg.Wait()

@@ -81,9 +81,9 @@ var (
 	traceCache = map[traceKey]*traceEntry{}
 )
 
-// trace returns a cached trace for (name, cores); the caller receives a
-// Clone so simulations can mutate stream state safely. Safe for
-// concurrent use.
+// trace returns the cached trace for (name, cores), generating it on
+// first use. Every caller shares one trace: a run never mutates its
+// input. Safe for concurrent use.
 func trace(name string, cores int, opt Options) (*workloads.Trace, error) {
 	key := traceKey{name, cores, opt.Seed, opt.AccessesPerCore}
 	traceMu.Lock()
@@ -103,10 +103,7 @@ func trace(name string, cores int, opt Options) (*workloads.Trace, error) {
 		sc.AccessesPerCore = opt.AccessesPerCore
 		e.tr, e.err = gen(cores, opt.Seed, sc)
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.tr.Clone(), nil
+	return e.tr, e.err
 }
 
 // testRunHook, when non-nil, runs before each cell's simulation. Tests
@@ -134,7 +131,7 @@ func run(cfg system.Config, name string, opt Options) (*system.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return system.RunContext(opt.context(), cfg, system.Input{Trace: tr})
+		return system.RunContext(opt.context(), cfg, tr.Source())
 	}
 	if testRunHook != nil || cfg.OnEpoch != nil || cfg.Probe != nil {
 		// Hooks are excluded from the canonical config bytes (they don't

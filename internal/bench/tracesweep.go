@@ -59,7 +59,7 @@ func TraceSweep(path string, opt Options) (Table, error) {
 		go func(i int, d system.Design) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			results[i], errs[i] = system.RunContext(ctx, system.DefaultConfig(d), system.Input{Trace: mat.Clone()})
+			results[i], errs[i] = system.RunContext(ctx, system.DefaultConfig(d), mat.Source())
 		}(i, d)
 	}
 	wg.Wait()

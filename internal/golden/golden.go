@@ -150,11 +150,17 @@ func (c Case) Trace() (*workloads.Trace, error) {
 // Run simulates the case and returns the indented canonical result
 // document — the exact bytes the golden files hold.
 func (c Case) Run() ([]byte, error) {
-	cfg, err := c.Config()
+	tr, err := c.Trace()
 	if err != nil {
 		return nil, err
 	}
-	tr, err := c.Trace()
+	return c.RunTrace(tr)
+}
+
+// RunTrace is Run on a given trace of the case's workload. The run
+// leaves tr as it found it.
+func (c Case) RunTrace(tr *workloads.Trace) ([]byte, error) {
+	cfg, err := c.Config()
 	if err != nil {
 		return nil, err
 	}

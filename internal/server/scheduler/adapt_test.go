@@ -87,7 +87,7 @@ func TestMABDeterminismAcrossSchedulers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSerial, err := system.Run(cfg, tr.Clone())
+	resSerial, err := system.Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestDeterminismAcrossExecutionPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resSerial, err := system.Run(cfg, tr.Clone())
+	resSerial, err := system.Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

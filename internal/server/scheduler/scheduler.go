@@ -502,8 +502,8 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 	}
 	// Trace-backed jobs replay through a streaming source — memory stays
 	// bounded at one decoded chunk per core however long the file is.
-	// Generated workloads keep the materialized fast path.
-	var in system.Input
+	// Generated workloads replay their shared materialized trace.
+	var src workloads.Source
 	if job.Spec.Trace != "" {
 		path, err := s.traces.Resolve(job.Spec.Trace)
 		if err != nil {
@@ -514,21 +514,17 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 			return nil, s.quarantineIfCorrupt(job.Spec.Trace, err)
 		}
 		defer r.Close()
-		if job.cfg.Design != system.Host && r.Cores() != job.cfg.NumUnits() {
-			return nil, fmt.Errorf("scheduler: trace %q has %d cores, machine has %d units",
-				job.Spec.Trace, r.Cores(), job.cfg.NumUnits())
-		}
-		src, err := r.Source()
+		rs, err := r.Source()
 		if err != nil {
 			return nil, s.quarantineIfCorrupt(job.Spec.Trace, err)
 		}
-		in.Source = src
+		src = rs
 	} else {
 		tr, err := s.genTrace(job.Spec)
 		if err != nil {
 			return nil, err
 		}
-		in.Trace = tr
+		src = tr.Source()
 	}
 	cfg := job.cfg
 	cfg.OnEpoch = func(ei system.EpochInfo) {
@@ -565,7 +561,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		runCtx, cancel = context.WithTimeout(runCtx, time.Duration(job.Spec.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := system.RunContext(runCtx, cfg, in)
+	res, err := system.RunContext(runCtx, cfg, src)
 	if err != nil {
 		if job.Spec.Trace != "" && errors.Is(err, trace.ErrCorrupt) {
 			// Mid-replay corruption (a CRC mismatch the admission-time
@@ -613,8 +609,9 @@ func (s *Scheduler) quarantineIfCorrupt(name string, err error) error {
 }
 
 // genTrace builds (or reuses) the workload trace for a spec. Distinct
-// machine configs share traces when their workload parameters and unit
-// counts agree; each use gets a Clone so runs stay independent.
+// machine configs share one trace when their workload parameters and
+// unit counts agree; a run never mutates its input, so concurrent jobs
+// may replay it at once.
 func (s *Scheduler) genTrace(spec JobSpec) (*workloads.Trace, error) {
 	d, err := system.ParseDesign(spec.Design)
 	if err != nil {
@@ -635,10 +632,7 @@ func (s *Scheduler) genTrace(spec JobSpec) (*workloads.Trace, error) {
 		sc.Mult = spec.Scale
 		return gen(cores, spec.Seed, sc)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return tr.Clone(), nil
+	return tr, err
 }
 
 // Drain gracefully shuts the engine down: stop accepting submissions,

@@ -260,31 +260,32 @@ func TestObservabilityEndpoints(t *testing.T) {
 // checks the 429 carries the adaptive Retry-After hint (the configured
 // floor, with no completed-job durations to scale it).
 func TestQueueFullRetryAfter(t *testing.T) {
+	// The first simulation pins the single worker in SimHook until the
+	// test ends; cleanups run last-registered first, so the release
+	// comes before the stack's drain.
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
 	_, srv := newTestStack(t, scheduler.Options{
 		Workers: 1, QueueDepth: 1, RetryAfter: 7 * time.Second,
+		SimHook: func(scheduler.JobSpec) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-release
+		},
 	})
+	t.Cleanup(func() { close(release) })
 
-	// A long job pins the worker; poll until it is actually running.
-	resp := postJSON(t, srv.URL+"/v1/jobs", `{"workload":"pr","accesses":300000}`)
-	long := decode[scheduler.JobStatus](t, resp)
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/v1/jobs/" + long.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := decode[scheduler.JobStatus](t, resp)
-		if st.State == scheduler.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("long job stuck in %s", st.State)
-		}
-		time.Sleep(10 * time.Millisecond)
+	postJSON(t, srv.URL+"/v1/jobs", `{"workload":"pr","accesses":100,"scale":0.1}`).Body.Close()
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("first job never reached the worker")
 	}
 	// Fill the single queue slot, then overflow.
-	postJSON(t, srv.URL+"/v1/jobs", `{"workload":"bfs","accesses":1000}`).Body.Close()
-	resp = postJSON(t, srv.URL+"/v1/jobs", `{"workload":"cc","accesses":1000}`)
+	postJSON(t, srv.URL+"/v1/jobs", `{"workload":"bfs","accesses":100,"scale":0.1}`).Body.Close()
+	resp := postJSON(t, srv.URL+"/v1/jobs", `{"workload":"cc","accesses":1000}`)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overflow submit = %d, want 429", resp.StatusCode)

@@ -217,6 +217,37 @@ func TestTableAllOrderedByID(t *testing.T) {
 	}
 }
 
+// TestTableClone: the copy holds equal but distinct streams, answers
+// lookups the same way, and clearing a read-only bit on it (the write
+// exception) leaves the original untouched.
+func TestTableClone(t *testing.T) {
+	tbl := NewTable()
+	for _, sid := range []ID{5, 1, 3} {
+		s, _ := Configure(sid, Indirect, uint64(sid)*0x10000, 0x100, 8)
+		if err := tbl.Add(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl.Get(3).ReadOnly = false
+	cp := tbl.Clone()
+	if cp.Len() != tbl.Len() {
+		t.Fatalf("clone has %d streams, want %d", cp.Len(), tbl.Len())
+	}
+	for i, s := range tbl.All() {
+		c := cp.All()[i]
+		if c == s || *c != *s {
+			t.Fatalf("stream %d: clone %+v (same object: %v), want a copy of %+v", s.SID, *c, c == s, *s)
+		}
+		if cp.Get(s.SID) != c || cp.FindByAddr(s.Base) != c {
+			t.Fatalf("stream %d: clone lookups do not return the cloned stream", s.SID)
+		}
+	}
+	cp.Get(1).ReadOnly = false
+	if !tbl.Get(1).ReadOnly {
+		t.Fatal("clearing the clone's read-only bit changed the original")
+	}
+}
+
 // Property: FindByAddr agrees with a linear scan.
 func TestFindByAddrProperty(t *testing.T) {
 	tbl := NewTable()

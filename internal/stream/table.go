@@ -46,6 +46,20 @@ func (t *Table) Add(s *Stream) error {
 	return nil
 }
 
+// Clone returns a deep copy of the table. Streams are copied by value,
+// so state the hardware keeps on a stream (the read-only bit) can change
+// on the copy without touching t.
+func (t *Table) Clone() *Table {
+	c := &Table{byID: make(map[ID]*Stream, len(t.byID)), ranges: make([]*Stream, len(t.ranges))}
+	streams := make([]Stream, len(t.ranges))
+	for i, s := range t.ranges {
+		streams[i] = *s
+		c.ranges[i] = &streams[i]
+		c.byID[s.SID] = &streams[i]
+	}
+	return c
+}
+
 // Get returns the stream with the given ID, or nil.
 func (t *Table) Get(sid ID) *Stream { return t.byID[sid] }
 

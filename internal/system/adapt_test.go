@@ -15,7 +15,7 @@ func mabConfig() Config {
 // posteriors.
 func TestMABRunsAndReportsTelemetry(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
-	res, err := Run(mabConfig(), tr.Clone())
+	res, err := Run(mabConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func TestMABRunsAndReportsTelemetry(t *testing.T) {
 // way.
 func TestMABPipelinedParity(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
-	ser, err := runInline(mabConfig(), tr.Clone())
+	ser, err := runInline(mabConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(mabConfig(), tr.Clone())
+	par, err := Run(mabConfig(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestMABDeterministicGivenSeed(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
 	cfg := mabConfig()
 	cfg.BanditSeed = 7
-	a, err := Run(cfg, tr.Clone())
+	a, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfg, tr.Clone())
+	b, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMABOnEpochReportsArm(t *testing.T) {
 			arms = append(arms, ei.Arm)
 		}
 	}
-	if _, err := Run(cfg, tr.Clone()); err != nil {
+	if _, err := Run(cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 	if len(arms) == 0 {
@@ -124,7 +124,7 @@ func TestMABOnEpochReportsArm(t *testing.T) {
 			t.Errorf("non-adaptive design reported arm %q", ei.Arm)
 		}
 	}
-	if _, err := Run(plain, tr.Clone()); err != nil {
+	if _, err := Run(plain, tr); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,7 +136,7 @@ func TestMABSingleArmFixedPolicy(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
 	cfg := mabConfig()
 	cfg.Adapt.Arms = "greedy"
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func BenchmarkPerAccess(b *testing.B) {
 	var accesses uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func BenchmarkPerAccessHost(b *testing.B) {
 	var accesses uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,19 +66,19 @@ func BenchmarkPerAccessHost(b *testing.B) {
 	}
 }
 
-// BenchmarkMemPath isolates the per-access memory path — serve() through
-// the design's memory path stages, the NoC, the DRAM models, and
-// telemetry — with no epoch boundary in the timed region. The epoch pipe
-// runs inline, so sampler observations are applied on the timed thread.
-// This is the path whose optimization BENCH_core.json tracks; it must
-// not allocate in steady state beyond what the component models
-// themselves require.
+// BenchmarkMemPath isolates the per-access memory path — the event
+// loop's L1 front end through the design's memory path stages, the NoC,
+// the DRAM models, and telemetry — with no epoch boundary in the timed
+// region. The epoch pipe runs inline, so sampler observations are
+// applied on the timed thread. This is the path whose optimization
+// BENCH_core.json tracks; it must not allocate in steady state beyond
+// what the component models themselves require.
 func BenchmarkMemPath(b *testing.B) {
 	for _, d := range []Design{NDPExt, Jigsaw} {
 		b.Run(d.String(), func(b *testing.B) {
 			tr := benchTrace(b, 8)
 			cfg := smallConfig(d)
-			s, err := newNDPSim(cfg, traceInput(tr))
+			s, err := newNDPSim(cfg, tr.Source())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func BenchmarkMemPath(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := i % cores
 				a := tr.PerCore[c][idx[c]]
-				t[c] = s.serve(t[c], c, a)
+				t[c], _, _ = s.events.access(t[c], c, a)
 				if idx[c]++; idx[c] == len(tr.PerCore[c]) {
 					idx[c] = 0
 				}
@@ -114,7 +114,7 @@ func BenchmarkEndToEndEpoch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg, tr.Clone()); err != nil {
+		if _, err := Run(cfg, tr); err != nil {
 			b.Fatal(err)
 		}
 	}

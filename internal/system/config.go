@@ -383,6 +383,9 @@ func (c Config) Validate() error {
 	if c.MaxWall < 0 || c.MaxCycles < 0 {
 		return fmt.Errorf("system: watchdog limits must be non-negative")
 	}
+	if c.Design == Host && c.HostCores < 1 {
+		return fmt.Errorf("system: Host design needs HostCores >= 1, got %d", c.HostCores)
+	}
 	if c.Design == NDPExtMAB {
 		if err := c.Adapt.Validate(); err != nil {
 			return err

@@ -12,7 +12,7 @@ import (
 // expects a partial, truncated result alongside ctx's error.
 func TestRunContextCancelMidRun(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	full, err := Run(smallConfig(NDPExt), tr.Clone())
+	full, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		lastSnap = ei.Counters.Accesses
 		cancel()
 	}
-	res, err := RunContext(ctx, cfg, Input{Trace: tr.Clone()})
+	res, err := RunContext(ctx, cfg, tr.Source())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
 	}
@@ -54,20 +54,16 @@ func TestRunContextCancelMidRun(t *testing.T) {
 func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, smallConfig(NDPExt), Input{Trace: tinyTrace(t, "pr")})
+	res, err := RunContext(ctx, smallConfig(NDPExt), tinyTrace(t, "pr").Source())
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 
-// TestRunContextRejectsBadInput: an Input must set exactly one of Trace
-// and Source.
+// TestRunContextRejectsBadInput: a nil Source is an error, not a panic.
 func TestRunContextRejectsBadInput(t *testing.T) {
-	tr := tinyTrace(t, "pr")
-	for i, in := range []Input{{}, {Trace: tr, Source: tr.Clone().Source()}} {
-		if res, err := RunContext(context.Background(), smallConfig(NDPExt), in); err == nil || res != nil {
-			t.Fatalf("input %d: got (%v, %v), want an error", i, res, err)
-		}
+	if res, err := RunContext(context.Background(), smallConfig(NDPExt), nil); err == nil || res != nil {
+		t.Fatalf("nil source: got (%v, %v), want an error", res, err)
 	}
 }
 
@@ -84,7 +80,7 @@ func TestRunContextCancelHost(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := RunContext(ctx, cfg, Input{Trace: tr})
+	res, err := RunContext(ctx, cfg, tr.Source())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("host RunContext error = %v, want context.Canceled", err)
 	}

@@ -33,7 +33,7 @@ func bypassTrace(t *testing.T, cores int) *workloads.Trace {
 func TestBypassAccessesReachExtendedMemory(t *testing.T) {
 	tr := bypassTrace(t, 8)
 	for _, d := range []Design{NDPExt, Nexus} {
-		res, err := Run(smallConfig(d), tr.Clone())
+		res, err := Run(smallConfig(d), tr)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -111,7 +111,7 @@ func TestReconfigModesOrdering(t *testing.T) {
 	for _, m := range []ReconfigMode{ReconfigStatic, ReconfigFull} {
 		cfg := smallConfig(NDPExt)
 		cfg.Reconfig = m
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,13 +128,13 @@ func TestWayPredictEndToEnd(t *testing.T) {
 	cfg := smallConfig(NDPExt)
 	cfg.Stream.IndirectWays = 4
 	cfg.Stream.WayPredict = true
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ideal := smallConfig(NDPExt)
 	ideal.Stream.IndirectWays = 4
-	resIdeal, err := Run(ideal, tr.Clone())
+	resIdeal, err := Run(ideal, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestOnEpochHook(t *testing.T) {
 	cfg := smallConfig(NDPExt)
 	var infos []EpochInfo
 	cfg.OnEpoch = func(e EpochInfo) { infos = append(infos, e) }
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestOnEpochHook(t *testing.T) {
 	}
 	// The hook must not change the simulation outcome.
 	plain := smallConfig(NDPExt)
-	ref, err := Run(plain, tr.Clone())
+	ref, err := Run(plain, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"ndpext/internal/nuca"
 	"ndpext/internal/policy"
 	"ndpext/internal/sampler"
+	"ndpext/internal/sim"
 	"ndpext/internal/stream"
 	"ndpext/internal/streamcache"
 )
@@ -289,16 +290,17 @@ func (s *ndpSim) cacheFootprint(st *stream.Stream) int64 {
 // configuration, and reassign samplers via max-flow. Under fault
 // injection the boundary is also where degraded-mode reconfiguration
 // happens: dead vaults are excluded from the optimizer and the sampler
-// assignment, and streams stranded on them are force-remapped.
-func (s *ndpSim) epochBoundary() {
+// assignment, and streams stranded on them are force-remapped. at is the
+// boundary's nominal time.
+func (s *ndpSim) epochBoundary(at sim.Time) {
 	s.epoch++
 	// Degraded-mode telemetry: the boundary inspects fault state at its
 	// nominal time, so a vault that died mid-epoch is seen here.
 	var failed []int
 	degraded := false
 	if s.inj != nil {
-		failed = s.inj.FailedUnits(s.nextEpoch)
-		degraded = len(failed) > 0 || s.inj.CXLBWFactor(s.nextEpoch) > 1
+		failed = s.inj.FailedUnits(at)
+		degraded = len(failed) > 0 || s.inj.CXLBWFactor(at) > 1
 		if degraded {
 			s.tel.DegradedEpochs++
 		}
@@ -427,7 +429,7 @@ func (s *ndpSim) epochBoundary() {
 			// link raises the real miss penalty the degree chooser
 			// trades against.
 			pcfg.DeadUnits = failed
-			pcfg.MissLatNS *= s.inj.CXLBWFactor(s.nextEpoch)
+			pcfg.MissLatNS *= s.inj.CXLBWFactor(at)
 		}
 		if s.sc != nil {
 			var allocs map[stream.ID]streamcache.Allocation
@@ -508,7 +510,7 @@ func (s *ndpSim) epochBoundary() {
 		} else {
 			nci := s.nucaConfigInput()
 			if s.inj != nil {
-				nci.MissPenalty *= s.inj.CXLBWFactor(s.nextEpoch)
+				nci.MissPenalty *= s.inj.CXLBWFactor(at)
 			}
 			allocs, err := nuca.Configure(nucaKind(s.cfg.Design), nci, ins)
 			if err != nil {

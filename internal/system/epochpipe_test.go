@@ -17,7 +17,7 @@ import (
 // the event-loop thread: the single-threaded reference the worker
 // goroutine must match.
 func runInline(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return runContext(context.Background(), cfg, Input{Trace: tr}, true)
+	return runContext(context.Background(), cfg, tr.Source(), true)
 }
 
 // serialVsPipelined runs the same config + trace (generated with the
@@ -28,11 +28,11 @@ func runInline(cfg Config, tr *workloads.Trace) (*Result, error) {
 func serialVsPipelined(t *testing.T, cfg Config, workload string, seed uint64) {
 	t.Helper()
 	tr := tinyTraceSeed(t, workload, seed)
-	serial, err := runInline(cfg, tr.Clone())
+	serial, err := runInline(cfg, tr)
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	par, err := Run(cfg, tr.Clone())
+	par, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatalf("pipelined: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestPipelinedOnEpochParity(t *testing.T) {
 		if inline {
 			run = runInline
 		}
-		if _, err := run(cfg, tr.Clone()); err != nil {
+		if _, err := run(cfg, tr); err != nil {
 			t.Fatalf("inline=%v: %v", inline, err)
 		}
 		return infos
@@ -138,7 +138,7 @@ func TestPipelinedCancellation(t *testing.T) {
 	cfg := smallConfig(NDPExt)
 	cfg.OnEpoch = func(EpochInfo) { cancel() } // cancel mid-run, after the first boundary
 	tr := tinyTrace(t, "pr")
-	res, err := RunContext(ctx, cfg, Input{Trace: tr})
+	res, err := RunContext(ctx, cfg, tr.Source())
 	if err == nil {
 		t.Fatal("want context error")
 	}

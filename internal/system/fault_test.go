@@ -38,11 +38,11 @@ func registryWithout(reg *telemetry.Registry, prefix string) map[string]telemetr
 // injector at all — the registry may only gain the fault.* counters.
 func TestZeroRateInjectorBitIdentical(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	base, err := Run(smallConfig(NDPExt), tr.Clone())
+	base, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(faultConfig(t, NDPExt, "cxl-retry,rate=0;cxl-degrade,at=1s,factor=8;noc-flap,at=1s,lat=500ns"), tr.Clone())
+	res, err := Run(faultConfig(t, NDPExt, "cxl-retry,rate=0;cxl-degrade,at=1s,factor=8;noc-flap,at=1s,lat=500ns"), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestFaultDeterminism(t *testing.T) {
 		jsonl := telemetry.NewJSONL(&buf)
 		cfg := faultConfig(t, NDPExt, spec)
 		cfg.Probe = telemetry.Sampled(jsonl, 7)
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestFaultDeterminism(t *testing.T) {
 	// A different fault seed must actually change the injected pattern.
 	cfg := faultConfig(t, NDPExt, spec)
 	cfg.FaultSeed = 99
-	c, err := Run(cfg, tr.Clone())
+	c, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestFaultSeedFallback(t *testing.T) {
 	cfgB := faultConfig(t, NDPExt, "cxl-retry,rate=0.05,lat=200ns")
 	cfgB.Seed = 5
 	cfgB.FaultSeed = 5
-	a, err := Run(cfgA, tr.Clone())
+	a, err := Run(cfgA, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(cfgB, tr.Clone())
+	b, err := Run(cfgB, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestFaultsMonotoneUnderStaticPlacement(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 	base := smallConfig(NDPExt)
 	base.Reconfig = ReconfigStatic
-	ref, err := Run(base, tr.Clone())
+	ref, err := Run(base, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestFaultsMonotoneUnderStaticPlacement(t *testing.T) {
 	} {
 		cfg := faultConfig(t, NDPExt, spec)
 		cfg.Reconfig = ReconfigStatic
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
@@ -180,7 +180,7 @@ func TestVaultFailRemapsStreams(t *testing.T) {
 	cfg := faultConfig(t, NDPExt, "vault-fail,unit=2,at=0")
 	var infos []EpochInfo
 	cfg.OnEpoch = func(e EpochInfo) { infos = append(infos, e) }
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestVaultFailRemapsStreams(t *testing.T) {
 // are flagged and accesses redirect rather than hang.
 func TestVaultFailOnNUCAPath(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	res, err := Run(faultConfig(t, Nexus, "vault-fail,unit=1,at=0"), tr.Clone())
+	res, err := Run(faultConfig(t, Nexus, "vault-fail,unit=1,at=0"), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestVaultFailOnNUCAPath(t *testing.T) {
 // are reproducible and still publish their partial telemetry.
 func TestWatchdogCycleBudget(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	full, err := Run(smallConfig(NDPExt), tr.Clone())
+	full, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestWatchdogCycleBudget(t *testing.T) {
 		cfg := smallConfig(NDPExt)
 		cfg.MaxCycles = 20_000 // well inside the full run
 		cfg.Probe = telemetry.Sampled(jsonl, 5)
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +285,7 @@ func TestWatchdogCycleBudget(t *testing.T) {
 	// The host model honors the same budget.
 	hcfg := smallConfig(Host)
 	hcfg.MaxCycles = 20_000
-	h, err := Run(hcfg, tr.Clone())
+	h, err := Run(hcfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestWatchdogWallClock(t *testing.T) {
 	for _, d := range []Design{NDPExt, Host} {
 		cfg := smallConfig(d)
 		cfg.MaxWall = time.Nanosecond
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}

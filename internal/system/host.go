@@ -2,187 +2,111 @@ package system
 
 import (
 	"context"
-	"time"
 
 	"ndpext/internal/cache"
 	"ndpext/internal/dram"
 	"ndpext/internal/sim"
-	"ndpext/internal/stats"
+	"ndpext/internal/stream"
 	"ndpext/internal/telemetry"
 	"ndpext/internal/workloads"
 )
 
-// runHost simulates the non-NDP baseline of §VI: a 64-core host processor
-// with private L1s, a shared Jigsaw-style LLC (modelled as a shared
-// set-associative cache with bank + routing latency), and DDR5 main
-// memory. Traces generated for the NDP core count are folded onto the
-// host cores, preserving per-core access order. Accounting flows through
-// the same telemetry counters as the NDP designs. Cancellation follows
-// RunContext's contract: partial results plus ctx's error.
-func runHost(ctx context.Context, cfg Config, in simInput) (*Result, error) {
-	nc := cfg.HostCores
-	if nc <= 0 {
-		nc = 64
-	}
-	clock := sim.NewClock(cfg.CoreFreqMHz)
-	l1s := make([]*cache.Cache, nc)
-	for i := range l1s {
-		l1, err := cache.NewChecked(cfg.L1Bytes, cfg.L1LineBytes, cfg.L1Assoc)
-		if err != nil {
-			return nil, err
-		}
-		l1s[i] = l1
+// host is the non-NDP baseline of §VI past the L1s: a shared
+// Jigsaw-style LLC (modelled as a shared set-associative cache with bank
+// + routing latency) and DDR5 main memory.
+type host struct {
+	cfg   *Config
+	clock sim.Clock
+	tel   *telemetry.Counters
+	llc   *cache.Cache
+	// DDR5 main memory: same channel organization as the extended
+	// memory, minus the CXL link.
+	chans    []*dram.Device
+	rowBytes uint64
+}
+
+// runHost simulates the Host design: Config.HostCores cores with private
+// L1s in front of the host's LLC and DDR5. Traces generated for the NDP
+// core count are folded onto the host cores (foldCores). Accounting
+// flows through the same telemetry counters and event loop as the NDP
+// designs.
+func runHost(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
+	var tel telemetry.Counters
+	l, err := newEventLoop(&cfg, cfg.HostCores, &tel)
+	if err != nil {
+		return nil, err
 	}
 	llc, err := cache.NewChecked(cfg.HostLLCBytes, cfg.L1LineBytes, cfg.HostLLCAssoc)
 	if err != nil {
 		return nil, err
 	}
-	// DDR5 main memory: same channel organization as the extended
-	// memory, minus the CXL link.
-	chans := make([]*dram.Device, cfg.CXL.Channels)
-	for i := range chans {
-		chans[i] = dram.NewDevice(dram.DDR5(), cfg.CXL.BanksPerChannel)
+	h := &host{cfg: &cfg, clock: l.clock, tel: &tel, llc: llc,
+		chans: make([]*dram.Device, cfg.CXL.Channels), rowBytes: uint64(dram.DDR5().RowBytes)}
+	for i := range h.chans {
+		h.chans[i] = dram.NewDevice(dram.DDR5(), cfg.CXL.BanksPerChannel)
 	}
-	rowBytes := uint64(dram.DDR5().RowBytes)
+	l.miss = h.miss
+	res := &Result{Design: Host, Workload: src.Name()}
+	err = l.run(ctx, foldCores(src, cfg.HostCores), res)
+	res.CacheHits, res.CacheMisses = tel.CacheHits, tel.CacheMisses
+	return res, err
+}
 
-	// Fold the trace onto the host cores: host core hc plays the source
-	// cores congruent to hc mod nc, in core order, each to exhaustion —
-	// exactly the concatenation the materialized path used to build
-	// up front, but pulled incrementally so a streaming source replays
-	// with bounded memory.
-	cur := make([]int, nc)
-	for hc := range cur {
-		cur[hc] = hc
-	}
-	next := func(hc int) (workloads.Access, bool) {
-		for cur[hc] < in.cores {
-			if a, ok := in.next(cur[hc]); ok {
-				return a, true
-			}
-			cur[hc] += nc
-		}
-		return workloads.Access{}, false
-	}
+// foldedSource folds a source's cores onto len(cur) host cores: host
+// core hc plays the source cores congruent to hc mod len(cur), in core
+// order, each to exhaustion. Accesses are pulled incrementally, so a
+// streaming source replays with bounded memory.
+type foldedSource struct {
+	workloads.Source
+	cores int   // the source's core count
+	cur   []int // per host core: the source core it is playing
+}
 
-	res := &Result{Design: Host, Workload: in.name}
-	var tel telemetry.Counters
-	probe := cfg.Probe
-	var q sim.EventQueue
-	pending := make([]workloads.Access, nc)
-	for hc := 0; hc < nc; hc++ {
-		if a, ok := next(hc); ok {
-			pending[hc] = a
-			q.Push(0, hc)
-		}
+func foldCores(src workloads.Source, n int) *foldedSource {
+	f := &foldedSource{Source: src, cores: src.Cores(), cur: make([]int, n)}
+	for hc := range f.cur {
+		f.cur[hc] = hc
 	}
-	// Watchdog limits (same semantics as ndpSim.loop).
-	var cycleBudget sim.Time
-	if cfg.MaxCycles > 0 {
-		cycleBudget = clock.Cycles(cfg.MaxCycles)
-	}
-	var deadline time.Time
-	if cfg.MaxWall > 0 {
-		deadline = time.Now().Add(cfg.MaxWall)
-	}
-	var end sim.Time
-	for n := 0; q.Len() > 0; n++ {
-		ev := q.Pop()
-		if cycleBudget > 0 && ev.When >= cycleBudget {
-			res.Truncated, res.TruncateReason = true, "cycle budget exceeded"
-			break
-		}
-		if n&1023 == 0 {
-			if cfg.MaxWall > 0 && !time.Now().Before(deadline) {
-				res.Truncated, res.TruncateReason = true, "wall-clock limit exceeded"
-				break
-			}
-			if ctx.Err() != nil {
-				res.Truncated, res.TruncateReason = true, truncatedCanceled
-				break
-			}
-		}
-		c := ev.ID
-		a := pending[c]
-		var snap [telemetry.NumLevels]sim.Time
-		if probe != nil {
-			snap = tel.Levels
-		}
-		tel.Accesses++
-		served := telemetry.LevelCore
+	return f
+}
 
-		t := ev.When + clock.Cycles(int64(a.Gap)) + clock.Cycles(cfg.L1LatCycles)
-		if hit, _, _ := l1s[c].Access(a.Addr, a.Write); hit {
-			tel.Add(telemetry.LevelCore, t-ev.When)
-			tel.L1Hits++
-		} else {
-			tel.Add(telemetry.LevelCore, t-ev.When)
-			// Shared LLC: bank latency + NUCA routing.
-			l := t
-			t += clock.Cycles(cfg.HostLLCLat + cfg.HostNoCLat)
-			hit, victim, wb := llc.Access(a.Addr, a.Write)
-			tel.Add(telemetry.LevelCacheDRAM, t-l)
-			if hit {
-				served = telemetry.LevelCacheDRAM
-				tel.CacheHits++
-			} else {
-				served = telemetry.LevelExtended
-				tel.CacheMisses++
-				globalRow := a.Addr / rowBytes
-				ch := int(globalRow % uint64(len(chans)))
-				row := int64(globalRow / uint64(len(chans)))
-				e := t
-				t, _ = chans[ch].Access(t, row, cfg.L1LineBytes, false)
-				tel.Add(telemetry.LevelExtended, t-e)
-				if wb {
-					vRow := victim / rowBytes
-					vch := int(vRow % uint64(len(chans)))
-					chans[vch].Access(t, int64(vRow/uint64(len(chans))), cfg.L1LineBytes, true)
-				}
-			}
-		}
+func (f *foldedSource) Cores() int { return len(f.cur) }
 
-		if probe != nil {
-			pev := telemetry.Event{
-				Seq:    tel.Accesses - 1,
-				Core:   c,
-				SID:    -1,
-				Addr:   a.Addr,
-				Write:  a.Write,
-				Gap:    a.Gap,
-				Served: served,
-				Start:  ev.When,
-				End:    t,
-			}
-			for l := telemetry.Level(0); l < telemetry.NumLevels; l++ {
-				pev.Levels[l] = tel.Levels[l] - snap[l]
-			}
-			probe.Record(&pev)
+func (f *foldedSource) Next(hc int) (workloads.Access, bool) {
+	for f.cur[hc] < f.cores {
+		if a, ok := f.Source.Next(f.cur[hc]); ok {
+			return a, true
 		}
+		f.cur[hc] += len(f.cur)
+	}
+	return workloads.Access{}, false
+}
 
-		if t > end {
-			end = t
-		}
-		if na, ok := next(c); ok {
-			pending[c] = na
-			q.Push(t, c)
-		}
+// miss serves an L1 miss: the shared LLC (bank latency + NUCA routing),
+// then DDR5 on an LLC miss, with the LLC victim written back.
+func (h *host) miss(t sim.Time, _ int, a workloads.Access) (sim.Time, telemetry.Level, stream.ID) {
+	l := t
+	t += h.clock.Cycles(h.cfg.HostLLCLat + h.cfg.HostNoCLat)
+	hit, victim, wb := h.llc.Access(a.Addr, a.Write)
+	h.tel.Add(telemetry.LevelCacheDRAM, t-l)
+	if hit {
+		h.tel.CacheHits++
+		return t, telemetry.LevelCacheDRAM, stream.NoStream
 	}
-	res.Time = end
-	res.Accesses = tel.Accesses
-	res.L1Hits = tel.L1Hits
-	res.CacheHits = tel.CacheHits
-	res.CacheMisses = tel.CacheMisses
-	res.Breakdown = stats.Breakdown{
-		Core:      tel.Levels[telemetry.LevelCore],
-		Meta:      tel.Levels[telemetry.LevelMeta],
-		IntraNoC:  tel.Levels[telemetry.LevelIntraNoC],
-		InterNoC:  tel.Levels[telemetry.LevelInterNoC],
-		CacheDRAM: tel.Levels[telemetry.LevelCacheDRAM],
-		Extended:  tel.Levels[telemetry.LevelExtended],
-		Accesses:  tel.Accesses,
+	h.tel.CacheMisses++
+	e := t
+	t = h.dram(t, a.Addr, false)
+	h.tel.Add(telemetry.LevelExtended, t-e)
+	if wb {
+		h.dram(t, victim, true)
 	}
-	if res.Truncated && res.TruncateReason == truncatedCanceled {
-		return res, context.Cause(ctx)
-	}
-	return res, nil
+	return t, telemetry.LevelExtended, stream.NoStream
+}
+
+// dram issues one line access to the DDR5 channel holding addr's row.
+func (h *host) dram(t sim.Time, addr uint64, write bool) sim.Time {
+	row := addr / h.rowBytes
+	nch := uint64(len(h.chans))
+	done, _ := h.chans[row%nch].Access(t, int64(row/nch), h.cfg.L1LineBytes, write)
+	return done
 }

@@ -18,7 +18,7 @@ func TestHostFoldsWideTraces(t *testing.T) {
 	}
 	cfg := smallConfig(Host)
 	cfg.HostCores = 2
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestHostFewerCoresIsSlower(t *testing.T) {
 	for _, cores := range []int{2, 8} {
 		cfg := smallConfig(Host)
 		cfg.HostCores = cores
-		res, err := Run(cfg, tr.Clone())
+		res, err := Run(cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +50,11 @@ func TestHostLLCSizeMatters(t *testing.T) {
 	small.HostLLCBytes = 4 << 10
 	big := smallConfig(Host)
 	big.HostLLCBytes = 512 << 10
-	rs, err := Run(small, tr.Clone())
+	rs, err := Run(small, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := Run(big, tr.Clone())
+	rb, err := Run(big, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestHostEnergyIsZeroByDesign(t *testing.T) {
 	// energy comparison (Fig. 6) is NDPExt vs Nexus, so the host model
 	// does not account energy.
 	tr := tinyTrace(t, "pr")
-	res, err := Run(smallConfig(Host), tr.Clone())
+	res, err := Run(smallConfig(Host), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

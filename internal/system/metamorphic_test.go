@@ -155,7 +155,7 @@ func TestMetamorphicZeroCapacityDegradesToExtended(t *testing.T) {
 	starved.Sampler.MaxBytes = 8 * starved.UnitCacheBytes()
 	lcS := &levelCounter{}
 	starved.Probe = lcS
-	resS, err := Run(starved, tr.Clone())
+	resS, err := Run(starved, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestMetamorphicZeroCapacityDegradesToExtended(t *testing.T) {
 	healthy := smallConfig(NDPExt)
 	lcH := &levelCounter{}
 	healthy.Probe = lcH
-	resH, err := Run(healthy, tr.Clone())
+	resH, err := Run(healthy, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,11 +52,11 @@ func fp(r *Result) fingerprint {
 func TestDeterminismAllPaths(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
 	for _, d := range []Design{NDPExt, Jigsaw, Host} {
-		a, err := Run(smallConfig(d), tr.Clone())
+		a, err := Run(smallConfig(d), tr)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
-		b, err := Run(smallConfig(d), tr.Clone())
+		b, err := Run(smallConfig(d), tr)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -70,7 +70,7 @@ func TestDeterminismAllPaths(t *testing.T) {
 // per-level attribution, and must not perturb the simulation.
 func TestProbeAttributionConsistent(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	base, err := Run(smallConfig(NDPExt), tr.Clone())
+	base, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestProbeAttributionConsistent(t *testing.T) {
 	var events []telemetry.Event
 	cfg := smallConfig(NDPExt)
 	cfg.Probe = telemetry.FuncProbe(func(ev *telemetry.Event) { events = append(events, *ev) })
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestProbeSamplingAndHost(t *testing.T) {
 	var n uint64
 	cfg := smallConfig(NDPExt)
 	cfg.Probe = telemetry.Sampled(telemetry.FuncProbe(func(*telemetry.Event) { n++ }), every)
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestProbeSamplingAndHost(t *testing.T) {
 	var hostN uint64
 	hcfg := smallConfig(Host)
 	hcfg.Probe = telemetry.FuncProbe(func(*telemetry.Event) { hostN++ })
-	hres, err := Run(hcfg, tr.Clone())
+	hres, err := Run(hcfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDebugReconfigWriterInjection(t *testing.T) {
 	cfg := smallConfig(NDPExt)
 	cfg.DebugReconfig = true
 	cfg.DebugWriter = &buf
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestDebugReconfigWriterInjection(t *testing.T) {
 	cfg = smallConfig(NDPExt)
 	cfg.DebugReconfig = false
 	cfg.DebugWriter = &quiet
-	if _, err := Run(cfg, tr.Clone()); err != nil {
+	if _, err := Run(cfg, tr); err != nil {
 		t.Fatal(err)
 	}
 	if quiet.Len() != 0 {
@@ -180,7 +180,7 @@ func TestDebugReconfigWriterInjection(t *testing.T) {
 func TestMetricsRegistryExposed(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 
-	res, err := Run(smallConfig(NDPExt), tr.Clone())
+	res, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestMetricsRegistryExposed(t *testing.T) {
 		t.Fatal("stream cache counters empty")
 	}
 
-	nres, err := Run(smallConfig(Nexus), tr.Clone())
+	nres, err := Run(smallConfig(Nexus), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMetricsRegistryExposed(t *testing.T) {
 		t.Fatal("NUCA run missing nuca.* metrics")
 	}
 
-	hres, err := Run(smallConfig(Host), tr.Clone())
+	hres, err := Run(smallConfig(Host), tr)
 	if err != nil {
 		t.Fatal(err)
 	}

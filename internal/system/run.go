@@ -3,10 +3,8 @@ package system
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"ndpext/internal/adapt"
-	"ndpext/internal/cache"
 	"ndpext/internal/cxl"
 	"ndpext/internal/dram"
 	"ndpext/internal/energy"
@@ -23,7 +21,7 @@ import (
 )
 
 // Result summarizes one simulation run. Its counters and breakdown are
-// views computed from the run's telemetry at finishStats time.
+// views computed from the run's telemetry once the event loop ends.
 type Result struct {
 	Design   Design
 	Workload string
@@ -110,16 +108,13 @@ type StreamReport struct {
 // designs only; empty otherwise).
 func (r *Result) StreamReports() []StreamReport { return r.streams }
 
-// Input is the workload a run simulates: either a materialized trace or
-// a streaming access source (e.g. a recorded trace file replayed with
-// bounded memory). Exactly one field must be set. A Source is consumed
-// by the run; open a fresh one per run.
-type Input struct {
-	Trace  *workloads.Trace
-	Source workloads.Source
-}
-
-// RunContext simulates the input on the configured machine.
+// RunContext simulates the workload src feeds on the configured machine.
+//
+// The run copies src's stream table and flips only its own copy (the
+// write exception clears a stream's read-only bit, §IV-B), so it never
+// mutates its input: one trace may be simulated any number of times,
+// including concurrently, each run through its own Trace.Source(). A
+// Source is consumed by the run; open a fresh one per run.
 //
 // Designs that profile (NDPExt, NDPExt-MAB, Jigsaw, Whirlpool, Nexus)
 // run their sampler and miss-curve bookkeeping on an epoch worker
@@ -135,22 +130,16 @@ type Input struct {
 // callers that checkpoint (the serving layer) use both. A source read
 // error likewise surfaces after the event loop alongside the partial
 // Result.
-func RunContext(ctx context.Context, cfg Config, input Input) (*Result, error) {
-	return runContext(ctx, cfg, input, false)
+func RunContext(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
+	return runContext(ctx, cfg, src, false)
 }
 
 // runContext is RunContext with a choice of where the epoch pipeline's
 // work runs: on its worker goroutine, or, with inlineWorker set, on the
 // event-loop thread as each message is sent (the tests' reference).
-func runContext(ctx context.Context, cfg Config, input Input, inlineWorker bool) (*Result, error) {
-	var in simInput
-	switch {
-	case input.Trace != nil && input.Source == nil:
-		in = traceInput(input.Trace)
-	case input.Source != nil && input.Trace == nil:
-		in = sourceInput(input.Source)
-	default:
-		return nil, fmt.Errorf("system: input must set exactly one of Trace and Source")
+func runContext(ctx context.Context, cfg Config, src workloads.Source, inlineWorker bool) (*Result, error) {
+	if src == nil {
+		return nil, fmt.Errorf("system: nil workload source")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,48 +148,42 @@ func runContext(ctx context.Context, cfg Config, input Input, inlineWorker bool)
 		return nil, err
 	}
 	if cfg.Design == Host {
-		return runHost(ctx, cfg, in)
+		return runHost(ctx, cfg, src)
 	}
-	if in.cores != cfg.NumUnits() {
-		return nil, fmt.Errorf("system: trace has %d cores, machine has %d units",
-			in.cores, cfg.NumUnits())
+	if src.Cores() != cfg.NumUnits() {
+		return nil, fmt.Errorf("system: workload %q has %d cores, machine has %d units",
+			src.Name(), src.Cores(), cfg.NumUnits())
 	}
-	s, err := newNDPSim(cfg, in)
+	s, err := newNDPSim(cfg, src)
 	if err != nil {
 		return nil, err
 	}
-	s.ctx = ctx
 	s.bootstrap()
 	if s.profiles() {
 		s.startPipe(inlineWorker)
 		// If the event loop panics (a simulator bug surfacing mid-run),
 		// stop the worker so the panic-isolating callers (the ndpserve
 		// scheduler) do not leak a goroutine per failed job. The normal
-		// path clears s.pipe before finishStats.
+		// path clears s.pipe in finishStats.
 		defer func() {
 			if s.pipe != nil {
 				s.pipe.abort()
 			}
 		}()
 	}
-	s.loop()
-	if err := in.err(); err != nil {
-		return s.result(), fmt.Errorf("system: access feed failed mid-run: %w", err)
-	}
-	if s.res.Truncated && s.res.TruncateReason == truncatedCanceled {
-		return s.result(), context.Cause(ctx)
-	}
-	return s.result(), nil
+	err = s.events.run(ctx, src, &s.res)
+	s.finishStats()
+	return &s.res, err
 }
 
 // Run simulates the trace (RunContext without cancellation).
 func Run(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, Input{Trace: tr})
+	return RunContext(context.Background(), cfg, tr.Source())
 }
 
 // RunSource simulates a streaming access source.
 func RunSource(cfg Config, src workloads.Source) (*Result, error) {
-	return RunContext(context.Background(), cfg, Input{Source: src})
+	return RunContext(context.Background(), cfg, src)
 }
 
 // RunPipelined is Run.
@@ -217,55 +200,6 @@ func RunPipelined(cfg Config, tr *workloads.Trace) (*Result, error) {
 func RunSourcePipelined(cfg Config, src workloads.Source) (*Result, error) {
 	return RunSource(cfg, src)
 }
-
-// simInput is the normalized workload feed handed to the simulators:
-// either a materialized trace (perCore non-nil — the zero-copy fast
-// path) or a streaming Source (src non-nil — bounded memory). Exactly
-// one of the two is set.
-type simInput struct {
-	name    string
-	table   *stream.Table
-	cores   int
-	perCore [][]workloads.Access
-	idx     []int // per-core cursor for the materialized path
-	src     workloads.Source
-}
-
-func traceInput(tr *workloads.Trace) simInput {
-	return simInput{
-		name: tr.Name, table: tr.Table,
-		cores: len(tr.PerCore), perCore: tr.PerCore,
-		idx: make([]int, len(tr.PerCore)),
-	}
-}
-
-func sourceInput(src workloads.Source) simInput {
-	return simInput{name: src.Name(), table: src.Table(), cores: src.Cores(), src: src}
-}
-
-// next returns the core's next access, advancing its cursor.
-func (in *simInput) next(core int) (workloads.Access, bool) {
-	if in.perCore != nil {
-		i := in.idx[core]
-		if i >= len(in.perCore[core]) {
-			return workloads.Access{}, false
-		}
-		in.idx[core] = i + 1
-		return in.perCore[core][i], true
-	}
-	return in.src.Next(core)
-}
-
-// err reports a read error that truncated the feed (streaming only).
-func (in *simInput) err() error {
-	if in.src != nil {
-		return in.src.Err()
-	}
-	return nil
-}
-
-// truncatedCanceled is the TruncateReason for context cancellation.
-const truncatedCanceled = "canceled"
 
 // samplerBank holds the installed samplers densely indexed by stream ID
 // (local: [unit][sid], global: [sid]). Stream IDs are at most 9 bits, so
@@ -334,32 +268,22 @@ func (b *samplerBank) retire() {
 
 // ndpSim is the event-driven simulator for all NDP designs.
 type ndpSim struct {
-	cfg     Config
-	in      simInput
-	name    string
-	table   *stream.Table
-	pending []workloads.Access // per-core one-access lookahead
-	ctx     context.Context    // cooperative cancellation; nil means none
-	clock   sim.Clock
+	cfg    Config
+	table  *stream.Table // the run's own copy of the input's table
+	events *eventLoop
 
 	net  *noc.Network
 	ext  *cxl.Device
 	devs []*dram.Device
-	l1s  []*cache.Cache
 	inj  *fault.Injector // nil unless Config.Faults is non-empty
 
-	// Exactly one of spath/npath serves post-L1 accesses; selected by
-	// design at construction. The per-access dispatch in serve is a nil
-	// check plus a direct call.
-	spath *streamPath
-	npath *nucaPath
 	// Exactly one of sc/nc is set, by design (epoch logic still needs
-	// the concrete controller).
+	// the concrete controller); its memory path serves the event loop's
+	// L1 misses.
 	sc *streamcache.Controller
 	nc *nuca.Controller
 
-	tel   telemetry.Counters
-	probe telemetry.Probe
+	tel telemetry.Counters
 
 	deps *pathDeps  // the serving path's wiring; startPipe hands it the pipe
 	pipe *epochPipe // the epoch bookkeeping worker; nil for designs that do not profile
@@ -373,16 +297,12 @@ type ndpSim struct {
 	hist        map[stream.ID]map[int]float64 // decayed per-unit access history
 	netLatMemo  map[int]float64               // degree -> mean nearest-replica latency
 
-	epoch     int
-	nextEpoch sim.Time
-	epochDur  sim.Time
-
-	q sim.EventQueue
+	epoch int
 
 	res Result
 }
 
-func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
+func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 	n := cfg.NumUnits()
 	net, err := noc.NewChecked(cfg.NoC)
 	if err != nil {
@@ -394,24 +314,18 @@ func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
 	}
 	s := &ndpSim{
 		cfg:         cfg,
-		in:          in,
-		name:        in.name,
-		table:       in.table,
-		pending:     make([]workloads.Access, n),
-		clock:       sim.NewClock(cfg.CoreFreqMHz),
+		table:       src.Table().Clone(),
 		net:         net,
 		ext:         ext,
-		probe:       cfg.Probe,
 		curves:      make(map[stream.ID]sampler.Curve),
 		localCurves: make(map[stream.ID]sampler.Curve),
 	}
+	if s.events, err = newEventLoop(&s.cfg, n, &s.tel); err != nil {
+		return nil, err
+	}
+	s.events.boundary = s.epochBoundary
 	for i := 0; i < n; i++ {
 		s.devs = append(s.devs, dram.NewDevice(cfg.Mem, cfg.BanksPerUnit))
-		l1, err := cache.NewChecked(cfg.L1Bytes, cfg.L1LineBytes, cfg.L1Assoc)
-		if err != nil {
-			return nil, err
-		}
-		s.l1s = append(s.l1s, l1)
 	}
 	if !cfg.Faults.Empty() {
 		seed := cfg.FaultSeed
@@ -427,7 +341,7 @@ func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
 	}
 	deps := &pathDeps{
 		cfg:   &s.cfg,
-		clock: s.clock,
+		clock: s.events.clock,
 		net:   s.net,
 		devs:  s.devs,
 		ext:   &extPath{net: s.net, ext: s.ext, tel: &s.tel},
@@ -437,15 +351,15 @@ func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
 	s.deps = deps
 	switch cfg.Design {
 	case NDPExt, NDPExtStatic, NDPExtMAB:
-		s.sc = streamcache.NewController(cfg.Stream, n, in.table)
-		s.spath = &streamPath{pathDeps: deps, sc: s.sc, table: in.table}
+		s.sc = streamcache.NewController(cfg.Stream, n, s.table)
+		s.events.miss = (&streamPath{pathDeps: deps, sc: s.sc, table: s.table}).Access
 	case Jigsaw, Whirlpool, Nexus, StaticInterleave:
 		np := nuca.DefaultParams()
 		np.RowBytes = cfg.rowBytes()
 		// The 128 kB metadata cache scales with every other capacity.
 		np.MetaCacheBytes = max(np.MetaCacheBytes/CapacityDivisor, 8*np.MetaEntryBytes)
-		s.nc = nuca.NewController(nucaKind(cfg.Design), np, n, cfg.UnitRows, in.table)
-		s.npath = &nucaPath{pathDeps: deps, nc: s.nc}
+		s.nc = nuca.NewController(nucaKind(cfg.Design), np, n, cfg.UnitRows, s.table)
+		s.events.miss = (&nucaPath{pathDeps: deps, nc: s.nc}).Access
 	default:
 		return nil, fmt.Errorf("system: design %v not an NDP design", cfg.Design)
 	}
@@ -482,10 +396,8 @@ func newNDPSim(cfg Config, in simInput) (*ndpSim, error) {
 		}
 		s.adapt = ctl
 	}
-	s.epochDur = s.clock.Cycles(cfg.EpochCycles)
-	s.nextEpoch = s.epochDur
 	s.res.Design = cfg.Design
-	s.res.Workload = in.name
+	s.res.Workload = src.Name()
 	return s, nil
 }
 
@@ -500,73 +412,6 @@ func nucaKind(d Design) nuca.Kind {
 	default:
 		return nuca.StaticInterleave
 	}
-}
-
-// loop runs the event queue to completion, or until a watchdog limit
-// (simulated-cycle budget or wall-clock deadline) trips; a tripped
-// watchdog still flushes partial statistics via finishStats.
-func (s *ndpSim) loop() {
-	for c := 0; c < s.in.cores; c++ {
-		if a, ok := s.in.next(c); ok {
-			s.pending[c] = a
-			s.q.Push(0, c)
-		}
-	}
-	var cycleBudget sim.Time
-	if s.cfg.MaxCycles > 0 {
-		cycleBudget = s.clock.Cycles(s.cfg.MaxCycles)
-	}
-	var deadline time.Time
-	if s.cfg.MaxWall > 0 {
-		deadline = time.Now().Add(s.cfg.MaxWall)
-	}
-	var end sim.Time
-	for n := 0; s.q.Len() > 0; n++ {
-		ev := s.q.Pop()
-		if cycleBudget > 0 && ev.When >= cycleBudget {
-			s.res.Truncated, s.res.TruncateReason = true, "cycle budget exceeded"
-			break
-		}
-		// The wall and cancellation checks are amortized over event
-		// batches; they include n == 0 so a tiny budget truncates
-		// before any work.
-		if n&1023 == 0 {
-			if s.cfg.MaxWall > 0 && !time.Now().Before(deadline) {
-				s.res.Truncated, s.res.TruncateReason = true, "wall-clock limit exceeded"
-				break
-			}
-			if s.ctx != nil && s.ctx.Err() != nil {
-				s.res.Truncated, s.res.TruncateReason = true, truncatedCanceled
-				break
-			}
-		}
-		for ev.When >= s.nextEpoch {
-			s.epochBoundary()
-			s.nextEpoch += s.epochDur
-		}
-		c := ev.ID
-		done := s.serve(ev.When, c, s.pending[c])
-		if done > end {
-			end = done
-		}
-		if a, ok := s.in.next(c); ok {
-			s.pending[c] = a
-			s.q.Push(done, c)
-		}
-	}
-	s.res.Time = end
-	if s.pipe != nil {
-		// End-of-run join: drain every observation still in flight and
-		// adopt the worker's authoritative counters before finishStats
-		// reads them. s.pipe is cleared first so the RunContext panic
-		// guard does not double-close on a worker panic re-raised here.
-		p := s.pipe
-		s.pipe = nil
-		rep := p.close()
-		s.tel.Observes = rep.observes
-		s.tel.SamplerCovered = rep.covered
-	}
-	s.finishStats()
 }
 
 // collectMetrics publishes every component's counters into one registry.
@@ -594,26 +439,25 @@ func (s *ndpSim) collectMetrics() *telemetry.Registry {
 	return reg
 }
 
-// finishStats derives the run-level Result from the telemetry after the
-// event loop: the Breakdown view from the hot-path counters, and the
-// hit-rate and energy summaries from the component registry.
+// finishStats derives the rest of the Result after the event loop. It
+// first joins the epoch worker: every observation still in flight is
+// drained and the worker's authoritative counters adopted. Then it
+// fills the hit-rate and energy summaries from the component registry.
 func (s *ndpSim) finishStats() {
+	if s.pipe != nil {
+		// s.pipe is cleared first so the RunContext panic guard does
+		// not double-close on a worker panic re-raised here.
+		p := s.pipe
+		s.pipe = nil
+		rep := p.close()
+		s.tel.Observes = rep.observes
+		s.tel.SamplerCovered = rep.covered
+	}
 	r := &s.res
 	tel := &s.tel
 	reg := s.collectMetrics()
 	r.metrics = reg
 
-	r.Breakdown = stats.Breakdown{
-		Core:      tel.Levels[telemetry.LevelCore],
-		Meta:      tel.Levels[telemetry.LevelMeta],
-		IntraNoC:  tel.Levels[telemetry.LevelIntraNoC],
-		InterNoC:  tel.Levels[telemetry.LevelInterNoC],
-		CacheDRAM: tel.Levels[telemetry.LevelCacheDRAM],
-		Extended:  tel.Levels[telemetry.LevelExtended],
-		Accesses:  tel.Accesses,
-	}
-	r.Accesses = tel.Accesses
-	r.L1Hits = tel.L1Hits
 	r.Exceptions = tel.Exceptions
 	r.Reconfigs = tel.Reconfigs
 	r.ReconfigKept = tel.ReconfigKept
@@ -708,5 +552,3 @@ func staticPowerMW(cfg *Config) float64 {
 	return float64(cfg.NumUnits())*(cfg.Mem.StaticMWPerU+cfg.CoreStaticMW) +
 		float64(cfg.CXL.Channels)*cfg.CXL.DRAM.StaticMWPerU
 }
-
-func (s *ndpSim) result() *Result { return &s.res }

@@ -1,6 +1,8 @@
 package system
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ndpext/internal/noc"
@@ -45,7 +47,7 @@ func tinyTraceSeed(t *testing.T, name string, seed uint64) *workloads.Trace {
 func TestAllDesignsRunToCompletion(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 	for _, d := range NDPDesigns() {
-		res, err := Run(smallConfig(d), tr.Clone())
+		res, err := Run(smallConfig(d), tr)
 		if err != nil {
 			t.Fatalf("%v: %v", d, err)
 		}
@@ -65,7 +67,7 @@ func TestHostRuns(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 	cfg := smallConfig(Host)
 	cfg.HostCores = 4
-	res, err := Run(cfg, tr.Clone())
+	res, err := Run(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +78,11 @@ func TestHostRuns(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
-	a, err := Run(smallConfig(NDPExt), tr.Clone())
+	a, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(smallConfig(NDPExt), tr.Clone())
+	b, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestNDPExtReconfigures(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	res, err := Run(smallConfig(NDPExt), tr.Clone())
+	res, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestNDPExtReconfigures(t *testing.T) {
 func TestStaticDesignsDoNotReconfigure(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 	for _, d := range []Design{NDPExtStatic, StaticInterleave} {
-		res, err := Run(smallConfig(d), tr.Clone())
+		res, err := Run(smallConfig(d), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +120,7 @@ func TestStaticDesignsDoNotReconfigure(t *testing.T) {
 
 func TestBaselineMetadataActivity(t *testing.T) {
 	tr := tinyTrace(t, "pr")
-	res, err := Run(smallConfig(Nexus), tr.Clone())
+	res, err := Run(smallConfig(Nexus), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestBaselineMetadataActivity(t *testing.T) {
 
 func TestEnergyPositiveAndDecomposed(t *testing.T) {
 	tr := tinyTrace(t, "mv")
-	res, err := Run(smallConfig(NDPExt), tr.Clone())
+	res, err := Run(smallConfig(NDPExt), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +150,7 @@ func TestEnergyPositiveAndDecomposed(t *testing.T) {
 func TestHitRateBounds(t *testing.T) {
 	tr := tinyTrace(t, "recsys")
 	for _, d := range NDPDesigns() {
-		res, err := Run(smallConfig(d), tr.Clone())
+		res, err := Run(smallConfig(d), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,6 +172,13 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if _, err := Run(cfg, tinyTrace(t, "pr")); err == nil {
 		t.Fatal("zero frequency accepted")
 	}
+	// Host has no hidden core-count default: zero host cores would hash
+	// to a different CanonicalBytes key than any machine it could run.
+	cfg = smallConfig(Host)
+	cfg.HostCores = 0
+	if _, err := Run(cfg, tinyTrace(t, "pr")); err == nil {
+		t.Fatal("zero host cores accepted")
+	}
 }
 
 func TestTraceCoreMismatchRejected(t *testing.T) {
@@ -178,8 +187,10 @@ func TestTraceCoreMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(smallConfig(NDPExt), tr); err == nil {
-		t.Fatal("core/unit mismatch accepted")
+	// The error names the workload, so a served trace job's failure
+	// says which input was the wrong width.
+	if _, err := Run(smallConfig(NDPExt), tr); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tr.Name)) {
+		t.Fatalf("core/unit mismatch: got %v, want an error naming %q", err, tr.Name)
 	}
 }
 
@@ -218,13 +229,13 @@ func TestEyeballComparison(t *testing.T) {
 	}
 	for _, name := range []string{"recsys", "pr"} {
 		tr := tinyTrace(t, name)
-		host, err := Run(smallConfig(Host), tr.Clone())
+		host, err := Run(smallConfig(Host), tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("%s host: time=%v", name, host.Time)
 		for _, d := range NDPDesigns() {
-			res, err := Run(smallConfig(d), tr.Clone())
+			res, err := Run(smallConfig(d), tr)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,9 +135,8 @@ func (tr *Reader) Streams() []stream.Stream {
 	return out
 }
 
-// Table builds a fresh stream table from the embedded entries. Each
-// call returns an independent table: the simulation mutates read-only
-// bits, so tables must not be shared between runs.
+// Table builds a fresh stream table from the embedded entries; each call
+// returns an independent table.
 func (tr *Reader) Table() (*stream.Table, error) {
 	t := stream.NewTable()
 	for i := range tr.streams {

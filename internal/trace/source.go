@@ -40,9 +40,8 @@ func (tr *Reader) Source() (*Source, error) {
 // Name implements workloads.Source.
 func (s *Source) Name() string { return s.r.name }
 
-// Table implements workloads.Source. The table is freshly built per
-// Source, so concurrent runs over one Reader do not share mutable
-// stream state.
+// Table implements workloads.Source. The table is built from the file's
+// header when the Source is opened.
 func (s *Source) Table() *stream.Table { return s.table }
 
 // Cores implements workloads.Source.

@@ -19,9 +19,9 @@ type Options struct {
 	// Name is the trace's workload name, reproduced verbatim on replay
 	// so canonical result documents match the recorded run's.
 	Name string
-	// Table is the stream table embedded in the header. It is snapshotted
-	// at Writer construction (the simulation mutates read-only bits
-	// mid-run, and the replayer must see the freshly-configured state).
+	// Table is the stream table embedded in the header. It is copied at
+	// Writer construction with every stream freshly configured
+	// (read-only bit set), the state a replay starts from.
 	Table *stream.Table
 	// Cores is the number of per-core access sequences.
 	Cores int

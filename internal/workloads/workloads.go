@@ -44,18 +44,17 @@ func (t *Trace) TotalAccesses() int {
 	return n
 }
 
-// Clone returns a trace sharing the (immutable) per-core access slices
-// but with freshly configured streams, so that one generated trace can be
-// replayed on several simulated systems (the simulation mutates stream
-// read-only bits).
+// Clone returns a trace sharing the per-core access slices, with a copy
+// of the stream table in which every stream is freshly configured
+// (read-only bit set, §IV-B).
+//
+// Deprecated: a run copies its input's stream table and never mutates
+// the input, so one trace can be simulated any number of times without
+// cloning it.
 func (t *Trace) Clone() *Trace {
-	nt := &Trace{Name: t.Name, Table: stream.NewTable(), PerCore: t.PerCore}
-	for _, s := range t.Table.All() {
-		c := *s
-		c.ReadOnly = true // as freshly configured (§IV-B)
-		if err := nt.Table.Add(&c); err != nil {
-			panic(fmt.Sprintf("workloads: clone: %v", err))
-		}
+	nt := &Trace{Name: t.Name, Table: t.Table.Clone(), PerCore: t.PerCore}
+	for _, s := range nt.Table.All() {
+		s.ReadOnly = true
 	}
 	return nt
 }

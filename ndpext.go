@@ -141,7 +141,10 @@ func LoadTrace(path string) (*Trace, error) {
 	return r.Materialize()
 }
 
-// Simulate runs the trace on the configured machine.
+// Simulate runs the trace on the configured machine. The run works on
+// its own copy of the trace's stream table and leaves the trace as it
+// found it, so one trace may be simulated any number of times, including
+// concurrently.
 func Simulate(cfg Config, tr *Trace) (*Result, error) {
 	return system.Run(cfg, tr)
 }
