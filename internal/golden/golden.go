@@ -93,6 +93,13 @@ func Cases() []Case {
 			FaultSeed: 7},
 		{Name: "jigsaw-faults-pr", Design: system.Jigsaw, Workload: "pr",
 			Faults: "vault-fail,unit=2,at=150us", FaultSeed: 3},
+		// The NUCA degraded path with a CXL slowdown. The factor is not a
+		// power of two, so the rounding of the miss penalty Nexus prices
+		// its replication degrees with depends on the order of its
+		// arithmetic.
+		{Name: "nexus-faults-pr", Design: system.Nexus, Workload: "pr",
+			Faults:    "vault-fail,unit=6,at=120us;cxl-degrade,at=50us,dur=200us,factor=7",
+			FaultSeed: 5},
 	}
 }
 
