@@ -203,14 +203,7 @@ func (staticArm) Decide(cfg policy.Config, ins []policy.StreamInput) (map[stream
 	if err != nil {
 		return nil, err
 	}
-	// StaticEqual has no dead-unit notion; zero the shares it placed on
-	// failed vaults (the freed rows go unused for the epoch).
-	for _, u := range cfg.DeadUnits {
-		for sid, a := range allocs {
-			a.Shares[u] = 0
-			allocs[sid] = a
-		}
-	}
+	cfg.DropDeadUnits(allocs)
 	return allocs, nil
 }
 
@@ -243,7 +236,7 @@ func (greedyArm) Decide(cfg policy.Config, ins []policy.StreamInput) (map[stream
 	affineLeft := affineBudget(cfg)
 	for _, in := range order {
 		a := streamcache.NewAllocation(n)
-		for _, u := range sortedAccessors(in.Acc) {
+		for _, u := range in.Accessors() {
 			if dead[u] || wTot[u] == 0 {
 				continue
 			}
@@ -293,7 +286,7 @@ func (replicateArm) Decide(cfg policy.Config, ins []policy.StreamInput) (map[str
 	nextRow := make([]uint32, n)
 	affineLeft := affineBudget(cfg)
 	for _, in := range order {
-		accs := sortedAccessors(in.Acc)
+		accs := in.Accessors()
 		live := accs[:0:0]
 		for _, u := range accs {
 			if !dead[u] {
@@ -399,16 +392,6 @@ func accessedByID(ins []policy.StreamInput) []*policy.StreamInput {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
-	return out
-}
-
-// sortedAccessors returns the access map's unit keys ascending.
-func sortedAccessors(acc map[int]uint64) []int {
-	out := make([]int, 0, len(acc))
-	for u := range acc {
-		out = append(out, u)
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -51,7 +51,7 @@ func (m CostModel) Score(ins []policy.StreamInput, allocs map[stream.ID]streamca
 		if groups > 1 && len(in.LocalCurve.Points) > 0 {
 			curve = in.LocalCurve
 		}
-		for _, u := range sortedAccessors(in.Acc) {
+		for _, u := range in.Accessors() {
 			w := float64(in.Acc[u])
 			accTotal += in.Acc[u]
 			mr := 1.0

@@ -138,6 +138,16 @@ func TestValidateUnitRange(t *testing.T) {
 	if err := spec.Validate(0); err != nil {
 		t.Fatalf("numUnits<=0 must skip the check: %v", err)
 	}
+	all, err := Parse("vault-fail,unit=0,at=1us;vault-fail,unit=1,at=2us;vault-fail,unit=0,at=3us")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := all.Validate(2); err == nil {
+		t.Fatal("a spec failing every vault accepted")
+	}
+	if err := all.Validate(3); err != nil {
+		t.Fatalf("one surviving vault rejected: %v", err)
+	}
 }
 
 func TestClauseWindows(t *testing.T) {

@@ -140,12 +140,25 @@ func fmtDur(t sim.Time) string { return fmt.Sprintf("%gns", t.NS()) }
 
 // Validate checks machine-dependent bounds: numUnits is the number of
 // NDP units in the configured machine (pass <= 0 to skip unit checks,
-// e.g. when parsing before the machine is known).
+// e.g. when parsing before the machine is known). Every vault-fail unit
+// must exist, and at least one vault must survive: the degraded-mode
+// configuration has nowhere to place data on a machine with none.
 func (s Spec) Validate(numUnits int) error {
+	if numUnits <= 0 {
+		return nil
+	}
+	dead := make(map[int]bool)
 	for i, c := range s.Clauses {
-		if c.Kind == VaultFail && numUnits > 0 && (c.Unit < 0 || c.Unit >= numUnits) {
+		if c.Kind != VaultFail {
+			continue
+		}
+		if c.Unit < 0 || c.Unit >= numUnits {
 			return fmt.Errorf("fault clause %d: vault-fail unit %d out of range [0,%d)", i, c.Unit, numUnits)
 		}
+		dead[c.Unit] = true
+	}
+	if len(dead) == numUnits {
+		return fmt.Errorf("fault spec fails all %d vaults; at least one must survive", numUnits)
 	}
 	return nil
 }

@@ -13,9 +13,9 @@ package nuca
 
 import (
 	"fmt"
-	"sort"
 
 	"ndpext/internal/cache"
+	"ndpext/internal/energy"
 	"ndpext/internal/stream"
 	"ndpext/internal/streamcache"
 )
@@ -175,11 +175,15 @@ func NewController(kind Kind, p Params, numUnits int, unitRows uint32, tbl *stre
 		c.allocs[miscSID] = interleavedAllocation(numUnits, unitRows)
 	} else {
 		// Reserve a small interleaved partition for non-stream data.
-		c.allocs[miscSID] = interleavedAllocation(numUnits, unitRows/32+1)
+		c.allocs[miscSID] = interleavedAllocation(numUnits, miscRows(unitRows))
 	}
 	c.hasAlloc[miscSID] = true
 	return c
 }
+
+// miscRows is the per-unit reservation of the partitioned kinds' misc
+// partition, which caches non-stream data.
+func miscRows(unitRows uint32) uint32 { return unitRows/32 + 1 }
 
 // interleavedAllocation spreads rows evenly over all units, one group.
 func interleavedAllocation(numUnits int, rows uint32) streamcache.Allocation {
@@ -189,9 +193,6 @@ func interleavedAllocation(numUnits int, rows uint32) streamcache.Allocation {
 	}
 	return a
 }
-
-// Kind returns the controller's design.
-func (c *Controller) Kind() Kind { return c.kind }
 
 // Allocation returns the installed allocation for sid, if any.
 func (c *Controller) Allocation(sid stream.ID) (streamcache.Allocation, bool) {
@@ -342,16 +343,18 @@ func lineHash(sid, line uint64) uint64 {
 }
 
 // Apply installs a new configuration and bulk-invalidates the changed
-// streams' lines (the Jigsaw/Whirlpool/Nexus reconfiguration model).
-// It returns the number of invalidated lines and dirty writebacks.
-func (c *Controller) Apply(newAllocs map[stream.ID]streamcache.Allocation) (invalidated, writebacks int, err error) {
+// streams' lines (the Jigsaw/Whirlpool/Nexus reconfiguration model):
+// every line examined is dropped, none kept.
+func (c *Controller) Apply(newAllocs map[stream.ID]streamcache.Allocation) (streamcache.ReconfigStats, error) {
+	var rs streamcache.ReconfigStats
 	for sid, a := range newAllocs {
 		if err := a.Validate(c.numUnits); err != nil {
-			return invalidated, writebacks, err
+			return rs, err
 		}
-		if c.hasAlloc[sid] && allocationsEqual(c.allocs[sid], a) {
+		if c.hasAlloc[sid] && c.allocs[sid].Equal(a) {
 			continue
 		}
+		rs.StreamsChanged++
 		c.allocs[sid] = a.Clone()
 		c.hasAlloc[sid] = true
 		for _, res := range c.resident {
@@ -359,28 +362,17 @@ func (c *Controller) Apply(newAllocs map[stream.ID]streamcache.Allocation) (inva
 				if k.sid != sid {
 					continue
 				}
-				invalidated++
+				rs.ItemsExamined++
+				rs.ItemsDropped++
 				if v.dirty {
-					writebacks++
+					rs.Writebacks++
 					c.stats.Writebacks++
 				}
 				delete(res, k)
 			}
 		}
 	}
-	return invalidated, writebacks, nil
-}
-
-func allocationsEqual(a, b streamcache.Allocation) bool {
-	if len(a.Shares) != len(b.Shares) {
-		return false
-	}
-	for i := range a.Shares {
-		if a.Shares[i] != b.Shares[i] || a.RowBase[i] != b.RowBase[i] || a.Groups[i] != b.Groups[i] {
-			return false
-		}
-	}
-	return true
+	return rs, nil
 }
 
 // EpochAccesses returns and clears the per-unit stream access counts.
@@ -402,13 +394,20 @@ func (c *Controller) EpochAccesses() []map[stream.ID]uint64 {
 // Stats returns a copy of the aggregate counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// MetaHitRate reports the combined metadata-cache hit rate.
-func (c *Controller) MetaHitRate() float64 {
-	t := c.stats.MetaHits + c.stats.MetaMisses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.stats.MetaHits) / float64(t)
+// ItemBytes is what one cached item occupies: a cacheline, whatever the
+// stream.
+func (c *Controller) ItemBytes(*stream.Stream) int { return c.params.LineBytes }
+
+// Footprint is the cache space a full copy of st occupies.
+func (c *Controller) Footprint(st *stream.Stream) int64 { return int64(st.Size) }
+
+// CacheCounts returns the DRAM-cache hits and misses.
+func (c *Controller) CacheCounts() (hits, misses uint64) { return c.stats.Hits, c.stats.Misses }
+
+// SRAMPJ returns the access energy of the controller's SRAM structure,
+// the per-unit metadata cache.
+func (c *Controller) SRAMPJ() []float64 {
+	return []float64{float64(c.stats.MetaHits+c.stats.MetaMisses) * energy.MetaCachePJ}
 }
 
 // StreamStatsFor returns sid's hit/miss counters.
@@ -421,14 +420,4 @@ func (c *Controller) StreamStatsFor(sid stream.ID) streamcache.StreamStats {
 
 func (c *Controller) sidStats(sid stream.ID) *streamcache.StreamStats {
 	return &c.perSID[sid]
-}
-
-// sortedSIDs returns map keys in ascending order for deterministic loops.
-func sortedSIDs[V any](m map[stream.ID]V) []stream.ID {
-	out := make([]stream.ID, 0, len(m))
-	for sid := range m {
-		out = append(out, sid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

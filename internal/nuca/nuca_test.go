@@ -37,10 +37,11 @@ func prox(u, v int) float64 {
 	return 1.0 / (1.0 + float64(d))
 }
 
-func confIn(units int, rows uint32) ConfigInput {
-	return ConfigInput{
-		NumUnits: units, UnitRows: rows, RowBytes: 2048,
-		Proximity: prox, MissPenalty: 5,
+// confIn prices a miss at 5 hits.
+func confIn(units int, rows uint32) policy.Config {
+	return policy.Config{
+		NumUnits: units, UnitRows: rows, RowBytes: 2048, SegRows: 1, MaxGroups: 64,
+		Attenuation: prox, MissLatNS: 5, HitLatNS: 1,
 	}
 }
 
@@ -111,8 +112,8 @@ func TestMetadataCacheBehaviour(t *testing.T) {
 	if !r.MetaHit {
 		t.Fatal("dual-granularity metadata should cover the 512 B block")
 	}
-	if c.MetaHitRate() <= 0.5 {
-		t.Fatalf("meta hit rate %.2f", c.MetaHitRate())
+	if st := c.Stats(); st.MetaHits <= st.MetaMisses {
+		t.Fatalf("meta hits %d, misses %d", st.MetaHits, st.MetaMisses)
 	}
 }
 
@@ -132,18 +133,18 @@ func TestDirtyWriteback(t *testing.T) {
 func TestApplyBulkInvalidates(t *testing.T) {
 	c := NewController(Whirlpool, DefaultParams(), 4, 256, testTable(t))
 	alloc := interleavedAllocation(4, 32)
-	if _, _, err := c.Apply(map[stream.ID]streamcache.Allocation{1: alloc}); err != nil {
+	if _, err := c.Apply(map[stream.ID]streamcache.Allocation{1: alloc}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 512; i++ {
 		c.Lookup(0, 0x100000+i*64, false)
 	}
 	bigger := interleavedAllocation(4, 64)
-	inv, _, err := c.Apply(map[stream.ID]streamcache.Allocation{1: bigger})
+	rs, err := c.Apply(map[stream.ID]streamcache.Allocation{1: bigger})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inv == 0 {
+	if rs.ItemsDropped == 0 || rs.ItemsKept != 0 {
 		t.Fatal("reconfiguration invalidated nothing")
 	}
 }
@@ -210,7 +211,6 @@ func TestConfigureWhirlpoolCenterOfMass(t *testing.T) {
 
 func TestConfigureNexusReplicatesReadOnly(t *testing.T) {
 	in := confIn(8, 1024) // plenty of space: replication should win
-	in.NexusDegrees = []int{1, 2, 4}
 	streams := []policy.StreamInput{
 		{SID: 1, ReadOnly: true, Curve: curveWS(16*2048, 0, 1_000_000),
 			Acc: map[int]uint64{0: 250_000, 2: 250_000, 5: 250_000, 7: 250_000}},
@@ -271,7 +271,7 @@ func TestLookupRoutesToAllocatedPartition(t *testing.T) {
 	c := NewController(Whirlpool, DefaultParams(), 4, 256, tbl)
 	a := streamcache.NewAllocation(4)
 	a.Shares[2] = 64 // stream 1 lives entirely on unit 2
-	if _, _, err := c.Apply(map[stream.ID]streamcache.Allocation{1: a}); err != nil {
+	if _, err := c.Apply(map[stream.ID]streamcache.Allocation{1: a}); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 256; i++ {
@@ -342,13 +342,11 @@ func TestNexusDegreeRespondsToCapacity(t *testing.T) {
 			Acc: map[int]uint64{0: 250_000, 3: 250_000, 5: 250_000, 7: 250_000}},
 	}
 	tiny := confIn(8, 16)
-	tiny.NexusDegrees = []int{1, 2, 4}
 	tinyAllocs, err := Configure(Nexus, tiny, streams)
 	if err != nil {
 		t.Fatal(err)
 	}
 	big := confIn(8, 4096)
-	big.NexusDegrees = []int{1, 2, 4}
 	bigAllocs, err := Configure(Nexus, big, streams)
 	if err != nil {
 		t.Fatal(err)
@@ -394,8 +392,38 @@ func TestConfigureValidatesInput(t *testing.T) {
 		t.Fatal("invalid input accepted")
 	}
 	bad = confIn(2, 8)
-	bad.Proximity = nil
+	bad.Attenuation = nil
 	if _, err := Configure(Whirlpool, bad, nil); err == nil {
-		t.Fatal("nil proximity accepted")
+		t.Fatal("nil attenuation accepted")
+	}
+}
+
+// The baselines have no dead-unit notion of their own: Configure drops
+// whatever they place on a failed vault, for every partitioned kind.
+func TestConfigureDropsDeadUnits(t *testing.T) {
+	streams := []policy.StreamInput{
+		{SID: 1, ReadOnly: true, Curve: curveWS(64*2048, 0, 1_000_000),
+			Acc: map[int]uint64{0: 250_000, 2: 250_000, 5: 250_000, 7: 250_000}},
+		{SID: 2, Curve: curveWS(64*2048, 0, 800_000), Acc: map[int]uint64{5: 800_000}},
+	}
+	for _, kind := range []Kind{Jigsaw, Whirlpool, Nexus} {
+		in := confIn(8, 1024)
+		live, err := Configure(kind, in, streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live[1].Shares[5]+live[2].Shares[5] == 0 {
+			t.Fatalf("%v: nothing placed on unit 5 with every vault alive; the check is vacuous", kind)
+		}
+		in.DeadUnits = []int{5}
+		allocs, err := Configure(kind, in, streams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for sid, a := range allocs {
+			if a.Shares[5] != 0 {
+				t.Fatalf("%v: stream %d keeps %d rows on dead unit 5", kind, sid, a.Shares[5])
+			}
+		}
 	}
 }

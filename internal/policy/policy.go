@@ -50,6 +50,16 @@ type StreamInput struct {
 	PrevGroups int
 }
 
+// Accessors returns the accessing units in ascending order.
+func (in *StreamInput) Accessors() []int {
+	out := make([]int, 0, len(in.Acc))
+	for u := range in.Acc {
+		out = append(out, u)
+	}
+	sort.Ints(out)
+	return out
+}
+
 // localOrGlobal returns the curve to use for a replicated group.
 func (in *StreamInput) localOrGlobal() sampler.Curve {
 	if len(in.LocalCurve.Points) > 0 {
@@ -79,6 +89,9 @@ type Config struct {
 	// (§V-C). Nil NetLatNS disables the latency term.
 	MissLatNS float64
 	NetLatNS  func(degree int) float64
+	// HitLatNS is the DRAM access of a DRAM-cache hit. The NUCA
+	// baselines weigh a miss in units of it.
+	HitLatNS float64
 
 	// DeadUnits lists units whose DRAM vault is offline (fault
 	// injection); they contribute no capacity, so the optimizer places
@@ -106,6 +119,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("policy: all %d units dead", c.NumUnits)
 	}
 	return nil
+}
+
+// DropDeadUnits zeroes every allocation's shares on the dead units, for
+// configurators with no dead-unit notion of their own; the freed rows go
+// unused for the epoch.
+func (c Config) DropDeadUnits(allocs map[stream.ID]streamcache.Allocation) {
+	for _, a := range allocs {
+		for _, u := range c.DeadUnits {
+			a.Shares[u] = 0
+		}
+	}
 }
 
 // Report summarizes one optimization run.
@@ -303,12 +327,7 @@ func (o *optimizer) finalFill() {
 // streams (Zipf-skewed embeddings, small weight matrices) replicate
 // widely. Writable streams always get a single group (§IV-B).
 func (o *optimizer) initStream(in *StreamInput, accTotal uint64) *st {
-	accs := make([]int, 0, len(in.Acc))
-	for u := range in.Acc {
-		accs = append(accs, u)
-	}
-	sort.Ints(accs)
-
+	accs := in.Accessors()
 	s := &st{in: in, global: newCurveEval(in.Curve), local: newCurveEval(in.localOrGlobal())}
 	if !in.ReadOnly {
 		g := &grp{rows: map[int]uint32{}, accessors: accs, anchor: bestAnchor(in, accs)}

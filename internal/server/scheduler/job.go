@@ -48,9 +48,11 @@ type Event struct {
 
 // EpochEvent is the payload of "epoch" progress events.
 type EpochEvent struct {
-	Epoch          int                `json:"epoch"`
-	ActiveStreams  int                `json:"active_streams"`
-	Reconfigured   bool               `json:"reconfigured"`
+	Epoch         int  `json:"epoch"`
+	ActiveStreams int  `json:"active_streams"`
+	Reconfigured  bool `json:"reconfigured"`
+	// SamplerCovered counts the streams whose samplers observed the
+	// epoch just closed (system.EpochInfo.SamplerCovered).
 	SamplerCovered int                `json:"sampler_covered"`
 	Arm            string             `json:"arm,omitempty"`
 	ArmSwitched    bool               `json:"arm_switched,omitempty"`

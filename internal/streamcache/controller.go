@@ -3,6 +3,7 @@ package streamcache
 import (
 	"fmt"
 
+	"ndpext/internal/energy"
 	"ndpext/internal/stream"
 )
 
@@ -16,15 +17,16 @@ import (
 // ID instead of maps: the per-access Lookup then costs plain loads where
 // the map version paid a hash and probe per structure.
 type Controller struct {
-	params   Params
-	numUnits int
-	table    *stream.Table
-	allocs   []Allocation // by sid; zero Shares length = none installed
-	hasAlloc []bool       // by sid
-	rings    [][]*ring    // by sid, then by group ID (nil = no ring)
-	units    []*unitState
-	stats    Stats
-	perSID   []StreamStats // by sid
+	params     Params
+	numUnits   int
+	table      *stream.Table
+	consistent bool         // Apply keeps items whose consistent-hash spot survives
+	allocs     []Allocation // by sid; zero Shares length = none installed
+	hasAlloc   []bool       // by sid
+	rings      [][]*ring    // by sid, then by group ID (nil = no ring)
+	units      []*unitState
+	stats      Stats
+	perSID     []StreamStats // by sid
 }
 
 // Stats aggregates controller-wide activity.
@@ -57,9 +59,11 @@ func (s StreamStats) MissRate() float64 {
 }
 
 // NewController builds the stream cache over numUnits NDP units, using
-// the stream registry tbl. It panics on invalid parameters (construction
-// configuration, not runtime input).
-func NewController(p Params, numUnits int, tbl *stream.Table) *Controller {
+// the stream registry tbl. With consistent set, reconfiguration keeps
+// the cached data whose consistent-hash spot is unchanged (§V-D);
+// otherwise it bulk-invalidates changed streams. It panics on invalid
+// parameters (construction configuration, not runtime input).
+func NewController(p Params, numUnits int, tbl *stream.Table, consistent bool) *Controller {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
@@ -67,13 +71,14 @@ func NewController(p Params, numUnits int, tbl *stream.Table) *Controller {
 		panic(fmt.Sprintf("streamcache: numUnits = %d", numUnits))
 	}
 	c := &Controller{
-		params:   p,
-		numUnits: numUnits,
-		table:    tbl,
-		allocs:   make([]Allocation, stream.MaxStreams),
-		hasAlloc: make([]bool, stream.MaxStreams),
-		rings:    make([][]*ring, stream.MaxStreams),
-		perSID:   make([]StreamStats, stream.MaxStreams),
+		params:     p,
+		numUnits:   numUnits,
+		table:      tbl,
+		consistent: consistent,
+		allocs:     make([]Allocation, stream.MaxStreams),
+		hasAlloc:   make([]bool, stream.MaxStreams),
+		rings:      make([][]*ring, stream.MaxStreams),
+		perSID:     make([]StreamStats, stream.MaxStreams),
 	}
 	for i := 0; i < numUnits; i++ {
 		c.units = append(c.units, newUnitState(p.SLBEntries))
@@ -83,12 +88,6 @@ func NewController(p Params, numUnits int, tbl *stream.Table) *Controller {
 
 // Params returns the design parameters.
 func (c *Controller) Params() Params { return c.params }
-
-// NumUnits returns the unit count.
-func (c *Controller) NumUnits() int { return c.numUnits }
-
-// Table returns the stream registry.
-func (c *Controller) Table() *stream.Table { return c.table }
 
 // Allocation returns the current allocation for sid (zero-value
 // allocation if none installed).
@@ -357,11 +356,11 @@ type ReconfigStats struct {
 	Writebacks     int // dirty items flushed to extended memory
 }
 
-// Apply installs a new configuration for the given streams. With
-// consistent=true, data whose consistent-hash spot is unchanged stays
+// Apply installs a new configuration for the given streams. Under
+// consistent hashing, data whose consistent-hash spot is unchanged stays
 // cached (§V-D); otherwise the changed streams' cached data is bulk
 // invalidated (the Jigsaw/CDCS approach).
-func (c *Controller) Apply(newAllocs map[stream.ID]Allocation, consistent bool) (ReconfigStats, error) {
+func (c *Controller) Apply(newAllocs map[stream.ID]Allocation) (ReconfigStats, error) {
 	var rs ReconfigStats
 	for sid, a := range newAllocs {
 		if err := a.Validate(c.numUnits); err != nil {
@@ -376,7 +375,7 @@ func (c *Controller) Apply(newAllocs map[stream.ID]Allocation, consistent bool) 
 	}
 
 	for sid, a := range newAllocs {
-		if c.hasAlloc[sid] && allocEqual(c.allocs[sid], a) {
+		if c.hasAlloc[sid] && c.allocs[sid].Equal(a) {
 			continue
 		}
 		rs.StreamsChanged++
@@ -386,7 +385,7 @@ func (c *Controller) Apply(newAllocs map[stream.ID]Allocation, consistent bool) 
 		c.invalidateSLBs(sid)
 
 		s := c.table.Get(sid)
-		if !consistent {
+		if !c.consistent {
 			for _, u := range c.units {
 				n, d := u.dropStream(sid)
 				rs.ItemsExamined += n
@@ -439,19 +438,6 @@ func (c *Controller) Apply(newAllocs map[stream.ID]Allocation, consistent bool) 
 	return rs, nil
 }
 
-// allocEqual reports deep equality of two allocations.
-func allocEqual(a, b Allocation) bool {
-	if len(a.Shares) != len(b.Shares) {
-		return false
-	}
-	for i := range a.Shares {
-		if a.Shares[i] != b.Shares[i] || a.RowBase[i] != b.RowBase[i] || a.Groups[i] != b.Groups[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // EpochAccesses returns, per unit, the access counts by stream for the
 // current epoch (the hardware bitvector of §V-B enriched with counts),
 // and clears the epoch state.
@@ -465,6 +451,40 @@ func (c *Controller) EpochAccesses() []map[stream.ID]uint64 {
 
 // Stats returns a copy of the aggregate statistics.
 func (c *Controller) Stats() Stats { return c.stats }
+
+// ItemBytes is what one cached item of st occupies: an affine block, or
+// an indirect element with its embedded tag.
+func (c *Controller) ItemBytes(st *stream.Stream) int {
+	if st.Type == stream.Affine {
+		return c.params.BlockBytes
+	}
+	return int(st.ElemSize) + c.params.TagBytes
+}
+
+// Footprint is the cache space a full copy of st occupies (indirect
+// elements store their tags with the data).
+func (c *Controller) Footprint(st *stream.Stream) int64 {
+	if st.Type == stream.Affine {
+		return int64(st.Size)
+	}
+	return int64(st.NumElements()) * int64(c.ItemBytes(st))
+}
+
+// CacheCounts returns the DRAM-cache hits and misses. Every access the
+// cache did not serve is a miss: stream misses, stream accesses with no
+// allocated space, and non-stream bypasses.
+func (c *Controller) CacheCounts() (hits, misses uint64) {
+	return c.stats.Hits, c.stats.Misses + c.stats.NoSpace + c.stats.Bypasses
+}
+
+// SRAMPJ returns the access energy of the controller's SRAM structures
+// (§VI models them with CACTI): the SLB probes, then the ATA tag reads.
+func (c *Controller) SRAMPJ() []float64 {
+	return []float64{
+		float64(c.stats.SLBHits+c.stats.SLBMisses) * energy.SLBAccessPJ,
+		float64(c.stats.Hits+c.stats.Misses) * energy.ATAAccessPJ,
+	}
+}
 
 // StreamStatsFor returns a copy of sid's counters.
 func (c *Controller) StreamStatsFor(sid stream.ID) StreamStats {

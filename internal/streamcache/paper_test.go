@@ -22,12 +22,12 @@ func TestFig3CachingScheme(t *testing.T) {
 	if err := tbl.Add(a); err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(DefaultParams(), 4, tbl)
+	c := NewController(DefaultParams(), 4, tbl, false)
 
 	alloc := NewAllocation(4)
 	alloc.Shares = []uint32{8, 6, 4, 2}
 	alloc.Groups = []uint8{0, 0, 1, 1}
-	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}, false); err != nil {
+	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,10 +77,10 @@ func TestSLBExampleFromFig3c(t *testing.T) {
 	if err := tbl.Add(s); err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(DefaultParams(), 2, tbl)
+	c := NewController(DefaultParams(), 2, tbl, false)
 	alloc := NewAllocation(2)
 	alloc.Shares = []uint32{8, 6}
-	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}, false); err != nil {
+	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}); err != nil {
 		t.Fatal(err)
 	}
 	r := c.Lookup(0, 0x5CA1AB00, false)
@@ -101,11 +101,11 @@ func TestRemapRowBaseAddressing(t *testing.T) {
 	if err := tbl.Add(s); err != nil {
 		t.Fatal(err)
 	}
-	c := NewController(DefaultParams(), 2, tbl)
+	c := NewController(DefaultParams(), 2, tbl, false)
 	alloc := NewAllocation(2)
 	alloc.Shares = []uint32{4, 4}
 	alloc.RowBase = []uint32{100, 200}
-	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}, false); err != nil {
+	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}); err != nil {
 		t.Fatal(err)
 	}
 	for e := uint64(0); e < 512; e++ {
@@ -134,7 +134,7 @@ func TestSLBThrashingManyStreams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := NewController(p, 1, tbl)
+	c := NewController(p, 1, tbl, false)
 	allocs := map[stream.ID]Allocation{}
 	for i := 0; i < streams; i++ {
 		a := NewAllocation(1)
@@ -142,7 +142,7 @@ func TestSLBThrashingManyStreams(t *testing.T) {
 		a.RowBase[0] = uint32(i * 2)
 		allocs[stream.ID(i+1)] = a
 	}
-	if _, err := c.Apply(allocs, false); err != nil {
+	if _, err := c.Apply(allocs); err != nil {
 		t.Fatal(err)
 	}
 	// Round-robin over all streams: every SLB access misses after warmup.

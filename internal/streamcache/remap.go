@@ -2,6 +2,7 @@ package streamcache
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ndpext/internal/stream"
@@ -35,6 +36,12 @@ func (a Allocation) Clone() Allocation {
 	copy(c.RowBase, a.RowBase)
 	copy(c.Groups, a.Groups)
 	return c
+}
+
+// Equal reports whether a and b are the same remap-table row.
+func (a Allocation) Equal(b Allocation) bool {
+	return slices.Equal(a.Shares, b.Shares) && slices.Equal(a.RowBase, b.RowBase) &&
+		slices.Equal(a.Groups, b.Groups)
 }
 
 // Validate checks structural consistency for n units.

@@ -11,7 +11,7 @@ import (
 // newTestController builds a 4-unit controller with one affine stream
 // (sid 1, 64 kB of 8-byte elements) and one indirect stream (sid 2,
 // 32 kB of 4-byte elements).
-func newTestController(t *testing.T, ways int) (*Controller, *stream.Stream, *stream.Stream) {
+func newTestController(t *testing.T, ways int, consistent bool) (*Controller, *stream.Stream, *stream.Stream) {
 	t.Helper()
 	tbl := stream.NewTable()
 	aff, err := stream.Configure(1, stream.Affine, 0x10000, 64<<10, 8)
@@ -30,7 +30,7 @@ func newTestController(t *testing.T, ways int) (*Controller, *stream.Stream, *st
 	}
 	p := DefaultParams()
 	p.IndirectWays = ways
-	return NewController(p, 4, tbl), aff, ind
+	return NewController(p, 4, tbl, consistent), aff, ind
 }
 
 // evenAlloc gives sid `rows` rows on every unit, one global group.
@@ -54,7 +54,7 @@ func replicatedAlloc(units int, rows uint32) Allocation {
 
 func install(t *testing.T, c *Controller, sid stream.ID, a Allocation) {
 	t.Helper()
-	if _, err := c.Apply(map[stream.ID]Allocation{sid: a}, false); err != nil {
+	if _, err := c.Apply(map[stream.ID]Allocation{sid: a}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +72,7 @@ func TestRemapTableSizeMatchesPaper(t *testing.T) {
 }
 
 func TestBypassForNonStreamAddress(t *testing.T) {
-	c, _, _ := newTestController(t, 1)
+	c, _, _ := newTestController(t, 1, false)
 	r := c.Lookup(0, 0xDEAD0000, false)
 	if !r.Bypass || r.SID != stream.NoStream {
 		t.Fatalf("non-stream address not bypassed: %+v", r)
@@ -83,7 +83,7 @@ func TestBypassForNonStreamAddress(t *testing.T) {
 }
 
 func TestNoSpaceGoesToExtendedMemory(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	r := c.Lookup(0, aff.Base, false)
 	if !r.NoSpace || r.Hit {
 		t.Fatalf("unallocated stream access: %+v", r)
@@ -94,7 +94,7 @@ func TestNoSpaceGoesToExtendedMemory(t *testing.T) {
 }
 
 func TestMissThenHitSameBlock(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, evenAlloc(4, 64))
 
 	r1 := c.Lookup(0, aff.Base, false)
@@ -120,7 +120,7 @@ func TestMissThenHitSameBlock(t *testing.T) {
 }
 
 func TestIndirectElementGranularity(t *testing.T) {
-	c, _, ind := newTestController(t, 1)
+	c, _, ind := newTestController(t, 1, false)
 	install(t, c, ind.SID, evenAlloc(4, 64))
 
 	r1 := c.Lookup(0, ind.Base, false)
@@ -137,7 +137,7 @@ func TestIndirectElementGranularity(t *testing.T) {
 }
 
 func TestReplicationGroupsServeLocally(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	// Each unit its own group: every access is served from the local unit.
 	install(t, c, aff.SID, replicatedAlloc(4, 64))
 	for unit := 0; unit < 4; unit++ {
@@ -160,7 +160,7 @@ func TestReplicationGroupsServeLocally(t *testing.T) {
 }
 
 func TestSharedGroupSpreadsByShares(t *testing.T) {
-	c, _, ind := newTestController(t, 1)
+	c, _, ind := newTestController(t, 1, false)
 	a := NewAllocation(4)
 	a.Shares = []uint32{30, 10, 0, 0} // single group, uneven shares
 	install(t, c, ind.SID, a)
@@ -179,7 +179,7 @@ func TestSharedGroupSpreadsByShares(t *testing.T) {
 }
 
 func TestWriteExceptionCollapsesGroups(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, replicatedAlloc(4, 64))
 
 	// Warm all four replicas of block 0.
@@ -210,22 +210,22 @@ func TestWriteExceptionCollapsesGroups(t *testing.T) {
 }
 
 func TestApplyRejectsReplicatedWritableStream(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	aff.ReadOnly = false
-	if _, err := c.Apply(map[stream.ID]Allocation{aff.SID: replicatedAlloc(4, 8)}, false); err == nil {
+	if _, err := c.Apply(map[stream.ID]Allocation{aff.SID: replicatedAlloc(4, 8)}); err == nil {
 		t.Fatal("replicated allocation for a writable stream accepted")
 	}
 }
 
 func TestApplyRejectsUnknownStream(t *testing.T) {
-	c, _, _ := newTestController(t, 1)
-	if _, err := c.Apply(map[stream.ID]Allocation{400: evenAlloc(4, 8)}, false); err == nil {
+	c, _, _ := newTestController(t, 1, false)
+	if _, err := c.Apply(map[stream.ID]Allocation{400: evenAlloc(4, 8)}); err == nil {
 		t.Fatal("allocation for unknown stream accepted")
 	}
 }
 
 func TestDirtyEvictionWritesBack(t *testing.T) {
-	c, _, ind := newTestController(t, 1)
+	c, _, ind := newTestController(t, 1, false)
 	ind.ReadOnly = false // pretend the exception already happened
 	a := NewAllocation(4)
 	a.Shares = []uint32{1, 0, 0, 0} // one row: tiny capacity forces evictions
@@ -245,7 +245,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 }
 
 func TestSLBMissOnFirstTouchThenHits(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, evenAlloc(4, 64))
 	r := c.Lookup(0, aff.Base, false)
 	if !r.SLBMissLocal {
@@ -272,7 +272,7 @@ func TestSLBCapacityEviction(t *testing.T) {
 		}
 		sids = append(sids, s.SID)
 	}
-	c := NewController(p, 1, tbl)
+	c := NewController(p, 1, tbl, false)
 	for _, sid := range sids {
 		install(t, c, sid, evenAlloc(1, 4))
 	}
@@ -285,13 +285,13 @@ func TestSLBCapacityEviction(t *testing.T) {
 }
 
 func TestConsistentHashingKeepsDataOnGrow(t *testing.T) {
-	c, _, ind := newTestController(t, 1)
+	c, _, ind := newTestController(t, 1, true)
 	install(t, c, ind.SID, evenAlloc(4, 32))
 	for e := uint64(0); e < 2048; e++ {
 		c.Lookup(0, ind.Base+e*4, false)
 	}
 	grown := evenAlloc(4, 40) // +8 rows per unit
-	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: grown}, true)
+	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: grown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,12 +305,12 @@ func TestConsistentHashingKeepsDataOnGrow(t *testing.T) {
 }
 
 func TestBulkInvalidationDropsEverything(t *testing.T) {
-	c, _, ind := newTestController(t, 1)
+	c, _, ind := newTestController(t, 1, false)
 	install(t, c, ind.SID, evenAlloc(4, 32))
 	for e := uint64(0); e < 2048; e++ {
 		c.Lookup(0, ind.Base+e*4, false)
 	}
-	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: evenAlloc(4, 40)}, false)
+	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: evenAlloc(4, 40)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,12 +328,12 @@ func TestConsistentBeatsBulkOnInvalidations(t *testing.T) {
 	// The §V-D claim, at model scale: consistent hashing drops fewer
 	// items than bulk invalidation for the same reconfiguration.
 	runOne := func(consistent bool) int {
-		c, _, ind := newTestController(t, 1)
+		c, _, ind := newTestController(t, 1, consistent)
 		install(t, c, ind.SID, evenAlloc(4, 32))
 		for e := uint64(0); e < 2048; e++ {
 			c.Lookup(0, ind.Base+e*4, false)
 		}
-		rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: evenAlloc(4, 36)}, consistent)
+		rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: evenAlloc(4, 36)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,13 +345,13 @@ func TestConsistentBeatsBulkOnInvalidations(t *testing.T) {
 }
 
 func TestApplyIdenticalAllocationIsNoOp(t *testing.T) {
-	c, _, ind := newTestController(t, 1)
+	c, _, ind := newTestController(t, 1, false)
 	a := evenAlloc(4, 32)
 	install(t, c, ind.SID, a)
 	for e := uint64(0); e < 512; e++ {
 		c.Lookup(0, ind.Base+e*4, false)
 	}
-	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: a.Clone()}, false)
+	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: a.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestHigherAssociativityNeverIncreasesConflicts(t *testing.T) {
 	// Fig. 9(a): with the same capacity, higher associativity should not
 	// produce more misses on a conflict-heavy pattern.
 	missesAt := func(ways int) uint64 {
-		c, _, ind := newTestController(t, ways)
+		c, _, ind := newTestController(t, ways, false)
 		a := NewAllocation(4)
 		a.Shares = []uint32{2, 0, 0, 0}
 		install(t, c, ind.SID, a)
@@ -414,7 +414,7 @@ func TestRingDistributionRoughlyProportional(t *testing.T) {
 }
 
 func TestEpochAccessesResets(t *testing.T) {
-	c, aff, _ := newTestController(t, 1)
+	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, evenAlloc(4, 8))
 	c.Lookup(2, aff.Base, false)
 	c.Lookup(2, aff.Base, false)
@@ -443,12 +443,12 @@ func TestAffineAssociativityAbsorbsConflicts(t *testing.T) {
 		}
 		p := DefaultParams()
 		p.AffineWays = ways
-		c := NewController(p, 4, tbl)
+		c := NewController(p, 4, tbl, false)
 		a := NewAllocation(4)
 		for u := range a.Shares {
 			a.Shares[u] = 32 // 128 rows total = 2x the 64-block footprint
 		}
-		if _, err := c.Apply(map[stream.ID]Allocation{1: a}, false); err != nil {
+		if _, err := c.Apply(map[stream.ID]Allocation{1: a}); err != nil {
 			t.Fatal(err)
 		}
 		for pass := 0; pass < 4; pass++ {
@@ -485,10 +485,10 @@ func TestWayPredictionMispredicts(t *testing.T) {
 	p := DefaultParams()
 	p.IndirectWays = 4
 	p.WayPredict = true
-	c := NewController(p, 1, tbl)
+	c := NewController(p, 1, tbl, false)
 	a := NewAllocation(1)
 	a.Shares[0] = 128
-	if _, err := c.Apply(map[stream.ID]Allocation{1: a}, false); err != nil {
+	if _, err := c.Apply(map[stream.ID]Allocation{1: a}); err != nil {
 		t.Fatal(err)
 	}
 	// Alternate between elements until two land in the same set; the MRU
@@ -537,7 +537,6 @@ func TestLookupInvariantsProperty(t *testing.T) {
 			}
 		}
 		const units = 4
-		c := NewController(DefaultParams(), units, tbl)
 		allocs := map[stream.ID]Allocation{}
 		for i := 0; i < nStreams; i++ {
 			a := NewAllocation(units)
@@ -548,7 +547,8 @@ func TestLookupInvariantsProperty(t *testing.T) {
 			}
 			allocs[stream.ID(i+1)] = a
 		}
-		if _, err := c.Apply(allocs, rng.Intn(2) == 0); err != nil {
+		c := NewController(DefaultParams(), units, tbl, rng.Intn(2) == 0)
+		if _, err := c.Apply(allocs); err != nil {
 			return false
 		}
 		for k := 0; k < 500; k++ {

@@ -3,8 +3,9 @@ package streamcache
 import "ndpext/internal/telemetry"
 
 // ReportTelemetry publishes the controller's counters into the registry
-// under the given prefix (e.g. "streamcache").
-func (c *Controller) ReportTelemetry(r *telemetry.Registry, prefix string) {
+// under the "streamcache." prefix.
+func (c *Controller) ReportTelemetry(r *telemetry.Registry) {
+	const prefix = "streamcache"
 	r.PutUint(prefix+".lookups", c.stats.Lookups)
 	r.PutUint(prefix+".hits", c.stats.Hits)
 	r.PutUint(prefix+".misses", c.stats.Misses)

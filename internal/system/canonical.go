@@ -14,9 +14,8 @@ const canonicalVersion = "ndpext-config/v2"
 // CanonicalBytes returns a deterministic, versioned serialization of
 // every simulation-affecting field of the configuration. Two configs
 // with equal CanonicalBytes produce bit-identical simulations of the
-// same trace; hooks and debug plumbing (OnEpoch, Probe, DebugReconfig,
-// DebugWriter) are deliberately excluded because they cannot change
-// simulated results. The output is the hashing input for
+// same trace; the hooks (OnEpoch, Probe) are deliberately excluded
+// because they cannot change simulated results. The output is the hashing input for
 // content-addressed result caching — it is stable across processes and
 // machines for a given format version, but is not a decodable wire
 // format.

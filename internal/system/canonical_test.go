@@ -49,13 +49,11 @@ func TestCanonicalBytesSensitivity(t *testing.T) {
 			t.Errorf("mutating %s did not change CanonicalBytes", name)
 		}
 	}
-	// Hooks and debug plumbing must NOT perturb the key.
+	// Hooks must NOT perturb the key.
 	cfg := DefaultConfig(NDPExt)
 	cfg.OnEpoch = func(EpochInfo) {}
 	cfg.Probe = telemetry.FuncProbe(func(*telemetry.Event) {})
-	cfg.DebugReconfig = !cfg.DebugReconfig
-	cfg.DebugWriter = &bytes.Buffer{}
 	if !bytes.Equal(base, cfg.CanonicalBytes()) {
-		t.Error("hooks/debug fields leaked into CanonicalBytes")
+		t.Error("hooks leaked into CanonicalBytes")
 	}
 }

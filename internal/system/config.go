@@ -12,8 +12,6 @@ package system
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"strings"
 	"time"
 
@@ -208,13 +206,6 @@ type Config struct {
 	// Wrap with telemetry.Sampled to subsample; nil costs nothing.
 	Probe telemetry.Probe
 
-	// DebugReconfig enables per-stream reconfiguration tracing at every
-	// epoch boundary, written to DebugWriter. DefaultConfig seeds it
-	// from the NDPEXT_DEBUG environment variable.
-	DebugReconfig bool
-	// DebugWriter receives reconfiguration traces; nil means os.Stdout.
-	DebugWriter io.Writer
-
 	// Adapt tunes the NDPExt-MAB design's bandit-driven configurator
 	// (arm set, migration model, posterior decay); zero value = the
 	// adapt package defaults. Ignored by every other design.
@@ -253,22 +244,18 @@ func (c *Config) AttachProbe(p telemetry.Probe) {
 	c.Probe = telemetry.Multi(c.Probe, p)
 }
 
-// debugWriter resolves the reconfiguration trace destination.
-func (c Config) debugWriter() io.Writer {
-	if c.DebugWriter != nil {
-		return c.DebugWriter
-	}
-	return os.Stdout
-}
-
 // EpochInfo summarizes one host-runtime epoch for Config.OnEpoch.
 type EpochInfo struct {
-	Epoch          int
-	ActiveStreams  int // streams accessed this epoch
-	Reconfigured   bool
-	ItemsKept      int // survived reconfiguration in place
-	ItemsDropped   int // invalidated by reconfiguration
-	SamplerCovered int // streams assigned a sampler for the next epoch
+	Epoch         int
+	ActiveStreams int // streams accessed this epoch
+	Reconfigured  bool
+	ItemsKept     int // survived reconfiguration in place
+	ItemsDropped  int // invalidated by reconfiguration
+	// SamplerCovered counts the streams whose samplers observed the
+	// epoch just closed: those the previous boundary's max-flow
+	// reassignment covered (0 at the first boundary, whose samplers were
+	// the initial placement).
+	SamplerCovered int
 
 	// NDPExt-MAB fields: the live arm chosen for the next epoch and
 	// whether this boundary switched arms (empty/false otherwise).
@@ -337,8 +324,6 @@ func DefaultConfig(d Design) Config {
 		HostNoCLat:   3,
 
 		CoreStaticMW: 15,
-
-		DebugReconfig: os.Getenv("NDPEXT_DEBUG") != "",
 
 		Seed: 1,
 	}

@@ -207,3 +207,33 @@ func TestOnEpochHook(t *testing.T) {
 		t.Fatalf("observer changed the simulation: %v vs %v", res.Time, ref.Time)
 	}
 }
+
+// Every access is an L1 hit, a DRAM-cache hit or a DRAM-cache miss, and
+// the live counters each OnEpoch snapshot carries partition the accesses
+// that way at every boundary, for every NDP design (fault-free: a dead
+// vault's redirects are neither).
+func TestOnEpochCountersPartitionAccesses(t *testing.T) {
+	tr := tinyTrace(t, "pr")
+	for _, d := range append(NDPDesigns(), NDPExtMAB) {
+		cfg := smallConfig(d)
+		epochs := 0
+		cfg.OnEpoch = func(e EpochInfo) {
+			epochs++
+			c := e.Counters
+			if got := c.L1Hits + c.CacheHits + c.CacheMisses; got != c.Accesses {
+				t.Errorf("%v epoch %d: l1 %d + hits %d + misses %d = %d, want %d accesses",
+					d, e.Epoch, c.L1Hits, c.CacheHits, c.CacheMisses, got, c.Accesses)
+			}
+		}
+		res, err := Run(cfg, tr)
+		if err != nil {
+			t.Fatalf("%v: %v", d, err)
+		}
+		if epochs == 0 {
+			t.Fatalf("%v: OnEpoch never fired", d)
+		}
+		if got := res.L1Hits + res.CacheHits + res.CacheMisses; got != res.Accesses {
+			t.Errorf("%v result: %d classified, %d accesses", d, got, res.Accesses)
+		}
+	}
+}

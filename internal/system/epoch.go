@@ -1,27 +1,15 @@
 package system
 
 import (
-	"fmt"
 	"sort"
 
 	"ndpext/internal/maxflow"
-	"ndpext/internal/nuca"
 	"ndpext/internal/policy"
 	"ndpext/internal/sampler"
 	"ndpext/internal/sim"
 	"ndpext/internal/stream"
 	"ndpext/internal/streamcache"
 )
-
-// sortedAllocSIDs returns allocation keys in ascending order.
-func sortedAllocSIDs(m map[stream.ID]streamcache.Allocation) []stream.ID {
-	out := make([]stream.ID, 0, len(m))
-	for sid := range m {
-		out = append(out, sid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // allocationsClose reports whether replacing old with new is worth the
 // reconfiguration invalidations. The optimizer's exact per-unit spreading
@@ -66,10 +54,9 @@ func onFailedUnits(a streamcache.Allocation, failed []int) bool {
 // allocation holds rows on a failed vault is never damped — keeping it
 // would strand the stream on failed hardware — and installing its
 // rebuilt allocation counts as a fault remap.
-func (s *ndpSim) damp(allocs map[stream.ID]streamcache.Allocation,
-	installed func(stream.ID) (streamcache.Allocation, bool), failed []int) {
+func (s *ndpSim) damp(allocs map[stream.ID]streamcache.Allocation, failed []int) {
 	for sid, a := range allocs {
-		old, had := installed(sid)
+		old, had := s.ctl.Allocation(sid)
 		if !had {
 			continue
 		}
@@ -100,6 +87,7 @@ func (s *ndpSim) policyConfig() policy.Config {
 		MaxIters:      200_000,
 		MissLatNS:     s.ext.MinLatency(64).NS(),
 		NetLatNS:      s.netLatForDegree,
+		HitLatNS:      s.devs[0].RawLatency(false, 64).NS(),
 	}
 }
 
@@ -137,18 +125,6 @@ func (s *ndpSim) netLatForDegree(d int) float64 {
 	return v
 }
 
-// nucaConfigInput builds the baseline configuration input.
-func (s *ndpSim) nucaConfigInput() nuca.ConfigInput {
-	dramNS := s.devs[0].RawLatency(false, 64).NS()
-	return nuca.ConfigInput{
-		NumUnits:    s.cfg.NumUnits(),
-		UnitRows:    s.cfg.UnitRows,
-		RowBytes:    s.cfg.rowBytes(),
-		Proximity:   func(u, v int) float64 { return s.att[u][v] },
-		MissPenalty: s.ext.MinLatency(64).NS() / dramNS,
-	}
-}
-
 // allStreamInputs builds placeholder inputs for every configured stream
 // (used at bootstrap, before any profile exists).
 func (s *ndpSim) allStreamInputs() []policy.StreamInput {
@@ -184,37 +160,94 @@ func defaultCurve(st *stream.Stream) sampler.Curve {
 // for the stream-cache designs, equal interleaved partitions for the
 // partitioned baselines, nothing for static interleave.
 func (s *ndpSim) bootstrap() {
-	switch s.cfg.Design {
-	case NDPExt, NDPExtStatic, NDPExtMAB:
-		allocs, err := policy.StaticEqual(s.policyConfig(), s.allStreamInputs())
-		if err != nil {
-			panic(err)
+	allocs, err := s.initial()
+	if err != nil {
+		panic(err)
+	}
+	if _, err := s.ctl.Apply(allocs); err != nil {
+		panic(err)
+	}
+}
+
+// equalPartitions is the partitioned baselines' epoch-0 configuration:
+// every stream gets an equal share of every unit.
+func (s *ndpSim) equalPartitions() (map[stream.ID]streamcache.Allocation, error) {
+	n := s.table.Len()
+	if n == 0 {
+		return nil, nil
+	}
+	share := s.cfg.UnitRows / uint32(n+1)
+	if share == 0 {
+		share = 1
+	}
+	allocs := make(map[stream.ID]streamcache.Allocation, n)
+	next := make([]uint32, s.cfg.NumUnits())
+	for _, st := range s.table.All() {
+		a := streamcache.NewAllocation(s.cfg.NumUnits())
+		for u := range a.Shares {
+			a.Shares[u] = share
+			a.RowBase[u] = next[u]
+			next[u] += share
 		}
-		if _, err := s.sc.Apply(allocs, s.cfg.ConsistentHash); err != nil {
-			panic(err)
+		allocs[st.SID] = a
+	}
+	return allocs, nil
+}
+
+// optimize is NDPExt's configure step: Algorithm 1.
+func (s *ndpSim) optimize(pcfg policy.Config, ins []policy.StreamInput, _ map[stream.ID]uint64) (epochConfig, error) {
+	allocs, rep, err := policy.Optimize(pcfg, ins)
+	if err != nil {
+		return epochConfig{}, err
+	}
+	s.releaseDecayed(allocs)
+	return epochConfig{allocs: allocs, rep: rep}, nil
+}
+
+// decide is NDPExt-MAB's configure step: the bandit picks which arm's
+// allocation to install, scoring every candidate against this epoch's
+// curves. It runs on the event-loop thread, never on the epoch worker —
+// that is what keeps the pick sequence deterministic.
+func (s *ndpSim) decide(pcfg policy.Config, ins []policy.StreamInput, totals map[stream.ID]uint64) (epochConfig, error) {
+	live := make(map[stream.ID]streamcache.Allocation, len(ins))
+	for i := range ins {
+		if a, ok := s.ctl.Allocation(ins[i].SID); ok {
+			live[ins[i].SID] = a
 		}
-	case Jigsaw, Whirlpool, Nexus:
-		n := s.table.Len()
-		if n == 0 {
-			return
+	}
+	var epochAcc uint64
+	for _, n := range totals {
+		epochAcc += n
+	}
+	dec, err := s.adapt.Decide(pcfg, ins, live, epochAcc)
+	if err != nil {
+		return epochConfig{}, err
+	}
+	ec := epochConfig{allocs: dec.Allocs, arm: dec.Arm, switched: dec.Switched}
+	// Report the installed arm's allocation footprint through the same
+	// counters the paper optimizer fills.
+	for _, a := range ec.allocs {
+		t := a.TotalRows()
+		ec.rep.RowsAllocated += t
+		if len(a.GroupIDs()) > 1 {
+			ec.rep.ReplicatedRows += t
 		}
-		share := s.cfg.UnitRows / uint32(n+1)
-		if share == 0 {
-			share = 1
+	}
+	s.releaseDecayed(ec.allocs)
+	return ec, nil
+}
+
+// releaseDecayed gives every stream that decayed out of the access
+// history, and so out of the configuration inputs, an empty allocation:
+// its space is freed explicitly, keeping the installed configuration's
+// total within the physical capacity.
+func (s *ndpSim) releaseDecayed(allocs map[stream.ID]streamcache.Allocation) {
+	for _, st := range s.table.All() {
+		if _, ok := allocs[st.SID]; ok {
+			continue
 		}
-		allocs := make(map[stream.ID]streamcache.Allocation, n)
-		next := make([]uint32, s.cfg.NumUnits())
-		for _, st := range s.table.All() {
-			a := streamcache.NewAllocation(s.cfg.NumUnits())
-			for u := range a.Shares {
-				a.Shares[u] = share
-				a.RowBase[u] = next[u]
-				next[u] += share
-			}
-			allocs[st.SID] = a
-		}
-		if _, _, err := s.nc.Apply(allocs); err != nil {
-			panic(err)
+		if a, had := s.ctl.Allocation(st.SID); had && a.TotalRows() > 0 {
+			allocs[st.SID] = streamcache.NewAllocation(s.cfg.NumUnits())
 		}
 	}
 }
@@ -227,8 +260,8 @@ func (s *ndpSim) startPipe(inline bool) {
 	bank := newSamplerBank(s.cfg.NumUnits())
 	for _, st := range s.table.All() {
 		u := int(st.SID) % s.cfg.NumUnits()
-		bank.local[u][st.SID] = bank.get(s.cfg.Sampler, s.itemBytes(st.SID))
-		bank.global[st.SID] = bank.get(s.cfg.Sampler, s.itemBytes(st.SID))
+		bank.local[u][st.SID] = bank.get(s.cfg.Sampler, s.ctl.ItemBytes(st))
+		bank.global[st.SID] = bank.get(s.cfg.Sampler, s.ctl.ItemBytes(st))
 	}
 	s.pipe = newEpochPipe(bank, s.cfg.Sampler, inline)
 	s.deps.pipe = s.pipe
@@ -257,32 +290,6 @@ func (s *ndpSim) shouldReconfig() bool {
 	default:
 		return false
 	}
-}
-
-// itemBytes is the sampler item granularity for a stream: what one cached
-// item actually occupies (indirect elements carry their embedded tag, so
-// the capacity axis must include it).
-func (s *ndpSim) itemBytes(sid stream.ID) int {
-	if s.nc != nil {
-		return 64 // cacheline granularity in the baselines
-	}
-	st := s.table.Get(sid)
-	if st == nil {
-		return 64
-	}
-	if st.Type == stream.Affine {
-		return s.cfg.Stream.BlockBytes
-	}
-	return int(st.ElemSize) + s.cfg.Stream.TagBytes
-}
-
-// cacheFootprint is the DRAM cache space a full copy of the stream
-// occupies (indirect elements store tags with the data).
-func (s *ndpSim) cacheFootprint(st *stream.Stream) int64 {
-	if s.nc != nil || st.Type == stream.Affine {
-		return int64(st.Size)
-	}
-	return int64(st.NumElements()) * int64(int(st.ElemSize)+s.cfg.Stream.TagBytes)
 }
 
 // epochBoundary is the host runtime (§V): harvest the epoch's access
@@ -316,12 +323,7 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 	reconfigsBefore := s.tel.Reconfigs
 	keptBefore := s.tel.ReconfigKept
 	droppedBefore := s.tel.ReconfigDropped
-	var acc []map[stream.ID]uint64
-	if s.sc != nil {
-		acc = s.sc.EpochAccesses()
-	} else {
-		acc = s.nc.EpochAccesses()
-	}
+	acc := s.ctl.EpochAccesses()
 
 	totals := make(map[stream.ID]uint64)
 	accBy := make(map[stream.ID]map[int]uint64)
@@ -371,6 +373,7 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 	// epoch.
 	rep := s.pipe.harvest()
 	s.tel.Observes = rep.observes
+	s.tel.SamplerCovered = rep.covered
 	for _, h := range rep.global {
 		h.cv.Accesses = totals[h.sid]
 		s.curves[h.sid] = h.cv
@@ -402,10 +405,8 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 			accMap[u] = uint64(w)
 		}
 		prevGroups := 0
-		if s.sc != nil {
-			if a, ok := s.sc.Allocation(sid); ok {
-				prevGroups = len(a.GroupIDs())
-			}
+		if a, ok := s.ctl.Allocation(sid); ok {
+			prevGroups = len(a.GroupIDs())
 		}
 		ins = append(ins, policy.StreamInput{
 			SID:        sid,
@@ -414,13 +415,12 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 			Acc:        accMap,
 			ReadOnly:   st.ReadOnly,
 			Affine:     st.Type == stream.Affine,
-			Footprint:  s.cacheFootprint(st),
+			Footprint:  s.ctl.Footprint(st),
 			PrevGroups: prevGroups,
 		})
 	}
 
-	var epochArm string
-	var epochArmSwitched bool
+	var dec epochConfig
 	if s.shouldReconfig() && len(ins) > 0 {
 		s.tel.Reconfigs++
 		pcfg := s.policyConfig()
@@ -431,114 +431,24 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 			pcfg.DeadUnits = failed
 			pcfg.MissLatNS *= s.inj.CXLBWFactor(at)
 		}
-		if s.sc != nil {
-			var allocs map[stream.ID]streamcache.Allocation
-			var rep policy.Report
-			if s.adapt != nil {
-				// NDPExt-MAB: the bandit picks which arm's allocation to
-				// install, scoring every candidate against this epoch's
-				// curves. The decision runs here, on the event-loop
-				// thread, never on the epoch worker — that is what keeps
-				// the pick sequence deterministic.
-				live := make(map[stream.ID]streamcache.Allocation, len(ins))
-				var epochAcc uint64
-				for i := range ins {
-					if a, ok := s.sc.Allocation(ins[i].SID); ok {
-						live[ins[i].SID] = a
-					}
-				}
-				for _, n := range totals {
-					epochAcc += n
-				}
-				dec, err := s.adapt.Decide(pcfg, ins, live, epochAcc)
-				if err != nil {
-					panic(err)
-				}
-				allocs = dec.Allocs
-				epochArm, epochArmSwitched = dec.Arm, dec.Switched
-				// Report the installed arm's allocation footprint through
-				// the same counters the paper optimizer fills.
-				for _, a := range allocs {
-					t := a.TotalRows()
-					rep.RowsAllocated += t
-					if len(a.GroupIDs()) > 1 {
-						rep.ReplicatedRows += t
-					}
-				}
-			} else {
-				var err error
-				allocs, rep, err = policy.Optimize(pcfg, ins)
-				if err != nil {
-					panic(err)
-				}
-			}
-			// Streams that decayed out of the history lose their space
-			// explicitly, keeping the installed configuration's total
-			// within the physical capacity.
-			for _, st := range s.table.All() {
-				if _, ok := allocs[st.SID]; ok {
-					continue
-				}
-				if a, had := s.sc.Allocation(st.SID); had && a.TotalRows() > 0 {
-					allocs[st.SID] = streamcache.NewAllocation(s.cfg.NumUnits())
-				}
-			}
-			s.damp(allocs, s.sc.Allocation, failed)
-			if s.cfg.DebugReconfig {
-				w := s.cfg.debugWriter()
-				for _, sid := range sortedAllocSIDs(allocs) {
-					a := allocs[sid]
-					old, _ := s.sc.Allocation(sid)
-					fmt.Fprintf(w, "epoch %d stream %d: rows %d->%d groups %d->%d\n",
-						s.epoch, sid, old.TotalRows(), a.TotalRows(),
-						len(old.GroupIDs()), len(a.GroupIDs()))
-				}
-			}
-			rs, err := s.sc.Apply(allocs, s.cfg.ConsistentHash)
-			if err != nil {
-				panic(err)
-			}
-			if s.adapt != nil && epochArmSwitched {
-				// Ground-truth migration cost of the arm switch: the
-				// items the install actually invalidated.
-				s.adapt.NoteApply(rs.ItemsDropped)
-			}
-			s.tel.ReconfigKept += rs.ItemsKept
-			s.tel.ReconfigDropped += rs.ItemsDropped
-			s.tel.ReplicatedRows = rep.ReplicatedRows
-			s.tel.RowsAllocated = rep.RowsAllocated
-		} else {
-			nci := s.nucaConfigInput()
-			if s.inj != nil {
-				nci.MissPenalty *= s.inj.CXLBWFactor(at)
-			}
-			allocs, err := nuca.Configure(nucaKind(s.cfg.Design), nci, ins)
-			if err != nil {
-				panic(err)
-			}
-			// The baseline configurators have no dead-unit notion, so
-			// degraded mode zeroes any shares they place on failed
-			// vaults; freed rows just go unused for the epoch.
-			for sid, a := range allocs {
-				if !onFailedUnits(a, failed) {
-					continue
-				}
-				for _, u := range failed {
-					if u < len(a.Shares) {
-						a.Shares[u] = 0
-					}
-				}
-				allocs[sid] = a
-			}
-			// The baselines damp churn the same way (Jigsaw-class
-			// systems also keep stable partitions stable).
-			s.damp(allocs, s.nc.Allocation, failed)
-			inv, _, err := s.nc.Apply(allocs)
-			if err != nil {
-				panic(err)
-			}
-			s.tel.ReconfigDropped += inv
+		var err error
+		if dec, err = s.configure(pcfg, ins, totals); err != nil {
+			panic(err)
 		}
+		s.damp(dec.allocs, failed)
+		rs, err := s.ctl.Apply(dec.allocs)
+		if err != nil {
+			panic(err)
+		}
+		if dec.switched {
+			// Ground-truth migration cost of the arm switch: the items
+			// the install actually invalidated.
+			s.adapt.NoteApply(rs.ItemsDropped)
+		}
+		s.tel.ReconfigKept += rs.ItemsKept
+		s.tel.ReconfigDropped += rs.ItemsDropped
+		s.tel.ReplicatedRows = dec.rep.ReplicatedRows
+		s.tel.RowsAllocated = dec.rep.RowsAllocated
 	}
 
 	// Reassign samplers with Edmonds-Karp max-flow (§V-B) using this
@@ -548,16 +458,8 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 	// rotation of §V-B). The job's inputs are built here (they depend on
 	// the injector and the stream table, both owned by the event-loop
 	// thread); it runs on the epoch worker, overlapping the next epoch's
-	// event loop, and is joined lazily — immediately only when OnEpoch
-	// needs the coverage count.
-	job := s.buildReassignJob(totals, accBy, failed)
-	covered := 0
-	if s.cfg.OnEpoch != nil {
-		covered = s.pipe.reassignSync(job)
-		s.tel.SamplerCovered = covered
-	} else {
-		s.pipe.reassignAsync(job)
-	}
+	// event loop.
+	s.pipe.reassign(s.buildReassignJob(totals, accBy, failed))
 
 	if s.cfg.OnEpoch != nil {
 		s.cfg.OnEpoch(EpochInfo{
@@ -566,9 +468,9 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 			Reconfigured:    s.tel.Reconfigs > reconfigsBefore,
 			ItemsKept:       s.tel.ReconfigKept - keptBefore,
 			ItemsDropped:    s.tel.ReconfigDropped - droppedBefore,
-			SamplerCovered:  covered,
-			Arm:             epochArm,
-			ArmSwitched:     epochArmSwitched,
+			SamplerCovered:  rep.covered,
+			Arm:             dec.arm,
+			ArmSwitched:     dec.switched,
 			Degraded:        degraded,
 			FailedUnits:     len(failed),
 			RemappedStreams: s.tel.FaultRemappedStreams - remappedBefore,
@@ -650,7 +552,7 @@ func (s *ndpSim) buildReassignJob(totals map[stream.ID]uint64, accBy map[stream.
 		}
 		sort.Ints(units)
 		j.unitsOf[i] = units
-		j.itemBytes[i] = s.itemBytes(sid)
+		j.itemBytes[i] = s.ctl.ItemBytes(s.table.Get(sid))
 	}
 	j.caps = make([]int, j.numUnits)
 	for u := range j.caps {

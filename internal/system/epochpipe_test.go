@@ -103,8 +103,8 @@ func TestPipelinedMatchesSerialProperty(t *testing.T) {
 	}
 }
 
-// OnEpoch forces the synchronous reassignment join; the per-epoch info
-// stream must match the inline run field for field.
+// The per-epoch info stream OnEpoch sees must match the inline run
+// field for field.
 func TestPipelinedOnEpochParity(t *testing.T) {
 	tr := tinyTrace(t, "pr")
 	collect := func(inline bool) []EpochInfo {

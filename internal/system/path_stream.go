@@ -39,6 +39,8 @@ func (p *streamPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time,
 		p.pipe.observe(core, lk.SID, lk.ItemID)
 	}
 	if lk.Bypass || lk.NoSpace {
+		// The controller counts these as misses too.
+		tel.CacheMisses++
 		return p.ext.access(t, core, a.Addr, max(lk.FetchBytes, 64), a.Write),
 			telemetry.LevelExtended, lk.SID
 	}

@@ -52,18 +52,15 @@ type obs struct {
 	item uint64
 }
 
-// harvestReply carries one epoch's curves (and the authoritative
-// observation counter) back to the event-loop thread.
+// harvestReply carries one epoch's curves back to the event-loop
+// thread, with the authoritative observation counter and the number of
+// streams the last reassignment covered (the samplers that observed the
+// epoch just closed).
 type harvestReply struct {
 	global, local []harvestedCurve
 	observes      uint64
+	covered       int
 	panicked      any
-}
-
-// jobReply acknowledges a synchronous reassignment.
-type jobReply struct {
-	covered  int
-	panicked any
 }
 
 // finalReply is the end-of-run join.
@@ -78,7 +75,6 @@ type pipeMsg struct {
 	batch   []obs
 	harvest chan harvestReply
 	job     *reassignJob
-	jobDone chan jobReply // non-nil with job: caller wants the coverage count now
 	final   chan finalReply
 }
 
@@ -162,22 +158,10 @@ func (p *epochPipe) harvest() harvestReply {
 	return rep
 }
 
-// reassignAsync posts the reassignment without waiting: the worker runs
-// it concurrently with the next epoch's event loop.
-func (p *epochPipe) reassignAsync(job *reassignJob) {
+// reassign posts the reassignment without waiting: the worker runs it
+// concurrently with the next epoch's event loop.
+func (p *epochPipe) reassign(job *reassignJob) {
 	p.send(pipeMsg{job: job})
-}
-
-// reassignSync posts the reassignment and waits for the coverage count
-// (needed when Config.OnEpoch observes it at the boundary).
-func (p *epochPipe) reassignSync(job *reassignJob) int {
-	ch := make(chan jobReply, 1)
-	p.send(pipeMsg{job: job, jobDone: ch})
-	rep := <-ch
-	if rep.panicked != nil {
-		panic(rep.panicked)
-	}
-	return rep.covered
 }
 
 // close drains the pipeline, stops the worker, and returns the final
@@ -231,19 +215,14 @@ func (p *epochPipe) handle(m pipeMsg) bool {
 // subsequent join is answered with the panic value so the event loop
 // re-raises it instead of deadlocking.
 func (p *epochPipe) step(m pipeMsg) {
-	replied := false
 	defer func() {
+		// A harvest answers last, so a panic means it is still unanswered.
 		if r := recover(); r != nil {
 			if p.panicked == nil {
 				p.panicked = r
 			}
-			if !replied {
-				if m.harvest != nil {
-					m.harvest <- harvestReply{panicked: p.panicked}
-				}
-				if m.jobDone != nil {
-					m.jobDone <- jobReply{panicked: p.panicked}
-				}
+			if m.harvest != nil {
+				m.harvest <- harvestReply{panicked: p.panicked}
 			}
 		}
 	}()
@@ -251,10 +230,6 @@ func (p *epochPipe) step(m pipeMsg) {
 		if m.harvest != nil {
 			m.harvest <- harvestReply{panicked: p.panicked}
 		}
-		if m.jobDone != nil {
-			m.jobDone <- jobReply{panicked: p.panicked}
-		}
-		replied = true
 		return
 	}
 	switch {
@@ -268,14 +243,9 @@ func (p *epochPipe) step(m pipeMsg) {
 		}
 	case m.harvest != nil:
 		g, l := harvestCurves(p.bank)
-		m.harvest <- harvestReply{global: g, local: l, observes: p.observes}
-		replied = true
+		m.harvest <- harvestReply{global: g, local: l, observes: p.observes, covered: p.covered}
 	case m.job != nil:
 		p.covered, p.uncovered = m.job.run(p.bank, p.uncovered)
-		if m.jobDone != nil {
-			m.jobDone <- jobReply{covered: p.covered}
-			replied = true
-		}
 	}
 }
 

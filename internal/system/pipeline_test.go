@@ -1,8 +1,6 @@
 package system
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"ndpext/internal/energy"
@@ -140,38 +138,6 @@ func TestProbeSamplingAndHost(t *testing.T) {
 	}
 	if hostN != hres.Accesses {
 		t.Fatalf("host probe saw %d events, run had %d accesses", hostN, hres.Accesses)
-	}
-}
-
-// The reconfiguration debug trace is injectable: off by default, and
-// routed to the configured writer when enabled.
-func TestDebugReconfigWriterInjection(t *testing.T) {
-	tr := tinyTrace(t, "pr")
-	var buf bytes.Buffer
-	cfg := smallConfig(NDPExt)
-	cfg.DebugReconfig = true
-	cfg.DebugWriter = &buf
-	res, err := Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Reconfigs == 0 {
-		t.Fatal("run never reconfigured; trace cannot be exercised")
-	}
-	out := buf.String()
-	if !strings.Contains(out, "epoch") || !strings.Contains(out, "rows") {
-		t.Fatalf("debug trace missing or malformed:\n%q", out)
-	}
-
-	var quiet bytes.Buffer
-	cfg = smallConfig(NDPExt)
-	cfg.DebugReconfig = false
-	cfg.DebugWriter = &quiet
-	if _, err := Run(cfg, tr); err != nil {
-		t.Fatal(err)
-	}
-	if quiet.Len() != 0 {
-		t.Fatalf("disabled debug trace still wrote %d bytes", quiet.Len())
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"ndpext/internal/fault"
 	"ndpext/internal/noc"
 	"ndpext/internal/nuca"
+	"ndpext/internal/policy"
 	"ndpext/internal/sampler"
 	"ndpext/internal/sim"
 	"ndpext/internal/stats"
@@ -104,8 +105,8 @@ type StreamReport struct {
 	KneeBytes int64
 }
 
-// StreamReports returns per-stream diagnostics after a run (NDPExt
-// designs only; empty otherwise).
+// StreamReports returns per-stream diagnostics after a run (empty for
+// the Host design).
 func (r *Result) StreamReports() []StreamReport { return r.streams }
 
 // RunContext simulates the workload src feeds on the configured machine.
@@ -266,6 +267,40 @@ func (b *samplerBank) retire() {
 	}
 }
 
+// cacheController is the DRAM cache the host runtime configures: the
+// stream cache of the NDPExt designs or the cacheline cache of the NUCA
+// baselines. newNDPSim installs one; nothing after it asks which.
+type cacheController interface {
+	Allocation(sid stream.ID) (streamcache.Allocation, bool)
+	Apply(allocs map[stream.ID]streamcache.Allocation) (streamcache.ReconfigStats, error)
+	// EpochAccesses returns and clears the epoch's per-unit access
+	// counts by stream (the §V-B bitvectors).
+	EpochAccesses() []map[stream.ID]uint64
+	StreamStatsFor(sid stream.ID) streamcache.StreamStats
+	ReportTelemetry(r *telemetry.Registry)
+
+	// ItemBytes is what one cached item of st occupies: the capacity
+	// granularity of st's samplers.
+	ItemBytes(st *stream.Stream) int
+	// Footprint is the cache space a full copy of st occupies.
+	Footprint(st *stream.Stream) int64
+	// CacheCounts returns the DRAM-cache hits and misses.
+	CacheCounts() (hits, misses uint64)
+	// SRAMPJ returns the access energy of each of the controller's SRAM
+	// structures, in the order the energy breakdown adds them.
+	SRAMPJ() []float64
+}
+
+// epochConfig is one configure step's outcome: the allocations to
+// install, the footprint counters the step reports, and, for
+// NDPExt-MAB, the arm it chose and whether that switched arms.
+type epochConfig struct {
+	allocs   map[stream.ID]streamcache.Allocation
+	rep      policy.Report
+	arm      string
+	switched bool
+}
+
 // ndpSim is the event-driven simulator for all NDP designs.
 type ndpSim struct {
 	cfg    Config
@@ -277,11 +312,13 @@ type ndpSim struct {
 	devs []*dram.Device
 	inj  *fault.Injector // nil unless Config.Faults is non-empty
 
-	// Exactly one of sc/nc is set, by design (epoch logic still needs
-	// the concrete controller); its memory path serves the event loop's
-	// L1 misses.
-	sc *streamcache.Controller
-	nc *nuca.Controller
+	// ctl is the design's DRAM cache; its memory path serves the event
+	// loop's L1 misses. initial is its epoch-0 configuration and
+	// configure the per-epoch solve (Algorithm 1, the bandit's pick, or
+	// a NUCA baseline's configurator).
+	ctl       cacheController
+	initial   func() (map[stream.ID]streamcache.Allocation, error)
+	configure func(pcfg policy.Config, ins []policy.StreamInput, totals map[stream.ID]uint64) (epochConfig, error)
 
 	tel telemetry.Counters
 
@@ -351,15 +388,31 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 	s.deps = deps
 	switch cfg.Design {
 	case NDPExt, NDPExtStatic, NDPExtMAB:
-		s.sc = streamcache.NewController(cfg.Stream, n, s.table)
-		s.events.miss = (&streamPath{pathDeps: deps, sc: s.sc, table: s.table}).Access
+		sc := streamcache.NewController(cfg.Stream, n, s.table, cfg.ConsistentHash)
+		s.ctl = sc
+		s.events.miss = (&streamPath{pathDeps: deps, sc: sc, table: s.table}).Access
+		s.initial = func() (map[stream.ID]streamcache.Allocation, error) {
+			return policy.StaticEqual(s.policyConfig(), s.allStreamInputs())
+		}
+		s.configure = s.optimize
 	case Jigsaw, Whirlpool, Nexus, StaticInterleave:
 		np := nuca.DefaultParams()
 		np.RowBytes = cfg.rowBytes()
 		// The 128 kB metadata cache scales with every other capacity.
 		np.MetaCacheBytes = max(np.MetaCacheBytes/CapacityDivisor, 8*np.MetaEntryBytes)
-		s.nc = nuca.NewController(nucaKind(cfg.Design), np, n, cfg.UnitRows, s.table)
-		s.events.miss = (&nucaPath{pathDeps: deps, nc: s.nc}).Access
+		kind := nucaKind(cfg.Design)
+		nc := nuca.NewController(kind, np, n, cfg.UnitRows, s.table)
+		s.ctl = nc
+		s.events.miss = (&nucaPath{pathDeps: deps, nc: nc}).Access
+		s.initial = s.equalPartitions
+		if kind == nuca.StaticInterleave {
+			// One interleaved partition caches everything.
+			s.initial = func() (map[stream.ID]streamcache.Allocation, error) { return nil, nil }
+		}
+		s.configure = func(pcfg policy.Config, ins []policy.StreamInput, _ map[stream.ID]uint64) (epochConfig, error) {
+			allocs, err := nuca.Configure(kind, pcfg, ins)
+			return epochConfig{allocs: allocs}, err
+		}
 	default:
 		return nil, fmt.Errorf("system: design %v not an NDP design", cfg.Design)
 	}
@@ -395,6 +448,7 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 			return nil, err
 		}
 		s.adapt = ctl
+		s.configure = s.decide
 	}
 	s.res.Design = cfg.Design
 	s.res.Workload = src.Name()
@@ -422,12 +476,7 @@ func (s *ndpSim) collectMetrics() *telemetry.Registry {
 	}
 	s.ext.ReportTelemetry(reg, "cxl")
 	s.net.ReportTelemetry(reg, "noc")
-	if s.sc != nil {
-		s.sc.ReportTelemetry(reg, "streamcache")
-	}
-	if s.nc != nil {
-		s.nc.ReportTelemetry(reg, "nuca")
-	}
+	s.ctl.ReportTelemetry(reg)
 	if s.inj != nil {
 		s.inj.ReportTelemetry(reg)
 		reg.PutUint("fault.degraded_epochs", uint64(s.tel.DegradedEpochs))
@@ -470,14 +519,11 @@ func (s *ndpSim) finishStats() {
 		r.AdaptSwitches = s.adapt.Switches()
 	}
 
-	if s.sc != nil {
-		if t := reg.Uint("streamcache.slb_hits") + reg.Uint("streamcache.slb_misses"); t > 0 {
-			r.SLBHitRate = float64(reg.Uint("streamcache.slb_hits")) / float64(t)
-		}
-	}
-	if s.nc != nil {
-		r.MetaHitRate = s.nc.MetaHitRate()
-	}
+	// Each hit rate reads the counters of the controller that has the
+	// structure (the SLB of the stream cache, the baselines' metadata
+	// cache); the other design's rate stays 0.
+	r.SLBHitRate = hitRate(reg, "streamcache.slb")
+	r.MetaHitRate = hitRate(reg, "nuca.meta")
 	// Energy (Fig. 6 breakdown), computed from the registry. Per-device
 	// energies are summed in registration (device) order so the floating-
 	// point result matches the pre-telemetry accumulation exactly.
@@ -488,12 +534,8 @@ func (s *ndpSim) finishStats() {
 	var sram float64
 	sram += float64(tel.Accesses) * energy.L1AccessPJ
 	sram += float64(tel.Observes) * energy.SamplerUpdatePJ
-	if s.sc != nil {
-		sram += float64(reg.Uint("streamcache.slb_hits")+reg.Uint("streamcache.slb_misses")) * energy.SLBAccessPJ
-		sram += float64(reg.Uint("streamcache.hits")+reg.Uint("streamcache.misses")) * energy.ATAAccessPJ
-	}
-	if s.nc != nil {
-		sram += float64(reg.Uint("nuca.meta_hits")+reg.Uint("nuca.meta_misses")) * energy.MetaCachePJ
+	for _, pj := range s.ctl.SRAMPJ() {
+		sram += pj
 	}
 	r.Energy = energy.Breakdown{
 		StaticPJ:  energy.Static(staticMW, r.Time),
@@ -503,47 +545,36 @@ func (s *ndpSim) finishStats() {
 		CXLLinkPJ: reg.Float("cxl.link_energy_pj"),
 		SRAMPJ:    sram,
 	}
-	r.CacheHits = cacheHits(reg, s.sc != nil)
-	r.CacheMisses = cacheMisses(reg, s.sc != nil)
+	// The controllers are the source of truth for hits and misses (the
+	// hot-path counters keep a running tally of the same values).
+	r.CacheHits, r.CacheMisses = s.ctl.CacheCounts()
 
 	for _, st := range s.table.All() {
+		ss := s.ctl.StreamStatsFor(st.SID)
 		sr := StreamReport{
 			SID: st.SID, Type: st.Type.String(), ReadOnly: st.ReadOnly, Bytes: st.Size,
+			Hits: ss.Hits, Misses: ss.Misses,
 		}
 		if cv, ok := s.curves[st.SID]; ok {
 			sr.KneeBytes = cv.Knee(0.05)
 		}
-		if s.sc != nil {
-			ss := s.sc.StreamStatsFor(st.SID)
-			sr.Hits, sr.Misses = ss.Hits, ss.Misses
-			if a, ok := s.sc.Allocation(st.SID); ok {
-				sr.Rows = a.TotalRows()
-				sr.Groups = len(a.GroupIDs())
-			}
-		} else {
-			ss := s.nc.StreamStatsFor(st.SID)
-			sr.Hits, sr.Misses = ss.Hits, ss.Misses
+		if a, ok := s.ctl.Allocation(st.SID); ok {
+			sr.Rows = a.TotalRows()
+			sr.Groups = len(a.GroupIDs())
 		}
 		r.streams = append(r.streams, sr)
 	}
 }
 
-// cacheHits/cacheMisses read the authoritative controller counters from
-// the telemetry registry (the running tallies in the hot-path counters
-// track the same values; the controllers are the source of truth).
-func cacheHits(reg *telemetry.Registry, streamCache bool) uint64 {
-	if streamCache {
-		return reg.Uint("streamcache.hits")
+// hitRate is hits/(hits+misses) of the registry's "<prefix>_hits" and
+// "<prefix>_misses" counters, or 0 when there were none.
+func hitRate(reg *telemetry.Registry, prefix string) float64 {
+	hits := reg.Uint(prefix + "_hits")
+	t := hits + reg.Uint(prefix+"_misses")
+	if t == 0 {
+		return 0
 	}
-	return reg.Uint("nuca.hits")
-}
-
-func cacheMisses(reg *telemetry.Registry, streamCache bool) uint64 {
-	if streamCache {
-		return reg.Uint("streamcache.misses") +
-			reg.Uint("streamcache.no_space") + reg.Uint("streamcache.bypasses")
-	}
-	return reg.Uint("nuca.misses")
+	return float64(hits) / float64(t)
 }
 
 // staticPowerMW is the machine's static power draw: every NDP unit's

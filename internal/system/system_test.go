@@ -179,6 +179,25 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if _, err := Run(cfg, tinyTrace(t, "pr")); err == nil {
 		t.Fatal("zero host cores accepted")
 	}
+	// A fault spec that kills every vault (unit 3 twice, the rest once)
+	// leaves degraded mode nowhere to place data: it is rejected up
+	// front instead of panicking at the first reconfiguration.
+	var clauses []string
+	for u := 0; u < 8; u++ {
+		clauses = append(clauses, fmt.Sprintf("vault-fail,unit=%d,at=%dus", u, 10+u))
+	}
+	clauses = append(clauses, "vault-fail,unit=3,at=1us")
+	for _, d := range []Design{NDPExt, NDPExtMAB, Jigsaw} {
+		cfg = faultConfig(t, d, strings.Join(clauses, ";"))
+		if _, err := Run(cfg, tinyTrace(t, "pr")); err == nil || !strings.Contains(err.Error(), "all 8 vaults") {
+			t.Fatalf("%v: every vault failed: got %v, want a validation error", d, err)
+		}
+	}
+	// Seven of eight is a valid, if grim, scenario.
+	cfg = faultConfig(t, NDPExt, strings.Join(clauses[1:], ";"))
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("seven failed vaults rejected: %v", err)
+	}
 }
 
 func TestTraceCoreMismatchRejected(t *testing.T) {
