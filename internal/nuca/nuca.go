@@ -223,15 +223,13 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 	line := addr / uint64(c.params.LineBytes)
 
 	sid := miscSID
-	if c.kind != StaticInterleave {
-		if s := c.table.FindByAddr(addr); s != nil {
-			sid = s.SID
-			c.epochAcc[unit][sid]++
-		}
-	} else if s := c.table.FindByAddr(addr); s != nil {
-		// Static interleave still records per-stream stats for analysis.
-		sid = miscSID
+	if s := c.table.FindByAddr(addr); s != nil {
 		c.epochAcc[unit][s.SID]++
+		// Static interleave caches every stream in its one partition
+		// and counts their accesses for analysis only.
+		if c.kind != StaticInterleave {
+			sid = s.SID
+		}
 	}
 	r.SID = sid
 

@@ -182,18 +182,13 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		itemBytes = c.params.BlockBytes
 	}
 
-	if !c.hasAlloc[s.SID] {
-		r.NoSpace = true
-		r.Home = unit
-		r.FetchBytes = itemBytes
-		c.stats.NoSpace++
-		c.streamStats(s.SID).Misses++
-		return r
-	}
 	alloc := c.allocs[s.SID]
-	g := alloc.Groups[unit]
-	rg := c.ringOf(s.SID, g)
+	var rg *ring
+	if c.hasAlloc[s.SID] {
+		rg = c.ringOf(s.SID, alloc.Groups[unit])
+	}
 	if rg == nil {
+		// No allocation for the stream, or none for this unit's group.
 		r.NoSpace = true
 		r.Home = unit
 		r.FetchBytes = itemBytes
@@ -492,12 +487,6 @@ func (c *Controller) StreamStatsFor(sid stream.ID) StreamStats {
 		return StreamStats{}
 	}
 	return c.perSID[sid]
-}
-
-// ResetStats clears aggregate and per-stream counters (not cache state).
-func (c *Controller) ResetStats() {
-	c.stats = Stats{}
-	clear(c.perSID)
 }
 
 // ResidentItems counts currently cached items for sid on unit u (testing

@@ -269,7 +269,9 @@ type EpochInfo struct {
 
 	// Counters is a snapshot of the run's hot-path counters at this
 	// boundary — a plain value safe to hand to other goroutines (the
-	// serving layer streams it as live progress).
+	// serving layer streams it as live progress). Its cache hits and
+	// misses are the controller's counts, so L1 hits + cache hits +
+	// cache misses = accesses, with or without faults.
 	Counters telemetry.Snapshot
 }
 

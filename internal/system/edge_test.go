@@ -210,30 +210,53 @@ func TestOnEpochHook(t *testing.T) {
 
 // Every access is an L1 hit, a DRAM-cache hit or a DRAM-cache miss, and
 // the live counters each OnEpoch snapshot carries partition the accesses
-// that way at every boundary, for every NDP design (fault-free: a dead
-// vault's redirects are neither).
+// that way at every boundary, for every NDP design, fault-free and
+// faulted: an access redirected off a dead vault keeps the hit or miss
+// its controller classified it as.
 func TestOnEpochCountersPartitionAccesses(t *testing.T) {
 	tr := tinyTrace(t, "pr")
+	// A vault that dies mid-epoch: accesses homed on it are redirected
+	// to extended memory until the next boundary remaps its streams.
+	const midEpoch = "vault-fail,unit=2,at=20us"
+	type input struct {
+		d         Design
+		faults    string
+		faultSeed uint64
+	}
+	var ins []input
 	for _, d := range append(NDPDesigns(), NDPExtMAB) {
-		cfg := smallConfig(d)
+		ins = append(ins, input{d: d}, input{d, midEpoch, 1})
+	}
+	// The fault specs of the golden cases ndpext-faults-pr,
+	// jigsaw-faults-pr and nexus-faults-pr.
+	ins = append(ins,
+		input{NDPExt, "vault-fail,unit=5,at=100us;cxl-retry,rate=0.05,lat=200ns;cxl-degrade,at=200us,dur=100us,factor=4", 7},
+		input{Jigsaw, "vault-fail,unit=2,at=150us", 3},
+		input{Nexus, "vault-fail,unit=6,at=120us;cxl-degrade,at=50us,dur=200us,factor=7", 5})
+	for _, in := range ins {
+		cfg := faultConfig(t, in.d, in.faults)
+		cfg.FaultSeed = in.faultSeed
 		epochs := 0
 		cfg.OnEpoch = func(e EpochInfo) {
 			epochs++
 			c := e.Counters
 			if got := c.L1Hits + c.CacheHits + c.CacheMisses; got != c.Accesses {
-				t.Errorf("%v epoch %d: l1 %d + hits %d + misses %d = %d, want %d accesses",
-					d, e.Epoch, c.L1Hits, c.CacheHits, c.CacheMisses, got, c.Accesses)
+				t.Errorf("%v %q epoch %d: l1 %d + hits %d + misses %d = %d, want %d accesses",
+					in.d, in.faults, e.Epoch, c.L1Hits, c.CacheHits, c.CacheMisses, got, c.Accesses)
 			}
 		}
 		res, err := Run(cfg, tr)
 		if err != nil {
-			t.Fatalf("%v: %v", d, err)
+			t.Fatalf("%v %q: %v", in.d, in.faults, err)
 		}
 		if epochs == 0 {
-			t.Fatalf("%v: OnEpoch never fired", d)
+			t.Fatalf("%v %q: OnEpoch never fired", in.d, in.faults)
+		}
+		if in.faults == midEpoch && res.Metrics().Uint("fault.vault_redirects") == 0 {
+			t.Errorf("%v %q: no access was redirected off the dead vault", in.d, in.faults)
 		}
 		if got := res.L1Hits + res.CacheHits + res.CacheMisses; got != res.Accesses {
-			t.Errorf("%v result: %d classified, %d accesses", d, got, res.Accesses)
+			t.Errorf("%v %q result: %d classified, %d accesses", in.d, in.faults, got, res.Accesses)
 		}
 	}
 }

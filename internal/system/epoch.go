@@ -315,7 +315,7 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 	if !s.profiles() {
 		if s.cfg.OnEpoch != nil {
 			s.cfg.OnEpoch(EpochInfo{Epoch: s.epoch, Degraded: degraded, FailedUnits: len(failed),
-				Counters: s.tel.Snapshot()})
+				Counters: s.tel.Snapshot(s.ctl.CacheCounts())})
 		}
 		return
 	}
@@ -474,7 +474,7 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 			Degraded:        degraded,
 			FailedUnits:     len(failed),
 			RemappedStreams: s.tel.FaultRemappedStreams - remappedBefore,
-			Counters:        s.tel.Snapshot(),
+			Counters:        s.tel.Snapshot(s.ctl.CacheCounts()),
 		})
 	}
 }

@@ -48,7 +48,8 @@ func runHost(ctx context.Context, cfg Config, src workloads.Source) (*Result, er
 	l.miss = h.miss
 	res := &Result{Design: Host, Workload: src.Name()}
 	err = l.run(ctx, foldCores(src, cfg.HostCores), res)
-	res.CacheHits, res.CacheMisses = tel.CacheHits, tel.CacheMisses
+	st := llc.Stats()
+	res.CacheHits, res.CacheMisses = st.Hits, st.Misses
 	return res, err
 }
 
@@ -90,10 +91,8 @@ func (h *host) miss(t sim.Time, _ int, a workloads.Access) (sim.Time, telemetry.
 	hit, victim, wb := h.llc.Access(a.Addr, a.Write)
 	h.tel.Add(telemetry.LevelCacheDRAM, t-l)
 	if hit {
-		h.tel.CacheHits++
 		return t, telemetry.LevelCacheDRAM, stream.NoStream
 	}
-	h.tel.CacheMisses++
 	e := t
 	t = h.dram(t, a.Addr, false)
 	h.tel.Add(telemetry.LevelExtended, t-e)

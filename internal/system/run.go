@@ -381,7 +381,7 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 		clock: s.events.clock,
 		net:   s.net,
 		devs:  s.devs,
-		ext:   &extPath{net: s.net, ext: s.ext, tel: &s.tel},
+		ext:   s.ext,
 		tel:   &s.tel,
 		inj:   s.inj,
 	}
@@ -545,8 +545,6 @@ func (s *ndpSim) finishStats() {
 		CXLLinkPJ: reg.Float("cxl.link_energy_pj"),
 		SRAMPJ:    sram,
 	}
-	// The controllers are the source of truth for hits and misses (the
-	// hot-path counters keep a running tally of the same values).
 	r.CacheHits, r.CacheMisses = s.ctl.CacheCounts()
 
 	for _, st := range s.table.All() {

@@ -54,14 +54,14 @@ func TestLiveSnapshotWhileCounting(t *testing.T) {
 		c.Accesses++
 		c.L1Hits++
 		c.Add(LevelCacheDRAM, sim.FromNS(10))
-		live.Publish(c.Snapshot())
+		live.Publish(c.Snapshot(uint64(i+1), 0))
 	}
 	close(stop)
 	wg.Wait()
 
 	s, ok := live.Load()
-	if !ok || s.Accesses != rounds {
-		t.Fatalf("final snapshot = %+v, ok=%v; want accesses=%d", s, ok, rounds)
+	if !ok || s.Accesses != rounds || s.CacheHits != rounds {
+		t.Fatalf("final snapshot = %+v, ok=%v; want accesses=cache_hits=%d", s, ok, rounds)
 	}
 	if live.Seq() != rounds {
 		t.Fatalf("Seq() = %d, want %d", live.Seq(), rounds)

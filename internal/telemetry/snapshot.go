@@ -27,15 +27,16 @@ type levelNS struct {
 	Extended  float64 `json:"extended"`
 }
 
-// Snapshot copies the counters. It must be called from the goroutine
-// that owns c (the simulation loop); hand the returned value — not the
-// Counters — to other goroutines.
-func (c *Counters) Snapshot() Snapshot {
+// Snapshot copies the counters together with the run's DRAM cache hit
+// and miss counts, which the design's cache controller owns. It must be
+// called from the goroutine that owns c (the simulation loop); hand the
+// returned value — not the Counters — to other goroutines.
+func (c *Counters) Snapshot(cacheHits, cacheMisses uint64) Snapshot {
 	return Snapshot{
 		Accesses:    c.Accesses,
 		L1Hits:      c.L1Hits,
-		CacheHits:   c.CacheHits,
-		CacheMisses: c.CacheMisses,
+		CacheHits:   cacheHits,
+		CacheMisses: cacheMisses,
 		Exceptions:  c.Exceptions,
 		Reconfigs:   c.Reconfigs,
 		LevelNS: levelNS{

@@ -61,12 +61,10 @@ type Counters struct {
 	// Levels holds cumulative latency per attribution bucket.
 	Levels [NumLevels]sim.Time
 
-	Accesses    uint64 // memory accesses entering the pipeline
-	L1Hits      uint64
-	CacheHits   uint64 // DRAM cache hits (running tally; controllers are authoritative)
-	CacheMisses uint64
-	Exceptions  uint64 // write exceptions raised by the stream cache
-	Observes    uint64 // sampler updates (for SRAM energy)
+	Accesses   uint64 // memory accesses entering the pipeline
+	L1Hits     uint64
+	Exceptions uint64 // write exceptions raised by the stream cache
+	Observes   uint64 // sampler updates (for SRAM energy)
 
 	// Host-runtime (epoch boundary) tallies.
 	Reconfigs       int
