@@ -91,6 +91,12 @@ func Cases() []Case {
 		{Name: "ndpext-faults-pr", Design: system.NDPExt, Workload: "pr",
 			Faults:    "vault-fail,unit=5,at=100us;cxl-retry,rate=0.05,lat=200ns;cxl-degrade,at=200us,dur=100us,factor=4",
 			FaultSeed: 7},
+		// The stream path's dead-vault redirect. The failure lands
+		// mid-epoch (epochs are 25 us apart), so accesses homed on the
+		// dead unit are redirected until the next boundary remaps its
+		// streams; ndpext-faults-pr fails its unit on a boundary.
+		{Name: "ndpext-redirect-pr", Design: system.NDPExt, Workload: "pr",
+			Faults: "vault-fail,unit=5,at=110us", FaultSeed: 7},
 		{Name: "jigsaw-faults-pr", Design: system.Jigsaw, Workload: "pr",
 			Faults: "vault-fail,unit=2,at=150us", FaultSeed: 3},
 		// The NUCA degraded path with a CXL slowdown. The factor is not a

@@ -1,6 +1,7 @@
 package golden
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -77,6 +78,30 @@ func TestGoldenCasesDistinct(t *testing.T) {
 			t.Fatalf("duplicate case name %q", c.Name)
 		}
 		seen[c.Name] = true
+	}
+}
+
+// TestGoldenPinsRedirects requires the committed fault goldens to pin
+// the dead-vault redirect on both miss paths: the stream path
+// (ndpext-redirect-pr) and the NUCA path (jigsaw-faults-pr,
+// nexus-faults-pr). A failure on an epoch boundary remaps the dead
+// unit's data before any access is homed there, so a case can lose its
+// redirects without any other sign.
+func TestGoldenPinsRedirects(t *testing.T) {
+	for _, name := range []string{"ndpext-redirect-pr", "jigsaw-faults-pr", "nexus-faults-pr"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			Metrics map[string]float64 `json:"metrics"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := doc.Metrics["fault.vault_redirects"]; n <= 0 {
+			t.Errorf("%s: fault.vault_redirects = %v, want > 0", name, n)
+		}
 	}
 }
 

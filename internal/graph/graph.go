@@ -8,7 +8,8 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"ndpext/internal/sim"
 )
@@ -78,7 +79,7 @@ func fromPairs(n int, src, dst []uint32) *CSR {
 	// intersection-based triangle counting.
 	for v := 0; v < n; v++ {
 		adj := g.Edges[offsets[v]:offsets[v+1]]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 	}
 	return g
 }
@@ -104,6 +105,12 @@ func Uniform(n, degree int, seed uint64) *CSR {
 // edgeFactor*2^scale edges using the standard (0.57, 0.19, 0.19, 0.05)
 // partition probabilities, yielding the heavy-tailed degree distribution
 // of real-world graphs.
+//
+// Each bit of an edge's endpoints consumes one 53-bit draw k, the draw
+// behind rng.Float64() = k/2^53, and picks the quadrant by comparing k
+// against the integer thresholds of the cumulative probabilities. The
+// comparison is exact, so the graph is the one drawing Float64 per bit
+// would produce; the bits are set without branching on the draw.
 func RMAT(scale, edgeFactor int, seed uint64) *CSR {
 	if scale <= 0 || scale > 28 || edgeFactor <= 0 {
 		panic(fmt.Sprintf("graph: RMAT(%d, %d)", scale, edgeFactor))
@@ -111,26 +118,32 @@ func RMAT(scale, edgeFactor int, seed uint64) *CSR {
 	rng := sim.NewRNG(seed)
 	n := 1 << scale
 	m := n * edgeFactor
-	const a, b, c = 0.57, 0.19, 0.19
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
 	for i := 0; i < m; i++ {
 		var s, d uint32
 		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: no bits set
-			case r < a+b:
-				d |= 1 << bit
-			case r < a+b+c:
-				s |= 1 << bit
-			default:
-				s |= 1 << bit
-				d |= 1 << bit
-			}
+			k := rng.Uint64() >> 11
+			// geX is 1 when k/2^53 >= X. The quadrants in order are
+			// (src, dst) bits 00, 01, 10, 11, so the src bit is geAB and
+			// the dst bit is set in the second and fourth quadrants.
+			geA := (rmatA - 1 - k) >> 63
+			geAB := (rmatAB - 1 - k) >> 63
+			geABC := (rmatABC - 1 - k) >> 63
+			s |= uint32(geAB) << bit
+			d |= uint32(geA^geAB^geABC) << bit
 		}
 		src[i], dst[i] = s, d
 	}
 	return fromPairs(n, src, dst)
+}
+
+// The RMAT partition thresholds: the smallest k with k/2^53 >= p for the
+// cumulative probabilities p = a, a+b, a+b+c of (0.57, 0.19, 0.19, 0.05).
+var rmatA, rmatAB, rmatABC = drawThreshold(0.57), drawThreshold(0.57 + 0.19), drawThreshold(0.57 + 0.19 + 0.19)
+
+// drawThreshold returns the smallest integer k with k/2^53 >= p, so that
+// for a 53-bit draw k, k < drawThreshold(p) exactly when k/2^53 < p.
+func drawThreshold(p float64) uint64 {
+	return uint64(math.Ceil(math.Ldexp(p, 53)))
 }

@@ -240,16 +240,6 @@ func (b *builder) emit(core int, addr uint64, write bool, gap uint8) {
 	b.perCore[core] = append(b.perCore[core], Access{Addr: addr, Write: write, Gap: gap})
 }
 
-// allFull reports whether every core reached its budget.
-func (b *builder) allFull() bool {
-	for c := range b.perCore {
-		if !b.full(c) {
-			return false
-		}
-	}
-	return true
-}
-
 func (b *builder) trace() *Trace {
 	return &Trace{Name: b.name, Table: b.tbl, PerCore: b.perCore}
 }
