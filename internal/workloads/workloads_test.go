@@ -1,9 +1,11 @@
 package workloads
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
+	"ndpext/internal/graph"
 	"ndpext/internal/stream"
 )
 
@@ -386,4 +388,24 @@ func TestEdgesAreSequentialInPR(t *testing.T) {
 	if frac := float64(backward) / float64(total); frac > 0.05 {
 		t.Fatalf("%.3f of edge accesses go backwards; edge list should stream", frac)
 	}
+}
+
+func TestRMATGraphsMatchSerial(t *testing.T) {
+	const np, seed, stride = 5, 9, 1000003
+	got := rmatGraphs(np, 200, 4, seed, stride)
+	for p, g := range got {
+		want := graph.RMAT(8, 4, seed+uint64(p)*stride)
+		if !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Edges, want.Edges) {
+			t.Fatalf("graph %d differs from the serially built one", p)
+		}
+	}
+}
+
+func TestRMATGraphsPanicInCaller(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("an invalid graph size did not panic in the caller")
+		}
+	}()
+	rmatGraphs(3, 1<<40, 2, 1, 1)
 }
