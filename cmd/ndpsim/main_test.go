@@ -112,3 +112,16 @@ func TestLoadTraceRejectsNonNDPTRC(t *testing.T) {
 		t.Fatalf("-load-trace with -save-trace: err=%v\n%s", err, out)
 	}
 }
+
+// TestOutOfRangeScaleFails: a -scale whose RMAT graphs exceed
+// graph.RMAT's limit exits with the generator's error, not a panic.
+func TestOutOfRangeScaleFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildNdpsim(t)
+	out, err := exec.Command(bin, "-workload", "pr", "-scale", "100000", "-accesses", "100").CombinedOutput()
+	if err == nil || bytes.Contains(out, []byte("panic")) || !bytes.Contains(out, []byte("RMAT(32, 12)")) {
+		t.Fatalf("-scale 100000: err=%v\n%s", err, out)
+	}
+}

@@ -101,6 +101,19 @@ func Uniform(n, degree int, seed uint64) *CSR {
 	return fromPairs(n, src, dst)
 }
 
+// MaxRMATScale is the largest scale RMAT builds: 2^28 vertices.
+const MaxRMATScale = 28
+
+// CheckRMAT reports whether RMAT can build a graph of the given scale
+// and edge factor.
+func CheckRMAT(scale, edgeFactor int) error {
+	if scale <= 0 || scale > MaxRMATScale || edgeFactor <= 0 {
+		return fmt.Errorf("graph: RMAT(%d, %d): want a scale of 1 to %d and a positive edge factor",
+			scale, edgeFactor, MaxRMATScale)
+	}
+	return nil
+}
+
 // RMAT generates a Kronecker/RMAT graph with 2^scale vertices and
 // edgeFactor*2^scale edges using the standard (0.57, 0.19, 0.19, 0.05)
 // partition probabilities, yielding the heavy-tailed degree distribution
@@ -111,9 +124,10 @@ func Uniform(n, degree int, seed uint64) *CSR {
 // against the integer thresholds of the cumulative probabilities. The
 // comparison is exact, so the graph is the one drawing Float64 per bit
 // would produce; the bits are set without branching on the draw.
+// It panics if CheckRMAT rejects the sizes.
 func RMAT(scale, edgeFactor int, seed uint64) *CSR {
-	if scale <= 0 || scale > 28 || edgeFactor <= 0 {
-		panic(fmt.Sprintf("graph: RMAT(%d, %d)", scale, edgeFactor))
+	if err := CheckRMAT(scale, edgeFactor); err != nil {
+		panic(err)
 	}
 	rng := sim.NewRNG(seed)
 	n := 1 << scale

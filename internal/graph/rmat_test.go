@@ -66,3 +66,20 @@ func TestRMATMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckRMATBounds(t *testing.T) {
+	if err := CheckRMAT(MaxRMATScale, 12); err != nil {
+		t.Fatalf("scale %d rejected: %v", MaxRMATScale, err)
+	}
+	for _, c := range [][2]int{{MaxRMATScale + 1, 12}, {0, 12}, {8, 0}} {
+		if CheckRMAT(c[0], c[1]) == nil {
+			t.Errorf("CheckRMAT(%d, %d) accepted", c[0], c[1])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RMAT built a graph CheckRMAT rejects")
+		}
+	}()
+	RMAT(MaxRMATScale+1, 12, 1)
+}

@@ -165,19 +165,23 @@ func placeCenterOfMass(in policy.Config, streams []policy.StreamInput, rows map[
 		}
 		members := clusterUnits(in.NumUnits, groups)
 		perGroup := need / uint64(groups)
+		accessors := s.Accessors()
 		for gi, us := range members {
 			// Rank the group's units by proximity to the stream's
 			// accessors (weighted by access counts).
-			ranked := append([]int{}, us...)
+			ranked := make([]rankedUnit, len(us))
+			for i, u := range us {
+				ranked[i] = rankedUnit{unit: u, weight: comWeight(in, s, accessors, u)}
+			}
 			sort.Slice(ranked, func(x, y int) bool {
-				wx, wy := comWeight(in, s, ranked[x]), comWeight(in, s, ranked[y])
-				if wx != wy {
-					return wx > wy
+				if ranked[x].weight != ranked[y].weight {
+					return ranked[x].weight > ranked[y].weight
 				}
-				return ranked[x] < ranked[y]
+				return ranked[x].unit < ranked[y].unit
 			})
 			left := perGroup
-			for _, u := range ranked {
+			for _, ru := range ranked {
+				u := ru.unit
 				if left == 0 {
 					break
 				}
@@ -212,11 +216,17 @@ func totalAcc(s policy.StreamInput) uint64 {
 	return t
 }
 
-// comWeight scores unit v by accessor proximity. Accessors are visited
-// in sorted order for a deterministic floating-point sum.
-func comWeight(in policy.Config, s policy.StreamInput, v int) float64 {
+// rankedUnit is a unit with its center-of-mass weight for one stream.
+type rankedUnit struct {
+	unit   int
+	weight float64
+}
+
+// comWeight scores unit v by proximity to s's accessors, which are
+// given in sorted order for a deterministic floating-point sum.
+func comWeight(in policy.Config, s policy.StreamInput, accessors []int, v int) float64 {
 	var w float64
-	for _, u := range s.Accessors() {
+	for _, u := range accessors {
 		w += float64(s.Acc[u]) * in.Attenuation(u, v)
 	}
 	return w

@@ -13,6 +13,7 @@ package nuca
 
 import (
 	"fmt"
+	"slices"
 
 	"ndpext/internal/cache"
 	"ndpext/internal/energy"
@@ -117,10 +118,9 @@ type Controller struct {
 	// Lookup pays plain loads instead of map probes.
 	allocs   []streamcache.Allocation
 	hasAlloc []bool
+	places   []placement    // per sid: index and line table of allocs[sid]
 	meta     []*cache.Cache // per-unit metadata caches
-	// resident[u] maps (sid, slot) to the cached line.
-	resident []map[resKey]lineVal
-	epochAcc [][]uint64 // [unit][sid]
+	epochAcc [][]uint64     // [unit][sid]
 	stats    Stats
 	perSID   []streamcache.StreamStats
 }
@@ -129,14 +129,47 @@ type Controller struct {
 // misc partition key right above it.
 const sidSlots = int(miscSID) + 1
 
-type resKey struct {
-	sid  stream.ID
-	slot uint64
+// placement indexes one stream's installed allocation for Lookup and
+// holds the stream's resident lines.
+type placement struct {
+	total  uint64       // allocated rows over all units
+	groups []groupIndex // by group id, for every id in Allocation.Groups
+	// lines has one entry per slot: each unit's Shares[u]×linesPerRow
+	// slots in unit order. Unit 0 always gets at least one row of
+	// entries, for placeLine's degenerate no-space branch.
+	lines []lineVal
 }
 
-type lineVal struct {
-	line  uint64 // line address
-	dirty bool
+// groupIndex is one replication group's row space: its units with
+// space, in unit order, each starting where the previous one ends.
+type groupIndex struct {
+	rows  uint64
+	spans []span
+}
+
+// span is one unit's range of its group's rows.
+type span struct {
+	start uint64 // the group's rows before this unit
+	unit  int
+	first int // index of the unit's first slot in placement.lines
+}
+
+// lineVal is one line-table entry: the cached line address shifted left
+// two bits, then the dirty bit and the valid bit.
+type lineVal uint64
+
+const (
+	lineValid lineVal = 1 << iota
+	lineDirty
+)
+
+// residentLine is the entry of a freshly filled line.
+func residentLine(line uint64, dirty bool) lineVal {
+	v := lineVal(line<<2) | lineValid
+	if dirty {
+		v |= lineDirty
+	}
+	return v
 }
 
 // Stats aggregates baseline cache activity.
@@ -162,23 +195,57 @@ func NewController(kind Kind, p Params, numUnits int, unitRows uint32, tbl *stre
 		kind: kind, params: p, numUnits: numUnits, unitRows: unitRows, table: tbl,
 		allocs:   make([]streamcache.Allocation, sidSlots),
 		hasAlloc: make([]bool, sidSlots),
+		places:   make([]placement, sidSlots),
 		perSID:   make([]streamcache.StreamStats, sidSlots),
 	}
 	for i := 0; i < numUnits; i++ {
 		// The metadata cache is keyed by metadata-block index: one entry
 		// per MetaBlockBytes of data.
 		c.meta = append(c.meta, cache.New(p.MetaEntries(), 1, p.MetaCacheAssoc))
-		c.resident = append(c.resident, make(map[resKey]lineVal))
 		c.epochAcc = append(c.epochAcc, make([]uint64, sidSlots))
 	}
 	if kind == StaticInterleave {
-		c.allocs[miscSID] = interleavedAllocation(numUnits, unitRows)
+		c.install(miscSID, interleavedAllocation(numUnits, unitRows))
 	} else {
 		// Reserve a small interleaved partition for non-stream data.
-		c.allocs[miscSID] = interleavedAllocation(numUnits, miscRows(unitRows))
+		c.install(miscSID, interleavedAllocation(numUnits, miscRows(unitRows)))
 	}
-	c.hasAlloc[miscSID] = true
 	return c
+}
+
+// install makes a sid's allocation and rebuilds its placement index
+// and an empty line table, reusing the previous one's arrays.
+func (c *Controller) install(sid stream.ID, a streamcache.Allocation) {
+	c.allocs[sid] = a
+	c.hasAlloc[sid] = true
+	p := &c.places[sid]
+	ng := 0
+	for _, g := range a.Groups {
+		ng = max(ng, int(g)+1)
+	}
+	p.groups = slices.Grow(p.groups[:0], ng)[:ng]
+	for g := range p.groups {
+		p.groups[g].rows = 0
+		p.groups[g].spans = p.groups[g].spans[:0]
+	}
+	lpr := c.linesPerRow()
+	p.total = 0
+	n := 0
+	for u, s := range a.Shares {
+		rows := uint64(s)
+		if s > 0 {
+			g := &p.groups[a.Groups[u]]
+			g.spans = append(g.spans, span{start: g.rows, unit: u, first: n})
+			g.rows += rows
+			p.total += rows
+		}
+		if u == 0 {
+			rows = max(rows, 1)
+		}
+		n += int(rows * lpr)
+	}
+	p.lines = slices.Grow(p.lines[:0], n)[:n]
+	clear(p.lines)
 }
 
 // miscRows is the per-unit reservation of the partitioned kinds' misc
@@ -233,18 +300,17 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 	}
 	r.SID = sid
 
-	alloc := c.allocs[sid]
-	if !c.hasAlloc[sid] || alloc.TotalRows() == 0 {
+	if !c.hasAlloc[sid] || c.places[sid].total == 0 {
 		// Stream with no partition: fall back to the misc partition.
 		sid = miscSID
-		alloc = c.allocs[miscSID]
 		r.SID = sid
 	}
 
 	// Pick the replication group: the group whose member set contains
 	// this unit (Groups vector covers every unit).
-	g := alloc.Groups[unit]
-	home, slot, ord := placeLine(sid, alloc, g, line, c.linesPerRow())
+	alloc := &c.allocs[sid]
+	pl := &c.places[sid]
+	home, ord, idx := pl.placeLine(sid, alloc.Groups[unit], line, c.linesPerRow())
 	r.Home = home
 	r.HomeRow = int64(alloc.RowBase[home]) + int64(ord)
 
@@ -262,13 +328,11 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		r.MetaDRAMRow = int64(c.unitRows) + int64(metaBlock)%64
 	}
 
-	key := resKey{sid: sid, slot: slot}
-	res := c.resident[r.Home]
-	if v, ok := res[key]; ok && v.line == line {
+	e := &pl.lines[idx]
+	if *e&^lineDirty == residentLine(line, false) {
 		r.Hit = true
 		if write {
-			v.dirty = true
-			res[key] = v
+			*e |= lineDirty
 		}
 		c.stats.Hits++
 		c.sidStats(sid).Hits++
@@ -277,11 +341,11 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 	c.stats.Misses++
 	c.sidStats(sid).Misses++
 	r.FetchBytes = c.params.LineBytes
-	if v, ok := res[key]; ok && v.dirty {
+	if *e&lineDirty != 0 {
 		r.WritebackBytes = c.params.LineBytes
 		c.stats.Writebacks++
 	}
-	res[key] = lineVal{line: line, dirty: write}
+	*e = residentLine(line, write)
 	return r
 }
 
@@ -290,44 +354,35 @@ func (c *Controller) linesPerRow() uint64 {
 	return uint64(c.params.RowBytes / c.params.LineBytes)
 }
 
-// placeLine maps a line to (home unit, slot id, row ordinal) within the
-// group's allocation: slots are distributed over units proportionally to
-// their shares, and the line picks a slot by hash.
-func placeLine(sid stream.ID, a streamcache.Allocation, g uint8, line uint64, linesPerRow uint64) (home int, slot uint64, ord uint32) {
-	var total uint64
-	for u, s := range a.Shares {
-		if a.Groups[u] == g {
-			total += uint64(s)
+// placeLine maps a line requested from a unit of group g to its home
+// unit, its row ordinal there and its index in the line table. The
+// group's slots are spread over its units in proportion to their
+// shares, and the line picks a slot by hash. A group without space is
+// served from group 0's space; if that has none too, the line goes to
+// unit 0 (degenerate; Lookup sends streams without rows to the misc
+// partition).
+func (p *placement) placeLine(sid stream.ID, g uint8, line, linesPerRow uint64) (home int, ord uint32, idx int) {
+	gi := &p.groups[g]
+	if gi.rows == 0 {
+		gi = &p.groups[0]
+		if gi.rows == 0 {
+			return 0, 0, int(line % linesPerRow)
 		}
 	}
-	if total == 0 {
-		// Group without space: serve from group 0's space if any;
-		// otherwise unit 0 (degenerate, caller avoids this).
-		g = 0
-		for u, s := range a.Shares {
-			if a.Groups[u] == g {
-				total += uint64(s)
-			}
-		}
-		if total == 0 {
-			return 0, line % linesPerRow, 0
+	slot := lineHash(uint64(sid), line) % (gi.rows * linesPerRow)
+	row := slot / linesPerRow
+	// The last unit whose rows start at or before row.
+	lo, hi := 0, len(gi.spans)-1
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if gi.spans[mid].start <= row {
+			lo = mid
+		} else {
+			hi = mid - 1
 		}
 	}
-	slots := total * linesPerRow
-	slot = lineHash(uint64(sid), line) % slots
-	// Walk units in order, assigning slot ranges by share.
-	var acc uint64
-	rowIdx := slot / linesPerRow
-	for u, s := range a.Shares {
-		if a.Groups[u] != g || s == 0 {
-			continue
-		}
-		if rowIdx < acc+uint64(s) {
-			return u, slot, uint32(rowIdx - acc)
-		}
-		acc += uint64(s)
-	}
-	return 0, slot, 0
+	sp := &gi.spans[lo]
+	return sp.unit, uint32(row - sp.start), sp.first + int(slot-sp.start*linesPerRow)
 }
 
 // lineHash mixes the line address with the stream id.
@@ -353,22 +408,18 @@ func (c *Controller) Apply(newAllocs map[stream.ID]streamcache.Allocation) (stre
 			continue
 		}
 		rs.StreamsChanged++
-		c.allocs[sid] = a.Clone()
-		c.hasAlloc[sid] = true
-		for _, res := range c.resident {
-			for k, v := range res {
-				if k.sid != sid {
-					continue
-				}
-				rs.ItemsExamined++
-				rs.ItemsDropped++
-				if v.dirty {
-					rs.Writebacks++
-					c.stats.Writebacks++
-				}
-				delete(res, k)
+		for _, v := range c.places[sid].lines {
+			if v&lineValid == 0 {
+				continue
+			}
+			rs.ItemsExamined++
+			rs.ItemsDropped++
+			if v&lineDirty != 0 {
+				rs.Writebacks++
+				c.stats.Writebacks++
 			}
 		}
+		c.install(sid, a.Clone())
 	}
 	return rs, nil
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -448,5 +449,28 @@ func TestJobSpecNormalizeAndKey(t *testing.T) {
 		if keyOf(js) == base {
 			t.Errorf("changing %s did not change the cache key", name)
 		}
+	}
+}
+
+// TestScaleBeyondGraphLimitRejected: a scale whose RMAT graphs exceed
+// graph.RMAT's limit is an input error at submission, for every
+// workload, and never reaches a worker as a panic. The bound itself is
+// checked by building specs only.
+func TestScaleBeyondGraphLimitRejected(t *testing.T) {
+	const largest = 1 << 13 // 2^28 vertices over the graph kernels' 2^15
+	for scale, ok := range map[float64]bool{largest: true, largest + 0.01: false} {
+		if _, err := (JobSpec{Workload: "pr", Scale: scale}).normalize().build(0, 0); (err == nil) != ok {
+			t.Errorf("scale %g: build error %v, want accepted=%v", scale, err, ok)
+		}
+	}
+	s := newTestScheduler(t, Options{Workers: 1, QueueDepth: 4})
+	defer s.Drain(context.Background())
+	for _, w := range []string{"pr", "mv"} {
+		if _, err := s.Submit(JobSpec{Workload: w, Scale: 100000}); err == nil || !strings.Contains(err.Error(), "RMAT") {
+			t.Errorf("%s at scale 100000: Submit error %v, want the RMAT scale limit", w, err)
+		}
+	}
+	if s.SimsRun() != 0 || s.PanicsRecovered() != 0 {
+		t.Fatalf("rejected jobs ran %d sims, %d panics", s.SimsRun(), s.PanicsRecovered())
 	}
 }

@@ -148,6 +148,11 @@ func (js JobSpec) build(defMaxWall time.Duration, defMaxCycles int64) (system.Co
 	if js.Accesses < 0 || js.Scale < 0 {
 		return system.Config{}, fmt.Errorf("accesses and scale must be >= 0")
 	}
+	// One scale bound for every workload: the largest the graph
+	// workloads can build.
+	if err := (workloads.Scale{Mult: js.Scale}).CheckGraphs(); err != nil {
+		return system.Config{}, err
+	}
 	if js.DeadlineMS < 0 {
 		return system.Config{}, fmt.Errorf("deadline_ms must be >= 0")
 	}

@@ -51,18 +51,14 @@ func (r *RNG) Split(id uint64) *RNG {
 	return NewRNG(splitmix64(&x))
 }
 
-// Uint64 returns the next 64 random bits.
+// Uint64 returns the next 64 random bits. It is written with locals and
+// one parallel store so that it stays within the compiler's inlining
+// budget.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-	return result
+	s0, s1 := r.s[0], r.s[1]
+	s2, s3 := r.s[2]^s0, r.s[3]^s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -11,6 +12,28 @@ func TestRNGDeterminism(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("same seed diverged at draw %d", i)
+		}
+	}
+}
+
+// TestRNGMatchesXoshiro checks Uint64 against xoshiro256** written as
+// in-place state updates, the form of its reference implementation.
+func TestRNGMatchesXoshiro(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		r := NewRNG(seed)
+		s := r.s
+		for i := 0; i < 10000; i++ {
+			want := bits.RotateLeft64(s[1]*5, 7) * 9
+			tmp := s[1] << 17
+			s[2] ^= s[0]
+			s[3] ^= s[1]
+			s[1] ^= s[2]
+			s[0] ^= s[3]
+			s[2] ^= tmp
+			s[3] = bits.RotateLeft64(s[3], 45)
+			if got := r.Uint64(); got != want || r.s != s {
+				t.Fatalf("seed %d draw %d: %#x, state %x; want %#x, state %x", seed, i, got, r.s, want, s)
+			}
 		}
 	}
 }

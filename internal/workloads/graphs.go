@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -18,12 +19,21 @@ type graphProc struct {
 	cores   []int
 }
 
+// The vertex count of the graph kernels' RMAT graphs at scale 1, and
+// its floor at small scales.
+const graphVertices, graphMinVertices = 1 << 15, 4096
+
 // buildGraphProcs generates one RMAT graph per process and registers the
 // CSR arrays as affine streams, mirroring the paper's annotation of the
-// vertex list and edge list.
-func buildGraphProcs(b *builder, cores int, seed uint64, sc Scale, edgeFactor int) []*graphProc {
+// vertex list and edge list. It fails without generating anything when
+// the graphs would exceed graph.RMAT's scale limit.
+func buildGraphProcs(b *builder, cores int, seed uint64, sc Scale, edgeFactor int) ([]*graphProc, error) {
 	np := sc.procs(cores)
-	graphs := rmatGraphs(np, sc.scaled(1<<15, 4096), edgeFactor, seed, 1000003)
+	n, err := sc.graphSize(graphVertices, graphMinVertices, edgeFactor)
+	if err != nil {
+		return nil, err
+	}
+	graphs := rmatGraphs(np, n, edgeFactor, seed, 1000003)
 	procs := make([]*graphProc, np)
 	for p, g := range graphs {
 		procs[p] = &graphProc{
@@ -33,8 +43,23 @@ func buildGraphProcs(b *builder, cores int, seed uint64, sc Scale, edgeFactor in
 			cores:   procCores(cores, np, p),
 		}
 	}
-	return procs
+	return procs, nil
 }
+
+// graphSize returns the vertex count of a generator's RMAT graphs at
+// this scale: base at scale 1 and at least floor. It fails when the
+// graphs, rounded up to a power of two as rmatGraphs rounds them,
+// exceed graph.RMAT's scale limit.
+func (s Scale) graphSize(base, floor, edgeFactor int) (int, error) {
+	n := s.scaled(base, floor)
+	if err := graph.CheckRMAT(rmatScale(n), edgeFactor); err != nil {
+		return 0, fmt.Errorf("workloads: scale %g: %w", s.Mult, err)
+	}
+	return n, nil
+}
+
+// rmatScale is the RMAT scale of a graph of at least n vertices.
+func rmatScale(n int) int { return bits.Len(uint(n - 1)) }
 
 // rmatGraphs builds np RMAT graphs of n vertices rounded up to a power
 // of two, graph p seeded seed+p*stride, on at most GOMAXPROCS
@@ -42,7 +67,7 @@ func buildGraphProcs(b *builder, cores int, seed uint64, sc Scale, edgeFactor in
 // the one building them in order gives. A panic in a build is raised
 // again in the caller.
 func rmatGraphs(np, n, edgeFactor int, seed, stride uint64) []*graph.CSR {
-	scale := bits.Len(uint(n - 1))
+	scale := rmatScale(n)
 	graphs := make([]*graph.CSR, np)
 	var (
 		next    atomic.Int64
@@ -83,7 +108,10 @@ func vertexRange(g *graph.CSR, cores []int, ci int) (lo, hi int) {
 // iterations, so pr exercises dynamic (non-replicated) placement.
 func PageRank(cores int, seed uint64, sc Scale) (*Trace, error) {
 	b := newBuilder("pr", cores, sc)
-	procs := buildGraphProcs(b, cores, seed, sc, 12)
+	procs, err := buildGraphProcs(b, cores, seed, sc, 12)
+	if err != nil {
+		return nil, err
+	}
 	for _, gp := range procs {
 		n := gp.g.NumVertices()
 		src := b.indirect(n, 4) // rank[u] read through edge targets
@@ -121,7 +149,10 @@ func PageRank(cores int, seed uint64, sc Scale) (*Trace, error) {
 // parent updates. The parent array is written, so it stays unreplicated.
 func BFS(cores int, seed uint64, sc Scale) (*Trace, error) {
 	b := newBuilder("bfs", cores, sc)
-	procs := buildGraphProcs(b, cores, seed, sc, 12)
+	procs, err := buildGraphProcs(b, cores, seed, sc, 12)
+	if err != nil {
+		return nil, err
+	}
 	for pi, gp := range procs {
 		n := gp.g.NumVertices()
 		parent := b.indirect(n, 4)
@@ -164,7 +195,10 @@ func BFS(cores int, seed uint64, sc Scale) (*Trace, error) {
 // view of the graph: the component array is indirect and read-write.
 func CC(cores int, seed uint64, sc Scale) (*Trace, error) {
 	b := newBuilder("cc", cores, sc)
-	procs := buildGraphProcs(b, cores, seed, sc, 12)
+	procs, err := buildGraphProcs(b, cores, seed, sc, 12)
+	if err != nil {
+		return nil, err
+	}
 	for _, gp := range procs {
 		n := gp.g.NumVertices()
 		comp := b.indirect(n, 4)
@@ -207,7 +241,10 @@ func CC(cores int, seed uint64, sc Scale) (*Trace, error) {
 // dependencies (delta); both per-vertex arrays are indirect, read-write.
 func BC(cores int, seed uint64, sc Scale) (*Trace, error) {
 	b := newBuilder("bc", cores, sc)
-	procs := buildGraphProcs(b, cores, seed, sc, 12)
+	procs, err := buildGraphProcs(b, cores, seed, sc, 12)
+	if err != nil {
+		return nil, err
+	}
 	for pi, gp := range procs {
 		n := gp.g.NumVertices()
 		sigma := b.indirect(n, 4)
@@ -272,7 +309,10 @@ func BC(cores int, seed uint64, sc Scale) (*Trace, error) {
 // affine stream.
 func TC(cores int, seed uint64, sc Scale) (*Trace, error) {
 	b := newBuilder("tc", cores, sc)
-	procs := buildGraphProcs(b, cores, seed, sc, 8)
+	procs, err := buildGraphProcs(b, cores, seed, sc, 8)
+	if err != nil {
+		return nil, err
+	}
 	for _, gp := range procs {
 		for ci, core := range gp.cores {
 			lo, hi := vertexRange(gp.g, gp.cores, ci)

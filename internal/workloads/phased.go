@@ -15,7 +15,11 @@ func Phased(cores int, seed uint64, sc Scale) (*Trace, error) {
 	np := sc.procs(cores)
 	colsE := sc.scaled(4096, 512)
 	rowsE := sc.scaled(4096, 512)
-	graphs := rmatGraphs(np, sc.scaled(1<<15, 4096), 12, seed, 1000003)
+	vertices, err := sc.graphSize(graphVertices, graphMinVertices, 12)
+	if err != nil {
+		return nil, err
+	}
+	graphs := rmatGraphs(np, vertices, 12, seed, 1000003)
 
 	for p, g := range graphs {
 		// Dense-phase streams (the mv shape).

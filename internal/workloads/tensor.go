@@ -93,7 +93,11 @@ func GNN(cores int, seed uint64, sc Scale) (*Trace, error) {
 	np := sc.procs(cores)
 	const featChunks = 4 // feature row = 4 x 64 B chunks (64 float32)
 
-	for p, g := range rmatGraphs(np, sc.scaled(1<<13, 1024), 10, seed, 7919) {
+	vertices, err := sc.graphSize(1<<13, 1024, 10)
+	if err != nil {
+		return nil, err
+	}
+	for p, g := range rmatGraphs(np, vertices, 10, seed, 7919) {
 		offsets := b.affine(g.NumVertices()+1, 4)
 		edges := b.affine(g.NumEdges(), 4)
 		feats := b.indirect(g.NumVertices()*featChunks, 64) // H rows, read-only

@@ -85,6 +85,15 @@ func (s Scale) scaled(n, lo int) int {
 	return v
 }
 
+// CheckGraphs reports an error when the graph workloads cannot build
+// their RMAT graphs at this scale: the graph kernels' 2^15 vertices
+// times Mult, the largest graphs any generator builds, must fit
+// graph.RMAT's scale limit. Those generators fail with the same error.
+func (s Scale) CheckGraphs() error {
+	_, err := s.graphSize(graphVertices, graphMinVertices, 1)
+	return err
+}
+
 // procs returns the process count for the given core count.
 func (s Scale) procs(cores int) int {
 	cpp := s.CoresPerProc

@@ -3,6 +3,7 @@ package workloads
 import (
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"ndpext/internal/graph"
@@ -408,4 +409,28 @@ func TestRMATGraphsPanicInCaller(t *testing.T) {
 		}
 	}()
 	rmatGraphs(3, 1<<40, 2, 1, 1)
+}
+
+// TestGraphScaleBound checks the scale bound at its edge with the
+// validation alone, then that every RMAT-backed generator fails with it
+// before building anything.
+func TestGraphScaleBound(t *testing.T) {
+	largest := float64(1<<graph.MaxRMATScale) / graphVertices
+	if err := (Scale{Mult: largest}).CheckGraphs(); err != nil {
+		t.Fatalf("scale %g, graphs of 2^%d vertices, rejected: %v", largest, graph.MaxRMATScale, err)
+	}
+	over := Scale{Mult: largest * 1.001, AccessesPerCore: 100, CoresPerProc: 16}
+	want := over.CheckGraphs()
+	if want == nil {
+		t.Fatalf("scale %g accepted", over.Mult)
+	}
+	for _, name := range []string{"pr", "bfs", "cc", "bc", "tc", "gnn", "phased"} {
+		tr, err := All[name](128, 1, Scale{Mult: 1e5, AccessesPerCore: 100, CoresPerProc: 16})
+		if err == nil || tr != nil {
+			t.Errorf("%s at scale 1e5: trace %v, error %v; want an error", name, tr != nil, err)
+		}
+	}
+	if tr, err := PageRank(128, 1, over); err == nil || !strings.Contains(err.Error(), "RMAT(29, 12)") {
+		t.Errorf("pr at scale %g: trace %v, error %v; want %v", over.Mult, tr != nil, err, want)
+	}
 }
