@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -123,5 +124,21 @@ func TestOutOfRangeScaleFails(t *testing.T) {
 	out, err := exec.Command(bin, "-workload", "pr", "-scale", "100000", "-accesses", "100").CombinedOutput()
 	if err == nil || bytes.Contains(out, []byte("panic")) || !bytes.Contains(out, []byte("RMAT(32, 12)")) {
 		t.Fatalf("-scale 100000: err=%v\n%s", err, out)
+	}
+}
+
+// TestOversizedStreamFails: a -scale within the graph bound whose
+// matrix overflows the remap table's 48-bit stream fields exits 1 with
+// the generator's error, not a panic.
+func TestOversizedStreamFails(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the binary")
+	}
+	bin := buildNdpsim(t)
+	out, err := exec.Command(bin, "-workload", "mv", "-design", "Jigsaw", "-scale", "4000", "-accesses", "100").CombinedOutput()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || bytes.Contains(out, []byte("panic")) ||
+		!bytes.Contains(out, []byte("workloads mv: stream 1: base/size exceed 48-bit fields")) {
+		t.Fatalf("-scale 4000: err=%v\n%s", err, out)
 	}
 }

@@ -10,25 +10,35 @@ import "fmt"
 // Cache is a set-associative cache indexed by address. It stores tags
 // only (the simulator never stores data contents). Not safe for
 // concurrent use.
+//
+// The ways of all sets sit in one set-major array, numSets*assoc long,
+// so a lookup is one index computation and no pointer load.
 type Cache struct {
 	lineBytes int
 	assoc     int
 	numSets   int
-	sets      []set
+	ways      []way
 	tick      uint64
 	stats     Stats
 }
 
-type set struct {
-	ways []way
+// way is one line's tag, packed into 16 bytes: the line address, and one
+// word holding the last-use tick above the dirty and valid bits. An
+// invalid way is all zero, and ticks are unique, so the smallest word of
+// a set is its first invalid way if it has one and else its LRU way.
+type way struct {
+	tag  uint64 // full line address
+	word uint64 // lru<<lruShift | wayDirty | wayValid
 }
 
-type way struct {
-	tag   uint64 // full line address; valid flag separate
-	valid bool
-	dirty bool
-	lru   uint64
-}
+const (
+	wayValid = 1 << 0
+	wayDirty = 1 << 1
+	lruShift = 2
+)
+
+func (w *way) valid() bool { return w.word&wayValid != 0 }
+func (w *way) dirty() bool { return w.word&wayDirty != 0 }
 
 // Stats aggregates cache activity.
 type Stats struct {
@@ -60,11 +70,7 @@ func NewChecked(sizeBytes, lineBytes, assoc int) (*Cache, error) {
 		return nil, fmt.Errorf("cache: size %d not divisible into %d-byte lines x %d ways", sizeBytes, lineBytes, assoc)
 	}
 	numSets := lines / assoc
-	c := &Cache{lineBytes: lineBytes, assoc: assoc, numSets: numSets, sets: make([]set, numSets)}
-	for i := range c.sets {
-		c.sets[i].ways = make([]way, assoc)
-	}
-	return c, nil
+	return &Cache{lineBytes: lineBytes, assoc: assoc, numSets: numSets, ways: make([]way, lines)}, nil
 }
 
 // New builds a cache like NewChecked but panics on invalid geometry.
@@ -85,57 +91,60 @@ func (c *Cache) SizeBytes() int { return c.lineBytes * c.assoc * c.numSets }
 // lineAddr converts a byte address to a line address.
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr / uint64(c.lineBytes) }
 
+// set returns the ways of the set that holds line address la.
+func (c *Cache) set(la uint64) []way {
+	i := int(la%uint64(c.numSets)) * c.assoc
+	return c.ways[i : i+c.assoc]
+}
+
 // Access looks up addr, allocating on miss (write-allocate) and evicting
 // LRU. It reports whether the access hit, and on an eviction of a dirty
 // line, the victim's byte address and that a writeback is needed.
 func (c *Cache) Access(addr uint64, write bool) (hit bool, victimAddr uint64, writeback bool) {
 	la := c.lineAddr(addr)
-	s := &c.sets[la%uint64(c.numSets)]
+	s := c.set(la)
 	c.tick++
+	use := c.tick << lruShift
+	if write {
+		use |= wayDirty
+	}
 
-	for i := range s.ways {
-		w := &s.ways[i]
-		if w.valid && w.tag == la {
-			w.lru = c.tick
-			if write {
-				w.dirty = true
-			}
+	for i := range s {
+		w := &s[i]
+		if w.valid() && w.tag == la {
+			w.word = use | w.word&wayDirty | wayValid
 			c.stats.Hits++
 			return true, 0, false
 		}
 	}
 	c.stats.Misses++
 
-	// Find a victim: an invalid way, else the LRU way.
+	// Find a victim: the first invalid way, else the LRU way.
 	vi := 0
-	for i := range s.ways {
-		if !s.ways[i].valid {
-			vi = i
-			break
-		}
-		if s.ways[i].lru < s.ways[vi].lru {
+	for i := 1; i < len(s); i++ {
+		if s[i].word < s[vi].word {
 			vi = i
 		}
 	}
-	v := &s.ways[vi]
-	if v.valid {
+	v := &s[vi]
+	if v.valid() {
 		c.stats.Evictions++
-		if v.dirty {
+		if v.dirty() {
 			c.stats.Writebacks++
 			victimAddr = v.tag * uint64(c.lineBytes)
 			writeback = true
 		}
 	}
-	*v = way{tag: la, valid: true, dirty: write, lru: c.tick}
+	*v = way{tag: la, word: use | wayValid}
 	return false, victimAddr, writeback
 }
 
 // Probe reports whether addr is cached, without updating LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
 	la := c.lineAddr(addr)
-	s := &c.sets[la%uint64(c.numSets)]
-	for i := range s.ways {
-		if s.ways[i].valid && s.ways[i].tag == la {
+	s := c.set(la)
+	for i := range s {
+		if s[i].valid() && s[i].tag == la {
 			return true
 		}
 	}
@@ -146,11 +155,11 @@ func (c *Cache) Probe(addr uint64) bool {
 // it was present and dirty.
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 	la := c.lineAddr(addr)
-	s := &c.sets[la%uint64(c.numSets)]
-	for i := range s.ways {
-		w := &s.ways[i]
-		if w.valid && w.tag == la {
-			present, dirty = true, w.dirty
+	s := c.set(la)
+	for i := range s {
+		w := &s[i]
+		if w.valid() && w.tag == la {
+			present, dirty = true, w.dirty()
 			*w = way{}
 			return present, dirty
 		}
@@ -161,14 +170,12 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // InvalidateAll drops every line, returning how many were valid.
 func (c *Cache) InvalidateAll() int {
 	n := 0
-	for i := range c.sets {
-		for j := range c.sets[i].ways {
-			if c.sets[i].ways[j].valid {
-				n++
-			}
-			c.sets[i].ways[j] = way{}
+	for i := range c.ways {
+		if c.ways[i].valid() {
+			n++
 		}
 	}
+	clear(c.ways)
 	return n
 }
 

@@ -107,8 +107,17 @@ type Network struct {
 	// 1 = back. Extended-memory traffic uses these instead of crossing
 	// the stack mesh.
 	cxlLink [][2]sim.Resource
-	inj     *fault.Injector
-	stats   Stats
+	// loc[u] is unit u's position, computed once so that routing does no
+	// integer division and never copies cfg.
+	loc   []unitLoc
+	inj   *fault.Injector
+	stats Stats
+}
+
+// unitLoc places one unit: its stack, its (x, y) in the stack's unit
+// mesh, and the stack's (sx, sy) in the stack grid.
+type unitLoc struct {
+	stack, x, y, sx, sy int32
 }
 
 // NewChecked builds a network from cfg, returning an error on invalid
@@ -123,6 +132,13 @@ func NewChecked(cfg Config) (*Network, error) {
 		n.interLink[i] = make([]sim.Resource, 4)
 	}
 	n.cxlLink = make([][2]sim.Resource, cfg.NumStacks())
+	n.loc = make([]unitLoc, cfg.NumUnits())
+	per := cfg.UnitsPerStack()
+	for u := range n.loc {
+		s, local := u/per, u%per
+		n.loc[u] = unitLoc{stack: int32(s), x: int32(local % cfg.UnitsX), y: int32(local / cfg.UnitsX),
+			sx: int32(s % cfg.StacksX), sy: int32(s / cfg.StacksX)}
+	}
 	return n, nil
 }
 
@@ -144,20 +160,15 @@ func (n *Network) SetFaults(inj *fault.Injector) { n.inj = inj }
 func (n *Network) Config() Config { return n.cfg }
 
 // NumUnits returns the total NDP unit count.
-func (n *Network) NumUnits() int { return n.cfg.NumUnits() }
+func (n *Network) NumUnits() int { return len(n.loc) }
 
 // StackOf returns the stack index containing unit u.
-func (n *Network) StackOf(u int) int { return u / n.cfg.UnitsPerStack() }
+func (n *Network) StackOf(u int) int { return int(n.loc[u].stack) }
 
 // unitPos returns the (x, y) position of unit u within its stack.
 func (n *Network) unitPos(u int) (x, y int) {
-	local := u % n.cfg.UnitsPerStack()
-	return local % n.cfg.UnitsX, local / n.cfg.UnitsX
-}
-
-// stackPos returns the (x, y) position of stack s in the stack grid.
-func (n *Network) stackPos(s int) (x, y int) {
-	return s % n.cfg.StacksX, s / n.cfg.StacksX
+	l := &n.loc[u]
+	return int(l.x), int(l.y)
 }
 
 // Hops returns the intra- and inter-stack hop counts from unit `from` to
@@ -166,14 +177,12 @@ func (n *Network) Hops(from, to int) (intra, inter int) {
 	if from == to {
 		return 0, 0
 	}
-	fs, ts := n.StackOf(from), n.StackOf(to)
-	fx, fy := n.unitPos(from)
-	tx, ty := n.unitPos(to)
-	if fs == ts {
+	f, t := &n.loc[from], &n.loc[to]
+	fx, fy, tx, ty := int(f.x), int(f.y), int(t.x), int(t.y)
+	if f.stack == t.stack {
 		return abs(fx-tx) + abs(fy-ty), 0
 	}
-	fsx, fsy := n.stackPos(fs)
-	tsx, tsy := n.stackPos(ts)
+	fsx, fsy, tsx, tsy := int(f.sx), int(f.sy), int(t.sx), int(t.sy)
 	inter = abs(fsx-tsx) + abs(fsy-tsy)
 	// Exit the source stack toward the first XY direction, enter the
 	// destination stack from the last direction; intra hops are the
@@ -268,9 +277,8 @@ func (n *Network) Route(t sim.Time, from, to int, bytes int) Transit {
 	// serialization time) is paid once at the destination.
 	if inter > 0 {
 		ser := sim.FromNS(float64(bytes) / n.cfg.InterGBps)
-		fs, ts := n.StackOf(from), n.StackOf(to)
-		sx, sy := n.stackPos(fs)
-		tx, ty := n.stackPos(ts)
+		fl, tl := &n.loc[from], &n.loc[to]
+		sx, sy, tx, ty := int(fl.sx), int(fl.sy), int(tl.sx), int(tl.sy)
 		before := tr.Arrive
 		head := tr.Arrive
 		for sx != tx || sy != ty {

@@ -474,3 +474,23 @@ func TestScaleBeyondGraphLimitRejected(t *testing.T) {
 		t.Fatalf("rejected jobs ran %d sims, %d panics", s.SimsRun(), s.PanicsRecovered())
 	}
 }
+
+// TestOversizedStreamJobFails: a scale within the graph bound whose mv
+// matrix overflows the remap table's 48-bit stream fields fails the job
+// with the generator's error, not a recovered panic.
+func TestOversizedStreamJobFails(t *testing.T) {
+	s := newTestScheduler(t, Options{Workers: 1, QueueDepth: 4})
+	defer s.Drain(context.Background())
+	j, err := s.Submit(JobSpec{Workload: "mv", Design: "Jigsaw", Scale: 4000, Accesses: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	st := j.Status()
+	if st.State != StateFailed || !strings.Contains(st.Error, "workloads mv: stream 1: base/size exceed 48-bit fields") {
+		t.Fatalf("job ended %s with %q, want failed with the 48-bit field error", st.State, st.Error)
+	}
+	if s.PanicsRecovered() != 0 {
+		t.Fatalf("%d panics recovered", s.PanicsRecovered())
+	}
+}

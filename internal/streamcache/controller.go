@@ -13,9 +13,9 @@ import (
 // according to the returned route; the host runtime calls Apply at each
 // epoch boundary with the new configuration.
 // Controller state reached on every access (allocations, rings,
-// per-stream stats) is held in dense arrays indexed by the 9-bit stream
-// ID instead of maps: the per-access Lookup then costs plain loads where
-// the map version paid a hash and probe per structure.
+// residency tables, per-stream stats) is held in dense arrays indexed by
+// the 9-bit stream ID instead of maps: the per-access Lookup then costs
+// plain loads where the map version paid a hash and probe per structure.
 type Controller struct {
 	params     Params
 	numUnits   int
@@ -24,6 +24,7 @@ type Controller struct {
 	allocs     []Allocation // by sid; zero Shares length = none installed
 	hasAlloc   []bool       // by sid
 	rings      [][]*ring    // by sid, then by group ID (nil = no ring)
+	res        [][]resTable // by sid, then unit; nil until sid's first allocation
 	units      []*unitState
 	stats      Stats
 	perSID     []StreamStats // by sid
@@ -78,6 +79,7 @@ func NewController(p Params, numUnits int, tbl *stream.Table, consistent bool) *
 		allocs:     make([]Allocation, stream.MaxStreams),
 		hasAlloc:   make([]bool, stream.MaxStreams),
 		rings:      make([][]*ring, stream.MaxStreams),
+		res:        make([][]resTable, stream.MaxStreams),
 		perSID:     make([]StreamStats, stream.MaxStreams),
 	}
 	for i := 0; i < numUnits; i++ {
@@ -137,9 +139,10 @@ type Lookup struct {
 	ExceptionInvalidations int  // replicas dropped by the exception
 }
 
-// Lookup resolves the access (addr, write) issued by NDP unit `unit`.
-func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
-	var r Lookup
+// Lookup resolves the access (addr, write) issued by NDP unit `unit`
+// into r, which it overwrites.
+func (c *Controller) Lookup(unit int, addr uint64, write bool, r *Lookup) {
+	*r = Lookup{}
 	c.stats.Lookups++
 
 	s := c.table.FindByAddr(addr)
@@ -147,7 +150,7 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		r.Bypass = true
 		r.SID = stream.NoStream
 		c.stats.Bypasses++
-		return r
+		return
 	}
 	r.SID = s.SID
 	r.Affine = s.Type == stream.Affine
@@ -182,7 +185,7 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		itemBytes = c.params.BlockBytes
 	}
 
-	alloc := c.allocs[s.SID]
+	alloc := &c.allocs[s.SID]
 	var rg *ring
 	if c.hasAlloc[s.SID] {
 		rg = c.ringOf(s.SID, alloc.Groups[unit])
@@ -194,7 +197,7 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		r.FetchBytes = itemBytes
 		c.stats.NoSpace++
 		c.streamStats(s.SID).Misses++
-		return r
+		return
 	}
 
 	sp := rg.locate(s.SID, r.ItemID)
@@ -214,8 +217,8 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		}
 	}
 
-	key, ways := c.residencyKey(s, alloc, sp, r.ItemID)
-	hit, victim, mispredict := c.units[r.Home].lookup(key, r.ItemID, write, true, ways, r.Affine)
+	t := &c.res[s.SID][sp.unit]
+	hit, victim, mispredict := c.units[r.Home].lookup(t, t.index(sp.ord, r.ItemID), r.ItemID, write, r.Affine)
 	r.Hit = hit
 	if c.params.WayPredict && !r.Affine {
 		r.WayMispredict = mispredict
@@ -228,56 +231,41 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 		c.stats.Misses++
 		ss.Misses++
 		r.FetchBytes = itemBytes
-		if victim.valid && victim.dirty {
+		if victim.valid() && victim.dirty() {
 			r.WritebackBytes = itemBytes
 			c.stats.Writebacks++
 		}
 	}
-	return r
 }
 
-// residencyKey computes the associativity set an item belongs to at its
-// home spot, and the set's way count.
+// newTable returns an empty residency table for s's items on a unit
+// that holds share rows of it.
 //
 // Indirect streams are direct-mapped (or IndirectWays-associative) within
 // their DRAM row: the embedded tags leave no room for cheap wide
-// associativity (§IV-C). Affine streams use the ATA's set-associative
-// SRAM tags: AffineWays consecutive block slots (spanning several row
-// ordinals when a row holds fewer blocks than ways) form one LRU-free
-// set, which is what kills the conflict misses a direct-mapped block
-// array would suffer on strided sweeps.
-func (c *Controller) residencyKey(s *stream.Stream, alloc Allocation, sp spot, item uint64) (resKey, int) {
+// associativity (§IV-C), so each row ordinal has its own rowSets sets.
+// Affine streams use the ATA's set-associative SRAM tags: AffineWays
+// consecutive block slots (spanning several row ordinals when a row holds
+// fewer blocks than ways) form one set, which is what kills the conflict
+// misses a direct-mapped block array would suffer on strided sweeps.
+func (c *Controller) newTable(s *stream.Stream, share uint32) resTable {
+	if share == 0 {
+		return resTable{}
+	}
 	if s.Type == stream.Affine {
-		itemsPerRow := c.params.RowBytes / c.params.BlockBytes
-		if itemsPerRow < 1 {
-			itemsPerRow = 1
-		}
-		rowsPerSet := c.params.AffineWays / itemsPerRow
-		if rowsPerSet < 1 {
-			rowsPerSet = 1
-		}
+		itemsPerRow := max(c.params.RowBytes/c.params.BlockBytes, 1)
+		rowsPerSet := max(c.params.AffineWays/itemsPerRow, 1)
 		// The ATA indexes sets uniformly within the unit's share by a
 		// plain modulo (set-index bits), rather than by the block's
 		// consistent-hash spot: the ring's per-spot load variance would
 		// overload some sets and thrash them.
-		numSets := int(alloc.Shares[sp.unit]) / rowsPerSet
-		if numSets < 1 {
-			numSets = 1
-		}
-		set := uint32(hash64(item, uint64(s.SID)+0x5e7) % uint64(numSets))
-		return resKey{sid: s.SID, ord: ^uint32(0), set: set},
-			rowsPerSet * itemsPerRow
+		numSets := max(int(share)/rowsPerSet, 1)
+		return newResTable(numSets, rowsPerSet*itemsPerRow, 0, uint64(numSets), uint64(s.SID)+0x5e7)
 	}
-	itemsPerRow := c.params.RowBytes / (int(s.ElemSize) + c.params.TagBytes)
-	if itemsPerRow < 1 {
-		itemsPerRow = 1
-	}
-	numSets := itemsPerRow / c.params.IndirectWays
-	if numSets < 1 {
-		numSets = 1
-	}
-	set := uint32(hash64(item, uint64(s.SID)+0xabcd) % uint64(numSets))
-	return resKey{sid: s.SID, ord: sp.ord, set: set}, c.params.IndirectWays
+	itemsPerRow := max(c.params.RowBytes/(int(s.ElemSize)+c.params.TagBytes), 1)
+	rowSets := max(itemsPerRow/c.params.IndirectWays, 1)
+	return newResTable(int(share)*rowSets, c.params.IndirectWays, uint64(rowSets), uint64(rowSets),
+		uint64(s.SID)+0xabcd)
 }
 
 // handleWriteException clears the stream's read-only bit and collapses
@@ -304,7 +292,7 @@ func (c *Controller) handleWriteException(s *stream.Stream) int {
 	invalidated := 0
 	for u := range alloc.Groups {
 		if alloc.Groups[u] != keep && alloc.Shares[u] > 0 {
-			n, _ := c.units[u].dropStream(s.SID)
+			n, _ := c.res[s.SID][u].drop()
 			invalidated += n
 		}
 		alloc.Groups[u] = keep
@@ -380,57 +368,71 @@ func (c *Controller) Apply(newAllocs map[stream.ID]Allocation) (ReconfigStats, e
 		c.invalidateSLBs(sid)
 
 		s := c.table.Get(sid)
-		if !c.consistent {
-			for _, u := range c.units {
-				n, d := u.dropStream(sid)
+		if c.res[sid] == nil {
+			c.res[sid] = make([]resTable, c.numUnits)
+		}
+		for u := range c.res[sid] {
+			next := c.newTable(s, a.Shares[u])
+			if c.consistent {
+				c.keepSurvivors(&rs, sid, u, &next)
+			} else {
+				n, d := c.res[sid][u].count()
 				rs.ItemsExamined += n
 				rs.ItemsDropped += n
 				rs.Writebacks += d
 			}
-			continue
-		}
-		// Consistent hashing: keep items whose home spot is unchanged.
-		for uid, u := range c.units {
-			for k, set := range u.resident {
-				if k.sid != sid {
-					continue
-				}
-				keepAny := false
-				for i := range set.ways {
-					w := &set.ways[i]
-					if !w.valid {
-						continue
-					}
-					rs.ItemsExamined++
-					g := c.allocs[sid].Groups[uid]
-					rg := c.ringOf(sid, g)
-					survives := false
-					if rg != nil {
-						sp := rg.locate(sid, w.id)
-						if int(sp.unit) == uid {
-							k2, _ := c.residencyKey(s, c.allocs[sid], sp, w.id)
-							survives = k2 == k
-						}
-					}
-					if survives {
-						rs.ItemsKept++
-						keepAny = true
-					} else {
-						rs.ItemsDropped++
-						if w.dirty {
-							rs.Writebacks++
-						}
-						*w = resWay{}
-					}
-				}
-				if !keepAny {
-					delete(u.resident, k)
-				}
-			}
+			c.res[sid][u] = next
 		}
 	}
 	c.stats.Writebacks += uint64(rs.Writebacks)
 	return rs, nil
+}
+
+// keepSurvivors moves into next, the table of unit u under sid's newly
+// installed allocation, the items of u's current table whose home set is
+// unchanged: same unit, row ordinal and set (§V-D). It counts the rest as
+// dropped. A survivor keeps its way, and its set keeps its metadata.
+func (c *Controller) keepSurvivors(rs *ReconfigStats, sid stream.ID, u int, next *resTable) {
+	t := &c.res[sid][u]
+	rg := c.ringOf(sid, c.allocs[sid].Groups[u])
+	for pi, p := range t.page {
+		if p < 0 {
+			continue
+		}
+		for k := 0; k < pageSets; k++ {
+			i := pi<<pageShift | k
+			if i >= t.numSets {
+				break
+			}
+			s := int(p)<<pageShift | k
+			ways := t.way[s*t.ways : (s+1)*t.ways]
+			kept := false
+			for j := range ways {
+				w := &ways[j]
+				if !w.valid() {
+					continue
+				}
+				rs.ItemsExamined++
+				if rg != nil {
+					if sp := rg.locate(sid, w.id); int(sp.unit) == u && next.index(sp.ord, w.id) == i {
+						rs.ItemsKept++
+						kept = true
+						continue
+					}
+				}
+				rs.ItemsDropped++
+				if w.dirty() {
+					rs.Writebacks++
+				}
+				*w = resWay{}
+			}
+			if kept {
+				nw, nm := next.set(i)
+				copy(nw, ways)
+				*nm = t.meta[s]
+			}
+		}
+	}
 }
 
 // EpochAccesses returns, per unit, the access counts by stream for the
@@ -492,16 +494,9 @@ func (c *Controller) StreamStatsFor(sid stream.ID) StreamStats {
 // ResidentItems counts currently cached items for sid on unit u (testing
 // and occupancy reporting).
 func (c *Controller) ResidentItems(u int, sid stream.ID) int {
-	n := 0
-	for k, set := range c.units[u].resident {
-		if k.sid != sid {
-			continue
-		}
-		for _, w := range set.ways {
-			if w.valid {
-				n++
-			}
-		}
+	if c.res[sid] == nil {
+		return 0
 	}
+	n, _ := c.res[sid][u].count()
 	return n
 }

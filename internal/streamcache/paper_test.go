@@ -41,10 +41,10 @@ func TestFig3CachingScheme(t *testing.T) {
 	// Requests from each unit stay inside that unit's replication group.
 	for e := uint64(0); e < 2000; e++ {
 		addr := a.Base + e*4
-		if r := c.Lookup(0, addr, false); r.Home != 0 && r.Home != 1 {
+		if r := lookup(c, 0, addr, false); r.Home != 0 && r.Home != 1 {
 			t.Fatalf("group-0 access served by unit %d", r.Home)
 		}
-		if r := c.Lookup(2, addr, false); r.Home != 2 && r.Home != 3 {
+		if r := lookup(c, 2, addr, false); r.Home != 2 && r.Home != 3 {
 			t.Fatalf("group-1 access served by unit %d", r.Home)
 		}
 	}
@@ -83,7 +83,7 @@ func TestSLBExampleFromFig3c(t *testing.T) {
 	if _, err := c.Apply(map[stream.ID]Allocation{1: alloc}); err != nil {
 		t.Fatal(err)
 	}
-	r := c.Lookup(0, 0x5CA1AB00, false)
+	r := lookup(c, 0, 0x5CA1AB00, false)
 	if r.SID != 1 {
 		t.Fatalf("address resolved to stream %d", r.SID)
 	}
@@ -109,7 +109,7 @@ func TestRemapRowBaseAddressing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := uint64(0); e < 512; e++ {
-		r := c.Lookup(0, 0x1000+e*4, false)
+		r := lookup(c, 0, 0x1000+e*4, false)
 		lo := int64(alloc.RowBase[r.Home])
 		if r.HomeRow < lo || r.HomeRow >= lo+int64(alloc.Shares[r.Home]) {
 			t.Fatalf("home row %d outside unit %d's range [%d, %d)",
@@ -148,7 +148,7 @@ func TestSLBThrashingManyStreams(t *testing.T) {
 	// Round-robin over all streams: every SLB access misses after warmup.
 	for round := 0; round < 3; round++ {
 		for i := 0; i < streams; i++ {
-			r := c.Lookup(0, uint64(i+1)<<22, false)
+			r := lookup(c, 0, uint64(i+1)<<22, false)
 			if r.SID != stream.ID(i+1) {
 				t.Fatalf("wrong stream resolved: %d", r.SID)
 			}

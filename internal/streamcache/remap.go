@@ -163,14 +163,23 @@ func buildRing(sid stream.ID, a Allocation, g uint8) *ring {
 
 // locate maps item id (a block ID for affine streams, an element ID for
 // indirect ones) to its home spot: the first spot clockwise of the item's
-// hash.
+// hash. The bisection is sort.Search's, written out: locate runs on every
+// stream access, and the closure costs an indirect call per probe.
 func (r *ring) locate(sid stream.ID, id uint64) spot {
 	h := hash64(id, uint64(sid)*0x6c62272e07bb0142+1)
-	i := sort.Search(len(r.spots), func(i int) bool { return r.spots[i].hash >= h })
-	if i == len(r.spots) {
-		i = 0
+	lo, hi := 0, len(r.spots)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.spots[mid].hash < h {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return r.spots[i]
+	if lo == len(r.spots) {
+		lo = 0
+	}
+	return r.spots[lo]
 }
 
 // size reports the number of spots.

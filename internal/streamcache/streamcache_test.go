@@ -73,7 +73,7 @@ func TestRemapTableSizeMatchesPaper(t *testing.T) {
 
 func TestBypassForNonStreamAddress(t *testing.T) {
 	c, _, _ := newTestController(t, 1, false)
-	r := c.Lookup(0, 0xDEAD0000, false)
+	r := lookup(c, 0, 0xDEAD0000, false)
 	if !r.Bypass || r.SID != stream.NoStream {
 		t.Fatalf("non-stream address not bypassed: %+v", r)
 	}
@@ -84,7 +84,7 @@ func TestBypassForNonStreamAddress(t *testing.T) {
 
 func TestNoSpaceGoesToExtendedMemory(t *testing.T) {
 	c, aff, _ := newTestController(t, 1, false)
-	r := c.Lookup(0, aff.Base, false)
+	r := lookup(c, 0, aff.Base, false)
 	if !r.NoSpace || r.Hit {
 		t.Fatalf("unallocated stream access: %+v", r)
 	}
@@ -97,7 +97,7 @@ func TestMissThenHitSameBlock(t *testing.T) {
 	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, evenAlloc(4, 64))
 
-	r1 := c.Lookup(0, aff.Base, false)
+	r1 := lookup(c, 0, aff.Base, false)
 	if r1.Hit {
 		t.Fatal("cold access hit")
 	}
@@ -105,7 +105,7 @@ func TestMissThenHitSameBlock(t *testing.T) {
 		t.Fatalf("fetch = %d", r1.FetchBytes)
 	}
 	// Another element in the same 1 kB block must hit (prefetch effect).
-	r2 := c.Lookup(0, aff.Base+512, false)
+	r2 := lookup(c, 0, aff.Base+512, false)
 	if !r2.Hit {
 		t.Fatal("same-block access missed")
 	}
@@ -123,15 +123,15 @@ func TestIndirectElementGranularity(t *testing.T) {
 	c, _, ind := newTestController(t, 1, false)
 	install(t, c, ind.SID, evenAlloc(4, 64))
 
-	r1 := c.Lookup(0, ind.Base, false)
+	r1 := lookup(c, 0, ind.Base, false)
 	if r1.Hit || r1.FetchBytes != int(ind.ElemSize) {
 		t.Fatalf("indirect cold access: %+v", r1)
 	}
-	if !c.Lookup(0, ind.Base, false).Hit {
+	if !lookup(c, 0, ind.Base, false).Hit {
 		t.Fatal("repeat access missed")
 	}
 	// Neighbouring elements are cached individually: no prefetch.
-	if c.Lookup(0, ind.Base+uint64(ind.ElemSize), false).Hit {
+	if lookup(c, 0, ind.Base+uint64(ind.ElemSize), false).Hit {
 		t.Fatal("adjacent indirect element hit without fetch")
 	}
 }
@@ -142,7 +142,7 @@ func TestReplicationGroupsServeLocally(t *testing.T) {
 	install(t, c, aff.SID, replicatedAlloc(4, 64))
 	for unit := 0; unit < 4; unit++ {
 		for e := uint64(0); e < 32; e++ {
-			r := c.Lookup(unit, aff.Base+e*1024, false)
+			r := lookup(c, unit, aff.Base+e*1024, false)
 			if r.Home != unit {
 				t.Fatalf("unit %d access served by unit %d despite full replication", unit, r.Home)
 			}
@@ -167,7 +167,7 @@ func TestSharedGroupSpreadsByShares(t *testing.T) {
 
 	counts := map[int]int{}
 	for e := uint64(0); e < 4096; e++ {
-		r := c.Lookup(0, ind.Base+e*4, false)
+		r := lookup(c, 0, ind.Base+e*4, false)
 		counts[r.Home]++
 	}
 	if counts[2] != 0 || counts[3] != 0 {
@@ -184,12 +184,12 @@ func TestWriteExceptionCollapsesGroups(t *testing.T) {
 
 	// Warm all four replicas of block 0.
 	for u := 0; u < 4; u++ {
-		c.Lookup(u, aff.Base, false)
+		lookup(c, u, aff.Base, false)
 	}
 	if !aff.ReadOnly {
 		t.Fatal("stream should start read-only")
 	}
-	r := c.Lookup(0, aff.Base, true)
+	r := lookup(c, 0, aff.Base, true)
 	if !r.WriteException {
 		t.Fatal("first write did not raise an exception")
 	}
@@ -204,7 +204,7 @@ func TestWriteExceptionCollapsesGroups(t *testing.T) {
 		t.Fatalf("groups after exception: %v", a.GroupIDs())
 	}
 	// A second write must not raise another exception.
-	if r2 := c.Lookup(1, aff.Base, true); r2.WriteException {
+	if r2 := lookup(c, 1, aff.Base, true); r2.WriteException {
 		t.Fatal("second write raised an exception")
 	}
 }
@@ -233,7 +233,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 
 	sawWriteback := false
 	for e := uint64(0); e < 4096; e++ {
-		r := c.Lookup(0, ind.Base+e*4, true)
+		r := lookup(c, 0, ind.Base+e*4, true)
 		if r.WritebackBytes > 0 {
 			sawWriteback = true
 			break
@@ -247,11 +247,11 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 func TestSLBMissOnFirstTouchThenHits(t *testing.T) {
 	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, evenAlloc(4, 64))
-	r := c.Lookup(0, aff.Base, false)
+	r := lookup(c, 0, aff.Base, false)
 	if !r.SLBMissLocal {
 		t.Fatal("first touch should miss the SLB")
 	}
-	r = c.Lookup(0, aff.Base, false)
+	r = lookup(c, 0, aff.Base, false)
 	if r.SLBMissLocal {
 		t.Fatal("second touch missed the SLB")
 	}
@@ -276,10 +276,10 @@ func TestSLBCapacityEviction(t *testing.T) {
 	for _, sid := range sids {
 		install(t, c, sid, evenAlloc(1, 4))
 	}
-	c.Lookup(0, 1<<20, false) // miss, fill
-	c.Lookup(0, 2<<20, false) // miss, fill
-	c.Lookup(0, 3<<20, false) // miss, evicts sid 1 (LRU)
-	if r := c.Lookup(0, 1<<20, false); !r.SLBMissLocal {
+	lookup(c, 0, 1<<20, false) // miss, fill
+	lookup(c, 0, 2<<20, false) // miss, fill
+	lookup(c, 0, 3<<20, false) // miss, evicts sid 1 (LRU)
+	if r := lookup(c, 0, 1<<20, false); !r.SLBMissLocal {
 		t.Fatal("evicted SLB entry still hit")
 	}
 }
@@ -288,7 +288,7 @@ func TestConsistentHashingKeepsDataOnGrow(t *testing.T) {
 	c, _, ind := newTestController(t, 1, true)
 	install(t, c, ind.SID, evenAlloc(4, 32))
 	for e := uint64(0); e < 2048; e++ {
-		c.Lookup(0, ind.Base+e*4, false)
+		lookup(c, 0, ind.Base+e*4, false)
 	}
 	grown := evenAlloc(4, 40) // +8 rows per unit
 	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: grown})
@@ -308,7 +308,7 @@ func TestBulkInvalidationDropsEverything(t *testing.T) {
 	c, _, ind := newTestController(t, 1, false)
 	install(t, c, ind.SID, evenAlloc(4, 32))
 	for e := uint64(0); e < 2048; e++ {
-		c.Lookup(0, ind.Base+e*4, false)
+		lookup(c, 0, ind.Base+e*4, false)
 	}
 	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: evenAlloc(4, 40)})
 	if err != nil {
@@ -331,7 +331,7 @@ func TestConsistentBeatsBulkOnInvalidations(t *testing.T) {
 		c, _, ind := newTestController(t, 1, consistent)
 		install(t, c, ind.SID, evenAlloc(4, 32))
 		for e := uint64(0); e < 2048; e++ {
-			c.Lookup(0, ind.Base+e*4, false)
+			lookup(c, 0, ind.Base+e*4, false)
 		}
 		rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: evenAlloc(4, 36)})
 		if err != nil {
@@ -349,7 +349,7 @@ func TestApplyIdenticalAllocationIsNoOp(t *testing.T) {
 	a := evenAlloc(4, 32)
 	install(t, c, ind.SID, a)
 	for e := uint64(0); e < 512; e++ {
-		c.Lookup(0, ind.Base+e*4, false)
+		lookup(c, 0, ind.Base+e*4, false)
 	}
 	rs, err := c.Apply(map[stream.ID]Allocation{ind.SID: a.Clone()})
 	if err != nil {
@@ -371,7 +371,7 @@ func TestHigherAssociativityNeverIncreasesConflicts(t *testing.T) {
 		// Two passes over a working set larger than capacity.
 		for pass := 0; pass < 2; pass++ {
 			for e := uint64(0); e < 1024; e += 2 {
-				c.Lookup(0, ind.Base+e*4, false)
+				lookup(c, 0, ind.Base+e*4, false)
 			}
 		}
 		return c.Stats().Misses
@@ -416,8 +416,8 @@ func TestRingDistributionRoughlyProportional(t *testing.T) {
 func TestEpochAccessesResets(t *testing.T) {
 	c, aff, _ := newTestController(t, 1, false)
 	install(t, c, aff.SID, evenAlloc(4, 8))
-	c.Lookup(2, aff.Base, false)
-	c.Lookup(2, aff.Base, false)
+	lookup(c, 2, aff.Base, false)
+	lookup(c, 2, aff.Base, false)
 	acc := c.EpochAccesses()
 	if acc[2][aff.SID] != 2 {
 		t.Fatalf("epoch access count = %d, want 2", acc[2][aff.SID])
@@ -453,7 +453,7 @@ func TestAffineAssociativityAbsorbsConflicts(t *testing.T) {
 		}
 		for pass := 0; pass < 4; pass++ {
 			for b := uint64(0); b < 128; b++ { // one access per block
-				c.Lookup(0, aff.Base+b*1024, false)
+				lookup(c, 0, aff.Base+b*1024, false)
 			}
 		}
 		st := c.Stats()
@@ -495,15 +495,15 @@ func TestWayPredictionMispredicts(t *testing.T) {
 	// predictor must then mispredict on ping-pong accesses.
 	saw := false
 	for e := uint64(0); e < 4096 && !saw; e++ {
-		c.Lookup(0, ind.Base+e*4, false)
-		r := c.Lookup(0, ind.Base+e*4, false)
+		lookup(c, 0, ind.Base+e*4, false)
+		r := lookup(c, 0, ind.Base+e*4, false)
 		if !r.Hit {
 			t.Fatal("repeat access missed")
 		}
 		// Ping-pong against a prior element.
 		for f := uint64(0); f < e; f++ {
-			c.Lookup(0, ind.Base+f*4, false)
-			if r2 := c.Lookup(0, ind.Base+e*4, false); r2.Hit && r2.WayMispredict {
+			lookup(c, 0, ind.Base+f*4, false)
+			if r2 := lookup(c, 0, ind.Base+e*4, false); r2.Hit && r2.WayMispredict {
 				saw = true
 				break
 			}
@@ -556,7 +556,7 @@ func TestLookupInvariantsProperty(t *testing.T) {
 			s := tbl.Get(stream.ID(si))
 			addr := s.Base + rng.Uint64n(s.Size)
 			unit := rng.Intn(units)
-			r := c.Lookup(unit, addr, rng.Intn(8) == 0)
+			r := lookup(c, unit, addr, rng.Intn(8) == 0)
 			if r.Bypass {
 				return false // all addresses are inside streams
 			}
@@ -580,4 +580,11 @@ func TestLookupInvariantsProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lookup resolves one access and returns its result.
+func lookup(c *Controller, unit int, addr uint64, write bool) Lookup {
+	var r Lookup
+	c.Lookup(unit, addr, write, &r)
+	return r
 }

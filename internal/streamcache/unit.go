@@ -58,38 +58,112 @@ func (s *slbState) invalidate(sid stream.ID) {
 	}
 }
 
-// resKey addresses one associativity set of the DRAM cache space of a
-// stream on one unit: the row ordinal (consistent-hash spot) plus the set
-// index within the row.
-type resKey struct {
-	sid stream.ID
-	ord uint32
-	set uint32
-}
-
-// resWay is one cached item (an affine block or an indirect element).
+// resWay is one cached item (an affine block or an indirect element),
+// packed into 16 bytes: the item ID, and one word holding the last-use
+// tick above the dirty and valid bits. An empty way is all zero. Ticks
+// are unique within a unit, so the order of the words of valid ways is
+// their LRU order.
 type resWay struct {
-	id    uint64 // block ID (affine) or element ID (indirect)
-	use   uint64 // last-use tick (LRU; meaningful only for ATA sets)
-	valid bool
-	dirty bool
+	id   uint64 // block ID (affine) or element ID (indirect)
+	word uint64 // use<<useShift | wayDirty | wayValid
 }
 
-// resSet is one set: up to `ways` items, a round-robin victim cursor,
-// and the MRU way used by the way predictor (§IV-C's cited alternative
-// to direct mapping: predict the way, fall back to a second access on a
-// misprediction).
-type resSet struct {
-	ways []resWay
-	rr   uint8
-	mru  uint8
+const (
+	wayValid = 1 << 0
+	wayDirty = 1 << 1
+	useShift = 2
+)
+
+func (w resWay) valid() bool { return w.word&wayValid != 0 }
+func (w resWay) dirty() bool { return w.word&wayDirty != 0 }
+
+// setMeta is one set's round-robin victim cursor and the MRU way used by
+// the way predictor (§IV-C's cited alternative to direct mapping:
+// predict the way, fall back to a second access on a misprediction).
+type setMeta struct {
+	rr  uint8
+	mru uint8
+}
+
+// A residency table allocates its sets in pages of pageSets sets, on
+// first touch: a run touches a small share of the indirect sets that
+// its shares could hold.
+const (
+	pageShift = 3
+	pageSets  = 1 << pageShift
+)
+
+// resTable holds the resident items of one stream on one unit: numSets
+// sets of `ways` ways each, set-major. Affine streams index it by their
+// ATA set, indirect streams by ord*rowSets + set (see index). A set that
+// holds no item has zero metadata, as a freshly allocated one does.
+type resTable struct {
+	ways     int
+	numSets  int
+	rowSets  uint64    // sets per row ordinal; 0 for affine (one set space per unit)
+	hashSets uint64    // modulus of the set hash
+	seed     uint64    // set hash seed
+	page     []int32   // page -> its index in way/meta; -1 = untouched
+	way      []resWay  // touched pages, pageSets*ways ways each
+	meta     []setMeta // touched pages, pageSets sets each
+}
+
+func newResTable(sets, ways int, rowSets, hashSets, seed uint64) resTable {
+	t := resTable{ways: ways, numSets: sets, rowSets: rowSets, hashSets: hashSets, seed: seed,
+		page: make([]int32, (sets+pageSets-1)>>pageShift)}
+	for i := range t.page {
+		t.page[i] = -1
+	}
+	return t
+}
+
+// index returns the set of item id at row ordinal ord.
+func (t *resTable) index(ord uint32, id uint64) int {
+	return int(uint64(ord)*t.rowSets + hash64(id, t.seed)%t.hashSets)
+}
+
+// set returns set i's ways and metadata, allocating its page on first
+// touch.
+func (t *resTable) set(i int) ([]resWay, *setMeta) {
+	p := t.page[i>>pageShift]
+	if p < 0 {
+		p = int32(len(t.meta) >> pageShift)
+		t.page[i>>pageShift] = p
+		t.way = append(t.way, make([]resWay, pageSets*t.ways)...)
+		t.meta = append(t.meta, make([]setMeta, pageSets)...)
+	}
+	s := int(p)<<pageShift | i&(pageSets-1)
+	return t.way[s*t.ways : (s+1)*t.ways], &t.meta[s]
+}
+
+// count returns the valid items in t and how many of them are dirty.
+func (t *resTable) count() (items, dirty int) {
+	for _, w := range t.way {
+		if w.valid() {
+			items++
+			if w.dirty() {
+				dirty++
+			}
+		}
+	}
+	return items, dirty
+}
+
+// drop empties t, keeping its geometry, and returns the item count and
+// how many were dirty.
+func (t *resTable) drop() (items, dirty int) {
+	items, dirty = t.count()
+	t.way, t.meta = nil, nil
+	for i := range t.page {
+		t.page[i] = -1
+	}
+	return items, dirty
 }
 
 // unitState is the per-NDP-unit cache state.
 type unitState struct {
-	slb      *slbState
-	tick     uint64
-	resident map[resKey]*resSet
+	slb  *slbState
+	tick uint64
 	// epochAcc counts accesses per stream this epoch, densely indexed by
 	// sid; it models the 512-bit accessed-stream bitvector (§V-B) with
 	// counts, which the configuration algorithm also uses as placement
@@ -100,7 +174,6 @@ type unitState struct {
 func newUnitState(slbEntries int) *unitState {
 	return &unitState{
 		slb:      newSLB(slbEntries),
-		resident: make(map[resKey]*resSet),
 		epochAcc: make([]uint64, stream.MaxStreams),
 	}
 }
@@ -118,76 +191,49 @@ func (u *unitState) harvestEpochAcc() map[stream.ID]uint64 {
 	return out
 }
 
-// lookup finds id in the set at key; on a miss with install=true it
-// allocates a way and reports the victim. Replacement is LRU when lru is
-// set (the ATA's SRAM tags track recency) and round-robin otherwise (the
-// embedded DRAM tags of indirect elements have no recency bits).
-func (u *unitState) lookup(key resKey, id uint64, write, install bool, ways int, lru bool) (hit bool, victim resWay, mispredict bool) {
+// lookup finds id in set i of t, one of this unit's tables, and on a
+// miss allocates a way and reports the victim. Replacement is LRU when
+// lru is set (the ATA's SRAM tags track recency) and round-robin
+// otherwise (the embedded DRAM tags of indirect elements have no
+// recency bits).
+func (u *unitState) lookup(t *resTable, i int, id uint64, write, lru bool) (hit bool, victim resWay, mispredict bool) {
 	u.tick++
-	set := u.resident[key]
-	if set != nil {
-		for i := range set.ways {
-			w := &set.ways[i]
-			if w.valid && w.id == id {
-				if write {
-					w.dirty = true
-				}
-				w.use = u.tick
-				mispredict = len(set.ways) > 1 && int(set.mru) != i
-				set.mru = uint8(i)
-				return true, resWay{}, mispredict
-			}
+	use := u.tick << useShift
+	if write {
+		use |= wayDirty
+	}
+	ways, m := t.set(i)
+	for j := range ways {
+		w := &ways[j]
+		if w.valid() && w.id == id {
+			w.word = use | w.word&wayDirty | wayValid
+			mispredict = len(ways) > 1 && int(m.mru) != j
+			m.mru = uint8(j)
+			return true, resWay{}, mispredict
 		}
 	}
-	if !install {
-		return false, resWay{}, false
-	}
-	if set == nil {
-		set = &resSet{ways: make([]resWay, ways)}
-		u.resident[key] = set
-	}
 	vi := -1
-	for i := range set.ways {
-		if !set.ways[i].valid {
-			vi = i
+	for j := range ways {
+		if !ways[j].valid() {
+			vi = j
 			break
 		}
 	}
 	if vi < 0 {
 		if lru {
 			vi = 0
-			for i := 1; i < len(set.ways); i++ {
-				if set.ways[i].use < set.ways[vi].use {
-					vi = i
+			for j := 1; j < len(ways); j++ {
+				if ways[j].word < ways[vi].word {
+					vi = j
 				}
 			}
 		} else {
-			vi = int(set.rr) % len(set.ways)
-			set.rr++
+			vi = int(m.rr) % len(ways)
+			m.rr++
 		}
-		victim = set.ways[vi]
+		victim = ways[vi]
 	}
-	set.ways[vi] = resWay{id: id, use: u.tick, valid: true, dirty: write}
-	set.mru = uint8(vi)
+	ways[vi] = resWay{id: id, word: use | wayValid}
+	m.mru = uint8(vi)
 	return false, victim, false
-}
-
-// dropStream removes every resident item of sid, returning the item count
-// and how many were dirty.
-func (u *unitState) dropStream(sid stream.ID) (items, dirty int) {
-	for k, set := range u.resident {
-		if k.sid != sid {
-			continue
-		}
-		for _, w := range set.ways {
-			if w.valid {
-				items++
-				if w.dirty {
-					dirty++
-				}
-			}
-		}
-		delete(u.resident, k)
-	}
-	return items, dirty
 }

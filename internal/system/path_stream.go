@@ -19,7 +19,8 @@ type streamPath struct {
 // Access serves the access issued by core at time t and returns its
 // completion time, the level that supplied the data, and its stream.
 func (p *streamPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time, telemetry.Level, stream.ID) {
-	lk := p.sc.Lookup(core, a.Addr, a.Write)
+	var lk streamcache.Lookup
+	p.sc.Lookup(core, a.Addr, a.Write, &lk)
 
 	m := t
 	t += p.clock.Cycles(p.cfg.SLBLatCycles)

@@ -23,20 +23,29 @@ func NewBuilder(name string, cores, accessesPerCore int) *Builder {
 // Affine allocates a data structure of count elements and registers it as
 // a flat affine stream (sequential/strided access pattern).
 func (bl *Builder) Affine(count int, elemSize uint32) *stream.Stream {
-	return bl.b.affine(count, elemSize)
+	return bl.check(bl.b.affine(count, elemSize))
 }
 
 // Affine2D allocates a 2-D affine stream of lenX x lenY elements with an
 // explicit access order (e.g. stream.OrderYXZ for column-major access to
 // row-major storage).
 func (bl *Builder) Affine2D(lenX, lenY int, elemSize uint32, order stream.Order) *stream.Stream {
-	return bl.b.affine2D(lenX, lenY, elemSize, order)
+	return bl.check(bl.b.affine2D(lenX, lenY, elemSize, order))
 }
 
 // Indirect allocates a data structure of count elements accessed
 // data-dependently (addr = s[i]) and registers it as an indirect stream.
 func (bl *Builder) Indirect(count int, elemSize uint32) *stream.Stream {
-	return bl.b.indirect(count, elemSize)
+	return bl.check(bl.b.indirect(count, elemSize))
+}
+
+// check returns s, or panics with the build's error: an invalid stream
+// is a programming error in a custom workload.
+func (bl *Builder) check(s *stream.Stream) *stream.Stream {
+	if bl.b.err != nil {
+		panic(bl.b.err.Error())
+	}
+	return s
 }
 
 // Read emits a read of element idx of s on the given core; gap is the
@@ -54,4 +63,10 @@ func (bl *Builder) Write(core int, s *stream.Stream, idx int, gap uint8) {
 func (bl *Builder) Full(core int) bool { return bl.b.full(core) }
 
 // Build finalizes the trace.
-func (bl *Builder) Build() *Trace { return bl.b.trace() }
+func (bl *Builder) Build() *Trace {
+	t, err := bl.b.trace()
+	if err != nil {
+		panic(err.Error())
+	}
+	return t
+}

@@ -142,7 +142,7 @@ func PageRank(cores int, seed uint64, sc Scale) (*Trace, error) {
 			copy(ranks, next)
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // BFS is the GAP breadth-first search: frontier expansion with indirect
@@ -188,7 +188,7 @@ func BFS(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // CC is connected components via label propagation over an undirected
@@ -233,7 +233,7 @@ func CC(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // BC is one-source betweenness centrality: a forward BFS accumulating
@@ -301,7 +301,7 @@ func BC(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // TC counts triangles by adjacency-list intersection: a streaming scan of
@@ -354,5 +354,5 @@ func TC(cores int, seed uint64, sc Scale) (*Trace, error) {
 			_ = triangles
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }

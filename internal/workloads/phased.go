@@ -67,5 +67,5 @@ func Phased(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }

@@ -61,7 +61,7 @@ func Backprop(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // Hotspot is the Rodinia thermal stencil: a 5-point sweep over the
@@ -121,7 +121,7 @@ func Hotspot(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // LavaMD is the Rodinia molecular-dynamics kernel: particles live in a
@@ -167,7 +167,7 @@ func LavaMD(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // LUD is the Rodinia LU decomposition over a dense matrix: row sweeps,
@@ -209,7 +209,7 @@ func LUD(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // Pathfinder is the Rodinia dynamic-programming kernel: the wall matrix
@@ -247,5 +247,5 @@ func Pathfinder(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }

@@ -52,7 +52,7 @@ func Recsys(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // MV is dense matrix-vector multiplication: the matrix streams through
@@ -81,7 +81,7 @@ func MV(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }
 
 // GNN is one graph-convolution layer as sparse-dense matrix
@@ -124,5 +124,5 @@ func GNN(cores int, seed uint64, sc Scale) (*Trace, error) {
 			}
 		}
 	}
-	return b.trace(), nil
+	return b.trace()
 }

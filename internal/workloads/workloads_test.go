@@ -434,3 +434,35 @@ func TestGraphScaleBound(t *testing.T) {
 		t.Errorf("pr at scale %g: trace %v, error %v; want %v", over.Mult, tr != nil, err, want)
 	}
 }
+
+// TestStreamErrorsAreReturned: a stream the remap table cannot hold is
+// the generator's error, not a panic. mv at scale 4000 is within the
+// graph bound but its matrix passes 2^48 bytes; a builder that runs out
+// of stream IDs fails the same way. Once failed, a build emits nothing.
+func TestStreamErrorsAreReturned(t *testing.T) {
+	tr, err := MV(16, 1, Scale{Mult: 4000, AccessesPerCore: 100, CoresPerProc: 16})
+	if tr != nil || err == nil || !strings.Contains(err.Error(), "workloads mv: stream 1: base/size exceed 48-bit fields") {
+		t.Fatalf("mv at scale 4000: trace %v, err %v", tr != nil, err)
+	}
+	b := newBuilder("many", 1, Scale{AccessesPerCore: 10})
+	for i := 0; i < stream.MaxStreams; i++ {
+		b.read(0, b.affine(1, 8), 0, 0)
+	}
+	if !b.full(0) {
+		t.Fatal("a failed build still accepts accesses")
+	}
+	if _, err := b.trace(); err == nil || !strings.Contains(err.Error(), "workloads many: stream: sid 511 exceeds 9-bit limit") {
+		t.Fatalf("stream IDs exhausted: err %v", err)
+	}
+}
+
+// TestBuilderPanicsOnInvalidStream: the public Builder keeps its
+// construction-time panic for a stream that cannot be registered.
+func TestBuilderPanicsOnInvalidStream(t *testing.T) {
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(p.(string), "48-bit") {
+			t.Fatalf("recovered %v, want the 48-bit field error", p)
+		}
+	}()
+	NewBuilder("big", 1, 10).Affine(1<<46, 8)
+}
