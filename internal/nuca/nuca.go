@@ -113,14 +113,14 @@ type Controller struct {
 	unitRows uint32
 	table    *stream.Table
 
-	// Allocations, epoch counters, and per-stream stats are dense arrays
-	// indexed by sid (with one extra slot for miscSID), so the per-access
-	// Lookup pays plain loads instead of map probes.
+	// Allocations and per-stream stats are dense arrays indexed by sid
+	// (with one extra slot for miscSID), so the per-access Lookup pays
+	// plain loads instead of map probes.
 	allocs   []streamcache.Allocation
 	hasAlloc []bool
 	places   []placement    // per sid: index and line table of allocs[sid]
 	meta     []*cache.Cache // per-unit metadata caches
-	epochAcc [][]uint64     // [unit][sid]
+	acc      *streamcache.AccessCounts
 	stats    Stats
 	perSID   []streamcache.StreamStats
 }
@@ -197,12 +197,12 @@ func NewController(kind Kind, p Params, numUnits int, unitRows uint32, tbl *stre
 		hasAlloc: make([]bool, sidSlots),
 		places:   make([]placement, sidSlots),
 		perSID:   make([]streamcache.StreamStats, sidSlots),
+		acc:      streamcache.NewAccessCounts(numUnits),
 	}
 	for i := 0; i < numUnits; i++ {
 		// The metadata cache is keyed by metadata-block index: one entry
 		// per MetaBlockBytes of data.
 		c.meta = append(c.meta, cache.New(p.MetaEntries(), 1, p.MetaCacheAssoc))
-		c.epochAcc = append(c.epochAcc, make([]uint64, sidSlots))
 	}
 	if kind == StaticInterleave {
 		c.install(miscSID, interleavedAllocation(numUnits, unitRows))
@@ -291,7 +291,7 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 
 	sid := miscSID
 	if s := c.table.FindByAddr(addr); s != nil {
-		c.epochAcc[unit][s.SID]++
+		c.acc.Add(unit, s.SID)
 		// Static interleave caches every stream in its one partition
 		// and counts their accesses for analysis only.
 		if c.kind != StaticInterleave {
@@ -335,11 +335,11 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool) Lookup {
 			*e |= lineDirty
 		}
 		c.stats.Hits++
-		c.sidStats(sid).Hits++
+		c.perSID[sid].Hits++
 		return r
 	}
 	c.stats.Misses++
-	c.sidStats(sid).Misses++
+	c.perSID[sid].Misses++
 	r.FetchBytes = c.params.LineBytes
 	if *e&lineDirty != 0 {
 		r.WritebackBytes = c.params.LineBytes
@@ -424,21 +424,10 @@ func (c *Controller) Apply(newAllocs map[stream.ID]streamcache.Allocation) (stre
 	return rs, nil
 }
 
-// EpochAccesses returns and clears the per-unit stream access counts.
-func (c *Controller) EpochAccesses() []map[stream.ID]uint64 {
-	out := make([]map[stream.ID]uint64, c.numUnits)
-	for i := range c.epochAcc {
-		m := make(map[stream.ID]uint64)
-		for sid, n := range c.epochAcc[i] {
-			if n != 0 {
-				m[stream.ID(sid)] = n
-				c.epochAcc[i][sid] = 0
-			}
-		}
-		out[i] = m
-	}
-	return out
-}
+// EpochAccesses returns the live access counts Lookup adds to, by the
+// stream an access belongs to (never the misc partition); the caller
+// clears them when it starts a new epoch.
+func (c *Controller) EpochAccesses() *streamcache.AccessCounts { return c.acc }
 
 // Stats returns a copy of the aggregate counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -465,8 +454,4 @@ func (c *Controller) StreamStatsFor(sid stream.ID) streamcache.StreamStats {
 		return streamcache.StreamStats{}
 	}
 	return c.perSID[sid]
-}
-
-func (c *Controller) sidStats(sid stream.ID) *streamcache.StreamStats {
-	return &c.perSID[sid]
 }

@@ -298,11 +298,14 @@ func TestEpochAccessesTracking(t *testing.T) {
 	c.Lookup(3, 0x100000, false)
 	c.Lookup(3, 0x200000, false)
 	acc := c.EpochAccesses()
-	if acc[3][1] != 1 || acc[3][2] != 1 {
-		t.Fatalf("epoch accesses = %v", acc[3])
+	if acc.Of(1)[3] != 1 || acc.Of(2)[3] != 1 {
+		t.Fatalf("epoch accesses = %v, %v", acc.Of(1), acc.Of(2))
 	}
-	if acc2 := c.EpochAccesses(); len(acc2[3]) != 0 {
-		t.Fatal("epoch accesses not reset")
+	acc.Reset()
+	for sid := stream.ID(0); sid < stream.MaxStreams; sid++ {
+		if n := c.EpochAccesses().Of(sid)[3]; n != 0 {
+			t.Fatalf("epoch accesses not reset: stream %d counts %d", sid, n)
+		}
 	}
 }
 

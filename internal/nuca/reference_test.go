@@ -364,17 +364,18 @@ func TestLookupMatchesReference(t *testing.T) {
 			}
 			cfg := confIn(numUnits, unitRows)
 			var ins []policy.StreamInput
-			perUnit := p.got.EpochAccesses()
+			counts := p.got.EpochAccesses()
 			for sid := stream.ID(1); sid <= 2; sid++ {
 				in := policy.StreamInput{SID: sid, Acc: map[int]uint64{}, ReadOnly: sid == 2}
 				var acc uint64
 				for u := 0; u < numUnits; u += 1 + epoch%3 {
-					in.Acc[u] = perUnit[u][sid]
-					acc += perUnit[u][sid]
+					in.Acc[u] = counts.Of(sid)[u]
+					acc += counts.Of(sid)[u]
 				}
 				in.Curve = curveWS(int64(64<<10)*int64(sid), 0.1, acc)
 				ins = append(ins, in)
 			}
+			counts.Reset()
 			allocs, err := Configure(kind, cfg, ins)
 			if err != nil {
 				t.Fatal(err)

@@ -77,7 +77,7 @@ func TestCurveCapturesZipfSkew(t *testing.T) {
 	// A skewed workload hits even at small capacity (the hot head fits).
 	s := New(cfg(), 64)
 	rng := sim.NewRNG(2)
-	z := sim.NewZipf(rng, 1<<16, 1.2)
+	z := sim.NewZipfTable(1<<16, 1.2).Sampler(rng)
 	for i := 0; i < 300000; i++ {
 		s.Observe(uint64(z.Next()))
 	}

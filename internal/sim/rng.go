@@ -100,18 +100,18 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Zipf samples integers in [0, n) with probability proportional to
-// 1/(i+1)^s using precomputed cumulative weights. Create one with NewZipf.
-type Zipf struct {
-	rng *RNG
+// ZipfTable is the cumulative weight table of a Zipf distribution over
+// [0, n): probability proportional to 1/(i+1)^s. It is read-only once
+// built, so samplers over any number of RNGs can share one.
+type ZipfTable struct {
 	cum []float64 // cumulative, normalized to cum[n-1] == 1
 }
 
-// NewZipf builds a Zipf sampler over [0, n) with exponent s > 0.
+// NewZipfTable builds the table over [0, n) with exponent s > 0.
 // It panics if n <= 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
+func NewZipfTable(n int, s float64) *ZipfTable {
 	if n <= 0 {
-		panic("sim: NewZipf called with n <= 0")
+		panic("sim: NewZipfTable called with n <= 0")
 	}
 	cum := make([]float64, n)
 	total := 0.0
@@ -122,7 +122,16 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &Zipf{rng: rng, cum: cum}
+	return &ZipfTable{cum: cum}
+}
+
+// Sampler returns a sampler that draws from t with rng.
+func (t *ZipfTable) Sampler(rng *RNG) *Zipf { return &Zipf{rng: rng, cum: t.cum} }
+
+// Zipf samples integers from a ZipfTable's distribution.
+type Zipf struct {
+	rng *RNG
+	cum []float64 // the table's, shared
 }
 
 // Next returns the next Zipf-distributed sample.

@@ -132,7 +132,7 @@ func TestPermIsPermutation(t *testing.T) {
 
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(13)
-	z := NewZipf(r, 1000, 1.0)
+	z := NewZipfTable(1000, 1.0).Sampler(r)
 	counts := make([]int, 1000)
 	for i := 0; i < 100000; i++ {
 		counts[z.Next()]++
@@ -150,10 +150,10 @@ func TestZipfSkew(t *testing.T) {
 func TestZipfPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewZipf(n=0) did not panic")
+			t.Fatal("NewZipfTable(n=0) did not panic")
 		}
 	}()
-	NewZipf(NewRNG(1), 0, 1.0)
+	NewZipfTable(0, 1.0)
 }
 
 func TestTimeConversions(t *testing.T) {

@@ -26,6 +26,7 @@ type Controller struct {
 	rings      [][]*ring    // by sid, then by group ID (nil = no ring)
 	res        [][]resTable // by sid, then unit; nil until sid's first allocation
 	units      []*unitState
+	acc        *AccessCounts
 	stats      Stats
 	perSID     []StreamStats // by sid
 }
@@ -81,9 +82,10 @@ func NewController(p Params, numUnits int, tbl *stream.Table, consistent bool) *
 		rings:      make([][]*ring, stream.MaxStreams),
 		res:        make([][]resTable, stream.MaxStreams),
 		perSID:     make([]StreamStats, stream.MaxStreams),
+		acc:        NewAccessCounts(numUnits),
 	}
 	for i := 0; i < numUnits; i++ {
-		c.units = append(c.units, newUnitState(p.SLBEntries))
+		c.units = append(c.units, &unitState{slb: newSLB(p.SLBEntries)})
 	}
 	return c
 }
@@ -131,7 +133,7 @@ type Lookup struct {
 	// pays a second DRAM access to find the right way.
 	WayMispredict bool
 	FetchBytes    int // bytes fetched from extended memory on a miss
-	AccessBytes   int // bytes moved between requester and home on this access
+	ItemBytes     int // the item's data: an affine block or an indirect element
 
 	WritebackBytes int // dirty victim written back to extended memory
 
@@ -154,11 +156,10 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool, r *Lookup) {
 	}
 	r.SID = s.SID
 	r.Affine = s.Type == stream.Affine
-	us := c.units[unit]
-	us.epochAcc[s.SID]++
+	c.acc.Add(unit, s.SID)
 
 	// Requester-side SLB.
-	if !us.slb.access(s.SID) {
+	if !c.units[unit].slb.access(s.SID) {
 		r.SLBMissLocal = true
 		c.stats.SLBMisses++
 	} else {
@@ -184,6 +185,7 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool, r *Lookup) {
 		r.ItemID = elem * uint64(s.ElemSize) / uint64(c.params.BlockBytes)
 		itemBytes = c.params.BlockBytes
 	}
+	r.ItemBytes = itemBytes
 
 	alloc := &c.allocs[s.SID]
 	var rg *ring
@@ -196,14 +198,13 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool, r *Lookup) {
 		r.Home = unit
 		r.FetchBytes = itemBytes
 		c.stats.NoSpace++
-		c.streamStats(s.SID).Misses++
+		c.perSID[s.SID].Misses++
 		return
 	}
 
 	sp := rg.locate(s.SID, r.ItemID)
 	r.Home = int(sp.unit)
 	r.HomeRow = int64(alloc.RowBase[sp.unit]) + int64(sp.ord)
-	r.AccessBytes = min(itemBytes, 64) // request/response granule on the NoC
 
 	// Home-side SLB (the paper looks up the SLB again at the destination
 	// to obtain the remap row base).
@@ -223,7 +224,7 @@ func (c *Controller) Lookup(unit int, addr uint64, write bool, r *Lookup) {
 	if c.params.WayPredict && !r.Affine {
 		r.WayMispredict = mispredict
 	}
-	ss := c.streamStats(s.SID)
+	ss := &c.perSID[s.SID]
 	if hit {
 		c.stats.Hits++
 		ss.Hits++
@@ -302,11 +303,6 @@ func (c *Controller) handleWriteException(s *stream.Stream) int {
 	c.rebuildRings(s.SID, alloc)
 	c.invalidateSLBs(s.SID)
 	return invalidated
-}
-
-// streamStats returns the per-stream counters.
-func (c *Controller) streamStats(sid stream.ID) *StreamStats {
-	return &c.perSID[sid]
 }
 
 // rebuildRings reconstructs the consistent-hash rings of sid for alloc.
@@ -435,16 +431,37 @@ func (c *Controller) keepSurvivors(rs *ReconfigStats, sid stream.ID, u int, next
 	}
 }
 
-// EpochAccesses returns, per unit, the access counts by stream for the
-// current epoch (the hardware bitvector of §V-B enriched with counts),
-// and clears the epoch state.
-func (c *Controller) EpochAccesses() []map[stream.ID]uint64 {
-	out := make([]map[stream.ID]uint64, c.numUnits)
-	for i, u := range c.units {
-		out[i] = u.harvestEpochAcc()
-	}
-	return out
+// EpochAccesses returns the live access counts Lookup adds to; the
+// caller clears them when it starts a new epoch.
+func (c *Controller) EpochAccesses() *AccessCounts { return c.acc }
+
+// AccessCounts counts one epoch's accesses by stream and NDP unit: each
+// unit's 512-bit accessed-stream bitvector (§V-B) enriched with counts,
+// which the configuration algorithm also uses as placement weights. Both
+// DRAM-cache controllers count into one from Lookup, where they resolve
+// the stream; the host runtime reads it in place at each epoch boundary
+// and then clears it.
+type AccessCounts struct {
+	units int
+	n     []uint64 // stream-major: n[sid*units+unit]
 }
+
+// NewAccessCounts returns zeroed counts over units NDP units.
+func NewAccessCounts(units int) *AccessCounts {
+	return &AccessCounts{units: units, n: make([]uint64, stream.MaxStreams*units)}
+}
+
+// Add counts one access to sid from unit.
+func (a *AccessCounts) Add(unit int, sid stream.ID) { a.n[int(sid)*a.units+unit]++ }
+
+// Of returns sid's counts by unit. The slice aliases the counts.
+func (a *AccessCounts) Of(sid stream.ID) []uint64 {
+	i := int(sid) * a.units
+	return a.n[i : i+a.units]
+}
+
+// Reset clears every count.
+func (a *AccessCounts) Reset() { clear(a.n) }
 
 // Stats returns a copy of the aggregate statistics.
 func (c *Controller) Stats() Stats { return c.stats }

@@ -183,6 +183,7 @@ func (c *refController) Lookup(unit int, addr uint64, write bool) Lookup {
 		r.ItemID = elem * uint64(s.ElemSize) / uint64(c.params.BlockBytes)
 		itemBytes = c.params.BlockBytes
 	}
+	r.ItemBytes = itemBytes
 	alloc := c.allocs[s.SID]
 	var rg *ring
 	if c.hasAlloc[s.SID] {
@@ -199,7 +200,6 @@ func (c *refController) Lookup(unit int, addr uint64, write bool) Lookup {
 	sp := refLocate(rg, s.SID, r.ItemID)
 	r.Home = int(sp.unit)
 	r.HomeRow = int64(alloc.RowBase[sp.unit]) + int64(sp.ord)
-	r.AccessBytes = min(itemBytes, 64)
 	if r.Home != unit {
 		if !c.units[r.Home].slb.access(s.SID) {
 			r.SLBMissHome = true

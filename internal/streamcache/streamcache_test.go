@@ -419,12 +419,20 @@ func TestEpochAccessesResets(t *testing.T) {
 	lookup(c, 2, aff.Base, false)
 	lookup(c, 2, aff.Base, false)
 	acc := c.EpochAccesses()
-	if acc[2][aff.SID] != 2 {
-		t.Fatalf("epoch access count = %d, want 2", acc[2][aff.SID])
+	if n := acc.Of(aff.SID)[2]; n != 2 {
+		t.Fatalf("epoch access count = %d, want 2", n)
 	}
-	acc = c.EpochAccesses()
-	if len(acc[2]) != 0 {
-		t.Fatal("EpochAccesses did not reset")
+	acc.Reset()
+	for sid := stream.ID(0); sid < stream.MaxStreams; sid++ {
+		for u, n := range c.EpochAccesses().Of(sid) {
+			if n != 0 {
+				t.Fatalf("EpochAccesses did not reset: stream %d unit %d counts %d", sid, u, n)
+			}
+		}
+	}
+	lookup(c, 1, aff.Base, false)
+	if n := c.EpochAccesses().Of(aff.SID)[1]; n != 1 {
+		t.Fatalf("count after reset = %d, want 1", n)
 	}
 }
 

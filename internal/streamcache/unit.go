@@ -164,31 +164,6 @@ func (t *resTable) drop() (items, dirty int) {
 type unitState struct {
 	slb  *slbState
 	tick uint64
-	// epochAcc counts accesses per stream this epoch, densely indexed by
-	// sid; it models the 512-bit accessed-stream bitvector (§V-B) with
-	// counts, which the configuration algorithm also uses as placement
-	// weights.
-	epochAcc []uint64
-}
-
-func newUnitState(slbEntries int) *unitState {
-	return &unitState{
-		slb:      newSLB(slbEntries),
-		epochAcc: make([]uint64, stream.MaxStreams),
-	}
-}
-
-// harvestEpochAcc converts the dense epoch counters into the sparse map
-// the host runtime consumes, and clears them for the next epoch.
-func (u *unitState) harvestEpochAcc() map[stream.ID]uint64 {
-	out := make(map[stream.ID]uint64)
-	for sid, n := range u.epochAcc {
-		if n != 0 {
-			out[stream.ID(sid)] = n
-			u.epochAcc[sid] = 0
-		}
-	}
-	return out
 }
 
 // lookup finds id in set i of t, one of this unit's tables, and on a

@@ -4,10 +4,9 @@
 // (the paper's proposal), NDPExt-static, the NUCA baselines (Jigsaw,
 // Whirlpool, Nexus, static interleaving), and the non-NDP host processor.
 //
-// Capacities are scaled down from the paper (configurable via
-// CapacityDivisor) so that runs complete in seconds while footprints keep
-// the same ratio to cache capacity; timing and energy constants are the
-// paper's own.
+// Capacities are the paper's divided by the constant CapacityDivisor, so
+// that runs complete in seconds while footprints keep the same ratio to
+// cache capacity; timing and energy constants are the paper's own.
 package system
 
 import (
@@ -280,10 +279,10 @@ type EpochInfo struct {
 // parameters.
 func DefaultConfig(d Design) Config {
 	rowBytes := 2048
-	unitRows := uint32(256 << 10 / rowBytes) // 256 kB per unit at model scale
+	unitRows := uint32(256 << 20 / CapacityDivisor / rowBytes)
 	sp := streamcache.DefaultParams()
 	sp.RowBytes = rowBytes
-	sp.AffineCapBytes = 16 << 10 // 16 MB / CapacityDivisor
+	sp.AffineCapBytes /= CapacityDivisor
 	unitBytes := int64(unitRows) * int64(rowBytes)
 	sc := sampler.DefaultConfig(unitBytes)
 	sc.MinBytes = 4 << 10
@@ -320,7 +319,7 @@ func DefaultConfig(d Design) Config {
 		WriteExceptionLat: sim.Microsecond,
 
 		HostCores:    64,
-		HostLLCBytes: 32 << 10, // 32 MB / CapacityDivisor
+		HostLLCBytes: 32 << 20 / CapacityDivisor,
 		HostLLCAssoc: 16,
 		HostLLCLat:   9,
 		HostNoCLat:   3,

@@ -185,7 +185,7 @@ func TestOnEpochHook(t *testing.T) {
 	if infos[0].Epoch != 1 {
 		t.Fatalf("first epoch = %d", infos[0].Epoch)
 	}
-	reconfigs := 0
+	reconfigs, kept, dropped := 0, 0, 0
 	for _, e := range infos {
 		if e.Reconfigured {
 			reconfigs++
@@ -193,9 +193,15 @@ func TestOnEpochHook(t *testing.T) {
 		if e.ActiveStreams < 0 {
 			t.Fatal("negative stream count")
 		}
+		kept += e.ItemsKept
+		dropped += e.ItemsDropped
 	}
 	if reconfigs != res.Reconfigs {
 		t.Fatalf("hook saw %d reconfigs, result says %d", reconfigs, res.Reconfigs)
+	}
+	if kept != res.ReconfigKept || dropped != res.ReconfigDropped {
+		t.Fatalf("hook saw %d kept / %d dropped items, result says %d / %d",
+			kept, dropped, res.ReconfigKept, res.ReconfigDropped)
 	}
 	// The hook must not change the simulation outcome.
 	plain := smallConfig(NDPExt)
@@ -236,9 +242,10 @@ func TestOnEpochCountersPartitionAccesses(t *testing.T) {
 	for _, in := range ins {
 		cfg := faultConfig(t, in.d, in.faults)
 		cfg.FaultSeed = in.faultSeed
-		epochs := 0
+		epochs, remapped := 0, 0
 		cfg.OnEpoch = func(e EpochInfo) {
 			epochs++
+			remapped += e.RemappedStreams
 			c := e.Counters
 			if got := c.L1Hits + c.CacheHits + c.CacheMisses; got != c.Accesses {
 				t.Errorf("%v %q epoch %d: l1 %d + hits %d + misses %d = %d, want %d accesses",
@@ -257,6 +264,11 @@ func TestOnEpochCountersPartitionAccesses(t *testing.T) {
 		}
 		if got := res.L1Hits + res.CacheHits + res.CacheMisses; got != res.Accesses {
 			t.Errorf("%v %q result: %d classified, %d accesses", in.d, in.faults, got, res.Accesses)
+		}
+		if in.faults != "" {
+			if want := res.Metrics().Uint("fault.remapped_streams"); uint64(remapped) != want {
+				t.Errorf("%v %q: OnEpoch remap total %d, fault.remapped_streams %d", in.d, in.faults, remapped, want)
+			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package system
 
 import (
-	"sort"
-
 	"ndpext/internal/maxflow"
 	"ndpext/internal/policy"
 	"ndpext/internal/sampler"
@@ -53,21 +51,22 @@ func onFailedUnits(a streamcache.Allocation, failed []int) bool {
 // string of extended-memory refetches). A stream whose installed
 // allocation holds rows on a failed vault is never damped — keeping it
 // would strand the stream on failed hardware — and installing its
-// rebuilt allocation counts as a fault remap.
-func (s *ndpSim) damp(allocs map[stream.ID]streamcache.Allocation, failed []int) {
+// rebuilt allocation counts as a fault remap; damp returns that count.
+func (s *ndpSim) damp(allocs map[stream.ID]streamcache.Allocation, failed []int) (remapped int) {
 	for sid, a := range allocs {
 		old, had := s.ctl.Allocation(sid)
 		if !had {
 			continue
 		}
 		if onFailedUnits(old, failed) {
-			s.tel.FaultRemappedStreams++
+			remapped++
 			continue
 		}
 		if allocationsClose(old, a) {
 			delete(allocs, sid)
 		}
 	}
+	return remapped
 }
 
 // policyConfig builds the Algorithm 1 configuration for this machine.
@@ -195,7 +194,7 @@ func (s *ndpSim) equalPartitions() (map[stream.ID]streamcache.Allocation, error)
 }
 
 // optimize is NDPExt's configure step: Algorithm 1.
-func (s *ndpSim) optimize(pcfg policy.Config, ins []policy.StreamInput, _ map[stream.ID]uint64) (epochConfig, error) {
+func (s *ndpSim) optimize(pcfg policy.Config, ins []policy.StreamInput) (epochConfig, error) {
 	allocs, rep, err := policy.Optimize(pcfg, ins)
 	if err != nil {
 		return epochConfig{}, err
@@ -208,7 +207,7 @@ func (s *ndpSim) optimize(pcfg policy.Config, ins []policy.StreamInput, _ map[st
 // allocation to install, scoring every candidate against this epoch's
 // curves. It runs on the event-loop thread, never on the epoch worker —
 // that is what keeps the pick sequence deterministic.
-func (s *ndpSim) decide(pcfg policy.Config, ins []policy.StreamInput, totals map[stream.ID]uint64) (epochConfig, error) {
+func (s *ndpSim) decide(pcfg policy.Config, ins []policy.StreamInput) (epochConfig, error) {
 	live := make(map[stream.ID]streamcache.Allocation, len(ins))
 	for i := range ins {
 		if a, ok := s.ctl.Allocation(ins[i].SID); ok {
@@ -216,8 +215,8 @@ func (s *ndpSim) decide(pcfg policy.Config, ins []policy.StreamInput, totals map
 		}
 	}
 	var epochAcc uint64
-	for _, n := range totals {
-		epochAcc += n
+	for i := range s.streams {
+		epochAcc += s.streams[i].acc
 	}
 	dec, err := s.adapt.Decide(pcfg, ins, live, epochAcc)
 	if err != nil {
@@ -319,51 +318,14 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 		}
 		return
 	}
-	remappedBefore := s.tel.FaultRemappedStreams
-	reconfigsBefore := s.tel.Reconfigs
-	keptBefore := s.tel.ReconfigKept
-	droppedBefore := s.tel.ReconfigDropped
-	acc := s.ctl.EpochAccesses()
-
-	totals := make(map[stream.ID]uint64)
-	accBy := make(map[stream.ID]map[int]uint64)
-	for u, m := range acc {
-		for sid, n := range m {
-			totals[sid] += n
-			if accBy[sid] == nil {
-				accBy[sid] = make(map[int]uint64)
-			}
-			accBy[sid][u] += n
-		}
-	}
-
-	// Exponentially decayed access history: the configuration covers all
-	// recently active streams (not just this epoch's), so capacity
-	// accounting stays globally consistent and phase changes (backprop)
-	// do not strand streams without space.
-	if s.hist == nil {
-		s.hist = make(map[stream.ID]map[int]float64)
-	}
-	for sid, m := range s.hist {
-		for u := range m {
-			m[u] *= 0.5
-			if m[u] < 0.5 {
-				delete(m, u)
-			}
-		}
-		if len(m) == 0 {
-			delete(s.hist, sid)
-		}
-	}
-	for sid, m := range accBy {
-		h := s.hist[sid]
-		if h == nil {
-			h = make(map[int]float64)
-			s.hist[sid] = h
-		}
-		for u, n := range m {
-			h[u] += float64(n)
-		}
+	// Fold the epoch's access bitvectors into every stream's exponentially
+	// decayed history: the configuration covers all recently active
+	// streams (not just this epoch's), so capacity accounting stays
+	// globally consistent and phase changes (backprop) do not strand
+	// streams without space.
+	counts := s.ctl.EpochAccesses()
+	for sid := range s.streams {
+		s.streams[sid].fold(counts.Of(stream.ID(sid)))
 	}
 
 	// Harvest miss curves: the global sampler (home-set view, all
@@ -375,53 +337,55 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 	s.tel.Observes = rep.observes
 	s.tel.SamplerCovered = rep.covered
 	for _, h := range rep.global {
-		h.cv.Accesses = totals[h.sid]
-		s.curves[h.sid] = h.cv
+		r := &s.streams[h.sid]
+		h.cv.Accesses = r.acc
+		r.curve = h.cv
 	}
 	for _, h := range rep.local {
-		h.cv.Accesses = totals[h.sid]
-		s.localCurves[h.sid] = h.cv
+		r := &s.streams[h.sid]
+		h.cv.Accesses = r.acc
+		r.local = h.cv
 	}
 
 	// Build the configuration inputs from the decayed history (covers
 	// every recently active stream).
-	histSIDs := make([]stream.ID, 0, len(s.hist))
-	for sid := range s.hist {
-		histSIDs = append(histSIDs, sid)
-	}
-	sort.Slice(histSIDs, func(i, j int) bool { return histSIDs[i] < histSIDs[j] })
 	var ins []policy.StreamInput
-	for _, sid := range histSIDs {
-		st := s.table.Get(sid)
-		if st == nil {
+	for sid := range s.streams {
+		r := &s.streams[sid]
+		if r.units == 0 {
 			continue
 		}
-		cv, ok := s.curves[sid]
-		if !ok {
-			cv = defaultCurve(st)
+		cv := r.curve
+		if len(cv.Points) == 0 {
+			cv = defaultCurve(r.st)
 		}
-		accMap := make(map[int]uint64, len(s.hist[sid]))
-		for u, w := range s.hist[sid] {
-			accMap[u] = uint64(w)
+		acc := make(map[int]uint64, r.units)
+		for u, w := range r.hist {
+			if w > 0 {
+				acc[u] = uint64(w)
+			}
 		}
 		prevGroups := 0
-		if a, ok := s.ctl.Allocation(sid); ok {
+		if a, ok := s.ctl.Allocation(r.st.SID); ok {
 			prevGroups = len(a.GroupIDs())
 		}
 		ins = append(ins, policy.StreamInput{
-			SID:        sid,
+			SID:        r.st.SID,
 			Curve:      cv,
-			LocalCurve: s.localCurves[sid],
-			Acc:        accMap,
-			ReadOnly:   st.ReadOnly,
-			Affine:     st.Type == stream.Affine,
-			Footprint:  s.ctl.Footprint(st),
+			LocalCurve: r.local,
+			Acc:        acc,
+			ReadOnly:   r.st.ReadOnly,
+			Affine:     r.st.Type == stream.Affine,
+			Footprint:  s.ctl.Footprint(r.st),
 			PrevGroups: prevGroups,
 		})
 	}
 
 	var dec epochConfig
-	if s.shouldReconfig() && len(ins) > 0 {
+	var rs streamcache.ReconfigStats
+	remapped := 0
+	reconfigured := s.shouldReconfig() && len(ins) > 0
+	if reconfigured {
 		s.tel.Reconfigs++
 		pcfg := s.policyConfig()
 		if s.inj != nil {
@@ -432,12 +396,12 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 			pcfg.MissLatNS *= s.inj.CXLBWFactor(at)
 		}
 		var err error
-		if dec, err = s.configure(pcfg, ins, totals); err != nil {
+		if dec, err = s.configure(pcfg, ins); err != nil {
 			panic(err)
 		}
-		s.damp(dec.allocs, failed)
-		rs, err := s.ctl.Apply(dec.allocs)
-		if err != nil {
+		remapped = s.damp(dec.allocs, failed)
+		s.tel.FaultRemappedStreams += remapped
+		if rs, err = s.ctl.Apply(dec.allocs); err != nil {
 			panic(err)
 		}
 		if dec.switched {
@@ -459,23 +423,62 @@ func (s *ndpSim) epochBoundary(at sim.Time) {
 	// the injector and the stream table, both owned by the event-loop
 	// thread); it runs on the epoch worker, overlapping the next epoch's
 	// event loop.
-	s.pipe.reassign(s.buildReassignJob(totals, accBy, failed))
+	job := s.buildReassignJob(counts, failed)
+	counts.Reset()
+	s.pipe.reassign(job)
 
 	if s.cfg.OnEpoch != nil {
 		s.cfg.OnEpoch(EpochInfo{
 			Epoch:           s.epoch,
-			ActiveStreams:   len(totals),
-			Reconfigured:    s.tel.Reconfigs > reconfigsBefore,
-			ItemsKept:       s.tel.ReconfigKept - keptBefore,
-			ItemsDropped:    s.tel.ReconfigDropped - droppedBefore,
+			ActiveStreams:   len(job.sids),
+			Reconfigured:    reconfigured,
+			ItemsKept:       rs.ItemsKept,
+			ItemsDropped:    rs.ItemsDropped,
 			SamplerCovered:  rep.covered,
 			Arm:             dec.arm,
 			ArmSwitched:     dec.switched,
 			Degraded:        degraded,
 			FailedUnits:     len(failed),
-			RemappedStreams: s.tel.FaultRemappedStreams - remappedBefore,
+			RemappedStreams: remapped,
 			Counters:        s.tel.Snapshot(s.ctl.CacheCounts()),
 		})
+	}
+}
+
+// streamRecord is what the host runtime keeps of one stream across
+// epochs; ndpSim.streams holds one per stream ID.
+type streamRecord struct {
+	st    *stream.Stream // nil when no stream has this ID
+	hist  []float64      // decayed accesses by unit, 0 = absent; nil until accessed
+	units int            // units present in hist
+	acc   uint64         // accesses in the epoch last folded in
+	// The latest global and per-core miss curves; no points = none yet.
+	curve, local sampler.Curve
+}
+
+// fold halves the history, dropping weights below 0.5, and adds the
+// epoch's access counts by unit.
+func (r *streamRecord) fold(counts []uint64) {
+	r.acc, r.units = 0, 0
+	for _, n := range counts {
+		r.acc += n
+	}
+	if r.hist == nil {
+		if r.acc == 0 {
+			return
+		}
+		r.hist = make([]float64, len(counts))
+	}
+	for u, n := range counts {
+		w := r.hist[u] * 0.5
+		if w < 0.5 {
+			w = 0
+		}
+		w += float64(n)
+		r.hist[u] = w
+		if w > 0 {
+			r.units++
+		}
 	}
 }
 
@@ -532,27 +535,27 @@ type reassignJob struct {
 }
 
 // buildReassignJob snapshots this epoch's access bitvectors and machine
-// state into a reassignment job.
-func (s *ndpSim) buildReassignJob(totals map[stream.ID]uint64, accBy map[stream.ID]map[int]uint64, failed []int) *reassignJob {
+// state into a reassignment job: the streams accessed this epoch, each
+// with the units that accessed it, both ascending.
+func (s *ndpSim) buildReassignJob(counts *streamcache.AccessCounts, failed []int) *reassignJob {
 	j := &reassignJob{
-		sids:     make([]stream.ID, 0, len(totals)),
 		scfg:     s.cfg.Sampler,
 		numUnits: s.cfg.NumUnits(),
 	}
-	for sid := range totals {
-		j.sids = append(j.sids, sid)
-	}
-	sort.Slice(j.sids, func(i, k int) bool { return j.sids[i] < j.sids[k] })
-	j.unitsOf = make([][]int, len(j.sids))
-	j.itemBytes = make([]int, len(j.sids))
-	for i, sid := range j.sids {
-		units := make([]int, 0, len(accBy[sid]))
-		for u := range accBy[sid] {
-			units = append(units, u)
+	for sid := range s.streams {
+		r := &s.streams[sid]
+		if r.acc == 0 {
+			continue
 		}
-		sort.Ints(units)
-		j.unitsOf[i] = units
-		j.itemBytes[i] = s.ctl.ItemBytes(s.table.Get(sid))
+		var units []int
+		for u, n := range counts.Of(r.st.SID) {
+			if n > 0 {
+				units = append(units, u)
+			}
+		}
+		j.sids = append(j.sids, r.st.SID)
+		j.unitsOf = append(j.unitsOf, units)
+		j.itemBytes = append(j.itemBytes, s.ctl.ItemBytes(r.st))
 	}
 	j.caps = make([]int, j.numUnits)
 	for u := range j.caps {

@@ -12,8 +12,7 @@ import (
 // tag -> extended memory on miss.
 type streamPath struct {
 	*pathDeps
-	sc    *streamcache.Controller
-	table *stream.Table
+	sc *streamcache.Controller
 }
 
 // Access serves the access issued by core at time t and returns its
@@ -52,7 +51,7 @@ func (p *streamPath) Access(t sim.Time, core int, a workloads.Access) (sim.Time,
 	if !lk.Affine {
 		// Indirect streams keep the tag with the element and discover a
 		// miss by reading it: one DRAM access before going off-device.
-		r.bytes = int(p.table.Get(lk.SID).ElemSize) + p.cfg.Stream.TagBytes
+		r.bytes = lk.ItemBytes + p.cfg.Stream.TagBytes
 		r.probeTag = true
 	}
 	done, served := p.serveHome(t, core, &r)

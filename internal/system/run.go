@@ -273,9 +273,9 @@ func (b *samplerBank) retire() {
 type cacheController interface {
 	Allocation(sid stream.ID) (streamcache.Allocation, bool)
 	Apply(allocs map[stream.ID]streamcache.Allocation) (streamcache.ReconfigStats, error)
-	// EpochAccesses returns and clears the epoch's per-unit access
-	// counts by stream (the §V-B bitvectors).
-	EpochAccesses() []map[stream.ID]uint64
+	// EpochAccesses returns the live per-unit access counts by stream
+	// (the §V-B bitvectors), which the epoch boundary reads and clears.
+	EpochAccesses() *streamcache.AccessCounts
 	StreamStatsFor(sid stream.ID) streamcache.StreamStats
 	ReportTelemetry(r *telemetry.Registry)
 
@@ -318,7 +318,7 @@ type ndpSim struct {
 	// a NUCA baseline's configurator).
 	ctl       cacheController
 	initial   func() (map[stream.ID]streamcache.Allocation, error)
-	configure func(pcfg policy.Config, ins []policy.StreamInput, totals map[stream.ID]uint64) (epochConfig, error)
+	configure func(pcfg policy.Config, ins []policy.StreamInput) (epochConfig, error)
 
 	tel telemetry.Counters
 
@@ -329,10 +329,8 @@ type ndpSim struct {
 
 	att [][]float64 // attenuation factors for the policy
 
-	curves      map[stream.ID]sampler.Curve   // global curves
-	localCurves map[stream.ID]sampler.Curve   // per-core curves
-	hist        map[stream.ID]map[int]float64 // decayed per-unit access history
-	netLatMemo  map[int]float64               // degree -> mean nearest-replica latency
+	streams    []streamRecord  // by stream ID: access history and curves
+	netLatMemo map[int]float64 // degree -> mean nearest-replica latency
 
 	epoch int
 
@@ -350,12 +348,14 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 		return nil, err
 	}
 	s := &ndpSim{
-		cfg:         cfg,
-		table:       src.Table().Clone(),
-		net:         net,
-		ext:         ext,
-		curves:      make(map[stream.ID]sampler.Curve),
-		localCurves: make(map[stream.ID]sampler.Curve),
+		cfg:     cfg,
+		table:   src.Table().Clone(),
+		net:     net,
+		ext:     ext,
+		streams: make([]streamRecord, stream.MaxStreams),
+	}
+	for _, st := range s.table.All() {
+		s.streams[st.SID].st = st
 	}
 	if s.events, err = newEventLoop(&s.cfg, n, &s.tel); err != nil {
 		return nil, err
@@ -390,7 +390,7 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 	case NDPExt, NDPExtStatic, NDPExtMAB:
 		sc := streamcache.NewController(cfg.Stream, n, s.table, cfg.ConsistentHash)
 		s.ctl = sc
-		s.events.miss = (&streamPath{pathDeps: deps, sc: sc, table: s.table}).Access
+		s.events.miss = (&streamPath{pathDeps: deps, sc: sc}).Access
 		s.initial = func() (map[stream.ID]streamcache.Allocation, error) {
 			return policy.StaticEqual(s.policyConfig(), s.allStreamInputs())
 		}
@@ -409,7 +409,7 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 			// One interleaved partition caches everything.
 			s.initial = func() (map[stream.ID]streamcache.Allocation, error) { return nil, nil }
 		}
-		s.configure = func(pcfg policy.Config, ins []policy.StreamInput, _ map[stream.ID]uint64) (epochConfig, error) {
+		s.configure = func(pcfg policy.Config, ins []policy.StreamInput) (epochConfig, error) {
 			allocs, err := nuca.Configure(kind, pcfg, ins)
 			return epochConfig{allocs: allocs}, err
 		}
@@ -553,7 +553,7 @@ func (s *ndpSim) finishStats() {
 			SID: st.SID, Type: st.Type.String(), ReadOnly: st.ReadOnly, Bytes: st.Size,
 			Hits: ss.Hits, Misses: ss.Misses,
 		}
-		if cv, ok := s.curves[st.SID]; ok {
+		if cv := s.streams[st.SID].curve; len(cv.Points) > 0 {
 			sr.KneeBytes = cv.Knee(0.05)
 		}
 		if a, ok := s.ctl.Allocation(st.SID); ok {

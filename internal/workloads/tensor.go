@@ -19,10 +19,11 @@ func Recsys(cores int, seed uint64, sc Scale) (*Trace, error) {
 	const tables = 4
 	entries := sc.scaled(1<<14, 2048)
 	mlpElems := sc.scaled(16384, 1024) // float32 weights
+	popularity := sim.NewZipfTable(entries, 0.9)
 
 	for p := 0; p < np; p++ {
 		rng := rngFor(seed, p)
-		zipf := sim.NewZipf(rng, entries, 0.9)
+		zipf := popularity.Sampler(rng)
 		var embs [tables]*stream.Stream
 		for t := 0; t < tables; t++ {
 			embs[t] = b.indirect(entries, 64) // one 64 B embedding row per entry
