@@ -9,6 +9,12 @@
 //	       [-record run.ndptrc] [-trace-sample 100 [-trace-out trace.jsonl]]
 //	       [-bandit-seed 7 -arms paper,greedy]   (NDPExt-MAB only)
 //
+// The run flags (-workload, -design, -mem, -seed, -accesses, -scale,
+// -reconfig, -faults, -fault-seed, -bandit-seed, -arms) are the fields
+// of ndpserve's job spec, internal/runspec, with its defaults, checks and
+// cache key; -max-wall and -max-cycles set the watchdogs, as ndpserve's
+// flags of those names do. Every other flag is local to ndpsim.
+//
 // -list prints the workload names, -list-designs the registered design
 // names (including the adaptive ndpext-mab); both exit 0.
 //
@@ -38,7 +44,7 @@ import (
 	"strings"
 	"time"
 
-	"ndpext/internal/fault"
+	"ndpext/internal/runspec"
 	"ndpext/internal/server/result"
 	"ndpext/internal/system"
 	"ndpext/internal/telemetry"
@@ -46,76 +52,70 @@ import (
 	"ndpext/internal/workloads"
 )
 
+// options is ndpsim's command line: the run spec, its watchdog
+// defaults, and the local-only flags.
+type options struct {
+	spec                                   runspec.Spec
+	maxWall                                time.Duration
+	maxCycles                              int64
+	list, listDesigns, jsonOut, verbose    bool
+	saveTrace, loadTrace, record, traceOut string
+	traceSample                            uint64
+}
+
+// parseFlags defines ndpsim's flags on fs and parses args. The run
+// flags bind to runspec.Spec fields, with the spec's defaults printed.
+func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	sp := &o.spec
+	fs.StringVar(&sp.Workload, "workload", "pr", "workload name (see -list)")
+	fs.StringVar(&sp.Design, "design", "NDPExt", "design name (see -list-designs)")
+	fs.StringVar(&sp.Mem, "mem", "hbm", "NDP stack memory: hbm or hmc")
+	fs.Uint64Var(&sp.Seed, "seed", 1, "workload generation seed")
+	fs.IntVar(&sp.Accesses, "accesses", 30000, "per-core access budget")
+	fs.Float64Var(&sp.Scale, "scale", 1.0, "workload size multiplier")
+	fs.BoolVar(&o.list, "list", false, "list workloads and exit")
+	fs.BoolVar(&o.listDesigns, "list-designs", false, "list registered design names and exit")
+	fs.BoolVar(&o.jsonOut, "json", false, "emit the canonical JSON result document instead of text")
+	fs.BoolVar(&o.verbose, "verbose", false, "print per-component detail")
+	fs.StringVar(&sp.Reconfig, "reconfig", "full", "reconfiguration mode: full, partial, static")
+	fs.StringVar(&o.saveTrace, "save-trace", "", "write the generated trace to this NDPTRC file and exit")
+	fs.StringVar(&o.loadTrace, "load-trace", "", "replay an NDPTRC trace file instead of generating")
+	fs.StringVar(&o.record, "record", "", "capture every simulated access into this NDPTRC trace file")
+	fs.Uint64Var(&o.traceSample, "trace-sample", 0, "emit every Nth access as a JSONL record (0 disables)")
+	fs.StringVar(&o.traceOut, "trace-out", "-", "JSONL access trace destination (\"-\" = stdout)")
+	fs.StringVar(&sp.Faults, "faults", "", `fault-injection spec, e.g. "vault-fail,unit=3,at=40us;cxl-retry,rate=0.01" (see internal/fault)`)
+	fs.Uint64Var(&sp.FaultSeed, "fault-seed", 1, "fault injector seed (deterministic per (spec, seed))")
+	fs.Uint64Var(&sp.BanditSeed, "bandit-seed", 1, "NDPExt-MAB Thompson-sampler seed (ignored by other designs)")
+	fs.StringVar(&sp.Arms, "arms", "", `NDPExt-MAB arm set, comma-separated (empty = all: "paper,static,greedy,replicate")`)
+	fs.DurationVar(&o.maxWall, "max-wall", 0, "abort after this much wall-clock time, flushing partial results (0 disables)")
+	fs.Int64Var(&o.maxCycles, "max-cycles", 0, "abort once simulated time passes this many core cycles (0 disables)")
+	return o, fs.Parse(args)
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ndpsim: ")
 
-	workload := flag.String("workload", "pr", "workload name (see -list)")
-	design := flag.String("design", "NDPExt", "design name (see -list-designs)")
-	mem := flag.String("mem", "hbm", "NDP stack memory: hbm or hmc")
-	seed := flag.Uint64("seed", 1, "workload generation seed")
-	accesses := flag.Int("accesses", 30000, "per-core access budget")
-	scale := flag.Float64("scale", 1.0, "workload size multiplier")
-	list := flag.Bool("list", false, "list workloads and exit")
-	listDesigns := flag.Bool("list-designs", false, "list registered design names and exit")
-	jsonOut := flag.Bool("json", false, "emit the canonical JSON result document instead of text")
-	verbose := flag.Bool("verbose", false, "print per-component detail")
-	reconfig := flag.String("reconfig", "full", "reconfiguration mode: full, partial, static")
-	saveTrace := flag.String("save-trace", "", "write the generated trace to this NDPTRC file and exit")
-	loadTrace := flag.String("load-trace", "", "replay an NDPTRC trace file instead of generating")
-	record := flag.String("record", "", "capture every simulated access into this NDPTRC trace file")
-	traceSample := flag.Uint64("trace-sample", 0, "emit every Nth access as a JSONL record (0 disables)")
-	traceOut := flag.String("trace-out", "-", "JSONL access trace destination (\"-\" = stdout)")
-	faults := flag.String("faults", "", `fault-injection spec, e.g. "vault-fail,unit=3,at=40us;cxl-retry,rate=0.01" (see internal/fault)`)
-	faultSeed := flag.Uint64("fault-seed", 1, "fault injector seed (deterministic per (spec, seed))")
-	banditSeed := flag.Uint64("bandit-seed", 1, "NDPExt-MAB Thompson-sampler seed (ignored by other designs)")
-	arms := flag.String("arms", "", `NDPExt-MAB arm set, comma-separated (empty = all: "paper,static,greedy,replicate")`)
-	maxWall := flag.Duration("max-wall", 0, "abort after this much wall-clock time, flushing partial results (0 disables)")
-	maxCycles := flag.Int64("max-cycles", 0, "abort once simulated time passes this many core cycles (0 disables)")
-	flag.Parse()
-
-	if *list {
+	opt, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if opt.list {
 		fmt.Println(strings.Join(workloads.Names(), "\n"))
 		return
 	}
-	if *listDesigns {
+	if opt.listDesigns {
 		fmt.Println(strings.Join(system.DesignNames(), "\n"))
 		return
 	}
 
-	d, err := system.ParseDesign(*design)
+	spec := opt.spec.Normalize()
+	cfg, err := spec.Build(opt.maxWall, opt.maxCycles)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cfg system.Config
-	switch strings.ToLower(*mem) {
-	case "hbm":
-		cfg = system.DefaultConfig(d)
-	case "hmc":
-		cfg = system.HMCConfig(d)
-	default:
-		log.Fatalf("unknown memory type %q", *mem)
-	}
-
-	cfg.Reconfig, err = system.ParseReconfigMode(*reconfig)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	spec, err := fault.Parse(*faults)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cfg.Faults = spec
-	cfg.FaultSeed = *faultSeed
-	cfg.BanditSeed = *banditSeed
-	cfg.Adapt.Arms = *arms
-	if *arms != "" && d != system.NDPExtMAB {
-		log.Fatal("-arms applies only to the NDPExt-MAB design")
-	}
-	cfg.MaxWall = *maxWall
-	cfg.MaxCycles = *maxCycles
-	if *loadTrace != "" && *saveTrace != "" {
+	if opt.loadTrace != "" && opt.saveTrace != "" {
 		log.Fatal("-save-trace and -load-trace do not combine (copy the file, or cut it with ndptrace slice)")
 	}
 
@@ -124,8 +124,8 @@ func main() {
 	// are materialized.
 	genStart := time.Now()
 	var src workloads.Source
-	if *loadTrace != "" {
-		r, err := trace.OpenFile(*loadTrace)
+	if opt.loadTrace != "" {
+		r, err := trace.OpenFile(opt.loadTrace)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -136,23 +136,16 @@ func main() {
 		}
 		src = rs
 	} else {
-		gen, err := workloads.Get(*workload)
+		tr, err := spec.Generate(cfg.NumUnits())
 		if err != nil {
 			log.Fatal(err)
 		}
-		sc := workloads.DefaultScale()
-		sc.AccessesPerCore = *accesses
-		sc.Mult = *scale
-		tr, err := gen(cfg.NumUnits(), *seed, sc)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *saveTrace != "" {
-			if err := trace.SaveFile(*saveTrace, tr); err != nil {
+		if opt.saveTrace != "" {
+			if err := trace.SaveFile(opt.saveTrace, tr); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("saved %s (%d accesses, %d streams) to %s\n",
-				tr.Name, tr.TotalAccesses(), tr.Table.Len(), *saveTrace)
+				tr.Name, tr.TotalAccesses(), tr.Table.Len(), opt.saveTrace)
 			return
 		}
 		src = tr.Source()
@@ -160,10 +153,10 @@ func main() {
 	genDur := time.Since(genStart)
 
 	var jsonl *telemetry.JSONLProbe
-	if *traceSample > 0 {
+	if opt.traceSample > 0 {
 		var w io.Writer = os.Stdout
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
+		if opt.traceOut != "-" {
+			f, err := os.Create(opt.traceOut)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -171,17 +164,17 @@ func main() {
 			w = f
 		}
 		jsonl = telemetry.NewJSONL(w)
-		cfg.AttachProbe(telemetry.Sampled(jsonl, *traceSample))
+		cfg.AttachProbe(telemetry.Sampled(jsonl, opt.traceSample))
 	}
 
 	var rec *trace.Recorder
 	var recFile *os.File
-	if *record != "" {
+	if opt.record != "" {
 		recCores := cfg.NumUnits()
-		if d == system.Host {
+		if cfg.Design == system.Host {
 			recCores = cfg.HostCores
 		}
-		f, err := os.Create(*record)
+		f, err := os.Create(opt.record)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -213,7 +206,7 @@ func main() {
 			log.Fatalf("record: %v", err)
 		}
 	}
-	if *jsonOut {
+	if opt.jsonOut {
 		// The same canonical document the serving layer caches and
 		// returns from GET /v1/jobs/{id}/result: scripts can diff
 		// ndpsim output against served results byte for byte.
@@ -254,7 +247,7 @@ func main() {
 	if res.Truncated {
 		fmt.Printf("TRUNCATED     %s (partial results above)\n", res.TruncateReason)
 	}
-	if m := res.Metrics(); m != nil && !spec.Empty() {
+	if m := res.Metrics(); m != nil && !cfg.Faults.Empty() {
 		fmt.Printf("faults        injected=%d retries=%d redirects=%d remapped=%d degraded-epochs=%d\n",
 			m.Uint("fault.injected"), m.Uint("fault.retries"), m.Uint("fault.vault_redirects"),
 			m.Uint("fault.remapped_streams"), m.Uint("fault.degraded_epochs"))
@@ -266,9 +259,9 @@ func main() {
 			m.Float("adapt.modeled_amat_ns"), m.Uint("adapt.migrated_rows"))
 	}
 	if rec != nil {
-		fmt.Printf("recorded      %d accesses to %s\n", res.Accesses, *record)
+		fmt.Printf("recorded      %d accesses to %s\n", res.Accesses, opt.record)
 	}
-	if *verbose {
+	if opt.verbose {
 		fmt.Printf("L1 hits       %d / %d\n", res.L1Hits, res.Accesses)
 		fmt.Printf("meta hit rate %.2f   slb hit rate %.2f\n", res.MetaHitRate, res.SLBHitRate)
 		fmt.Printf("reconfigs     %d (kept %d, dropped %d)\n", res.Reconfigs, res.ReconfigKept, res.ReconfigDropped)

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ndpext/internal/server/scheduler"
+	"ndpext/internal/server/store"
 )
 
 // buildNdpsim compiles the command once per test binary into a temp
@@ -115,14 +121,15 @@ func TestLoadTraceRejectsNonNDPTRC(t *testing.T) {
 }
 
 // TestOutOfRangeScaleFails: a -scale whose RMAT graphs exceed
-// graph.RMAT's limit exits with the generator's error, not a panic.
+// graph.RMAT's limit fails validation with the server's scale bound,
+// not a panic.
 func TestOutOfRangeScaleFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary")
 	}
 	bin := buildNdpsim(t)
 	out, err := exec.Command(bin, "-workload", "pr", "-scale", "100000", "-accesses", "100").CombinedOutput()
-	if err == nil || bytes.Contains(out, []byte("panic")) || !bytes.Contains(out, []byte("RMAT(32, 12)")) {
+	if err == nil || bytes.Contains(out, []byte("panic")) || !bytes.Contains(out, []byte("workloads: scale 100000: graph: RMAT(32, 1)")) {
 		t.Fatalf("-scale 100000: err=%v\n%s", err, out)
 	}
 }
@@ -140,5 +147,81 @@ func TestOversizedStreamFails(t *testing.T) {
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 || bytes.Contains(out, []byte("panic")) ||
 		!bytes.Contains(out, []byte("workloads mv: stream 1: base/size exceed 48-bit fields")) {
 		t.Fatalf("-scale 4000: err=%v\n%s", err, out)
+	}
+}
+
+// TestFlagsKeyLikeScheduler is the fence between the two front ends:
+// ndpsim's flags and ndpserve's JSON spec of the same run key alike
+// under the scheduler's KeyFor, and for the faulted Nexus run on HMC the
+// binary's -json document is the scheduler's result byte for byte.
+func TestFlagsKeyLikeScheduler(t *testing.T) {
+	const faults = "vault-fail,unit=5,at=100us;cxl-retry,rate=0.05,lat=200ns;cxl-degrade,at=200us,dur=100us,factor=4"
+	nexus := []string{"-design", "Nexus", "-mem", "HMC", "-reconfig", "partial",
+		"-faults", faults, "-fault-seed", "5", "-accesses", "2000"}
+	nexusJSON := `{"workload":"pr","design":"Nexus","mem":"HMC","reconfig":"partial","faults":"` +
+		faults + `","fault_seed":5,"accesses":2000}`
+	cases := []struct {
+		args []string
+		spec string
+	}{
+		{nil, `{"workload":"pr"}`},
+		{nexus, nexusJSON},
+		{[]string{"-design", "ndpext-mab", "-bandit-seed", "7", "-arms", "paper,greedy"},
+			`{"workload":"pr","design":"ndpext-mab","bandit_seed":7,"arms":"paper,greedy"}`},
+		{[]string{"-design", "Host"}, `{"workload":"pr","design":"Host"}`},
+	}
+
+	st, err := store.Open(store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := scheduler.New(st, nil, scheduler.Options{Workers: 1})
+	s.Start()
+	defer s.Drain(context.Background())
+	served := func(doc string) scheduler.JobSpec {
+		t.Helper()
+		var js scheduler.JobSpec
+		if err := json.Unmarshal([]byte(doc), &js); err != nil {
+			t.Fatal(err)
+		}
+		return js
+	}
+
+	for _, tc := range cases {
+		opt, err := parseFlags(flag.NewFlagSet("ndpsim", flag.ContinueOnError), tc.args)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		spec := opt.spec.Normalize()
+		cfg, err := spec.Build(opt.maxWall, opt.maxCycles)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		want, err := s.KeyFor(served(tc.spec))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		if got := spec.Key(cfg, ""); got != want {
+			t.Errorf("%q keys %s, the scheduler keys %s as %s", tc.args, got, tc.spec, want)
+		}
+	}
+
+	if testing.Short() {
+		t.Skip("builds the binary and simulates")
+	}
+	out, err := exec.Command(buildNdpsim(t), append(nexus, "-json")...).Output()
+	if err != nil {
+		t.Fatalf("ndpsim: %v", err)
+	}
+	j, err := s.Submit(served(nexusJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if j.State() != scheduler.StateDone {
+		t.Fatalf("served job %s: %s", j.State(), j.Status().Error)
+	}
+	if doc := append(j.Result(), '\n'); !bytes.Equal(out, doc) {
+		t.Fatalf("ndpsim -json differs from the served document:\n%s\nvs\n%s", out, doc)
 	}
 }

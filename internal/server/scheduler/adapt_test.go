@@ -16,36 +16,36 @@ import (
 // keying, is part of the cache key, and arms is rejected on
 // non-adaptive designs.
 func TestMABSpecDefaultsAndKeying(t *testing.T) {
-	spec := JobSpec{Workload: "pr", Design: "ndpext-mab"}.normalize()
+	spec := JobSpec{Workload: "pr", Design: "ndpext-mab"}.Normalize()
 	if spec.BanditSeed != 1 {
 		t.Fatalf("bandit_seed default = %d, want 1", spec.BanditSeed)
 	}
-	cfg, err := spec.build(0, 0)
+	cfg, err := spec.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.BanditSeed = 2
-	ocfg, err := other.build(0, 0)
+	ocfg, err := other.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.key(cfg, "") == other.key(ocfg, "") {
+	if spec.Key(cfg, "") == other.Key(ocfg, "") {
 		t.Fatal("bandit_seed not part of the cache key")
 	}
 
 	armed := spec
 	armed.Arms = "paper,greedy"
-	acfg, err := armed.build(0, 0)
+	acfg, err := armed.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.key(cfg, "") == armed.key(acfg, "") {
+	if spec.Key(cfg, "") == armed.Key(acfg, "") {
 		t.Fatal("arms not part of the cache key")
 	}
 
-	bad := JobSpec{Workload: "pr", Arms: "greedy"}.normalize()
-	if _, err := bad.build(0, 0); err == nil || !strings.Contains(err.Error(), "NDPExt-MAB") {
+	bad := JobSpec{Workload: "pr", Arms: "greedy"}.Normalize()
+	if _, err := bad.Build(0, 0); err == nil || !strings.Contains(err.Error(), "NDPExt-MAB") {
 		t.Fatalf("arms on a non-adaptive design: err = %v, want rejection", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestMABSpecDefaultsAndKeying(t *testing.T) {
 // TestMABUnknownDesignStructured: the spec surfaces ParseDesign's
 // structured error so the transport can map it to a 422 with the list.
 func TestMABUnknownDesignStructured(t *testing.T) {
-	_, err := JobSpec{Workload: "pr", Design: "bogus"}.normalize().build(0, 0)
+	_, err := JobSpec{Workload: "pr", Design: "bogus"}.Normalize().Build(0, 0)
 	ude, ok := err.(*system.UnknownDesignError)
 	if !ok {
 		t.Fatalf("error type %T, want *system.UnknownDesignError", err)
@@ -70,8 +70,8 @@ func TestMABUnknownDesignStructured(t *testing.T) {
 // returning the same bytes.
 func TestMABDeterminismAcrossSchedulers(t *testing.T) {
 	spec := JobSpec{Workload: "recsys", Design: "ndpext-mab", Seed: 7,
-		Accesses: 1000, BanditSeed: 7, EpochCycles: 50_000}.normalize()
-	cfg, err := spec.build(0, 0)
+		Accesses: 1000, BanditSeed: 7, EpochCycles: 50_000}.Normalize()
+	cfg, err := spec.Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,12 +22,12 @@ import (
 // result. A probe/telemetry refactor that made results depend on
 // scheduling would show up here as a document mismatch.
 func TestDeterminismAcrossExecutionPaths(t *testing.T) {
-	spec := JobSpec{Workload: "pr", Seed: 7, Accesses: 1000, EpochCycles: 50_000}.normalize()
-	cfg, err := spec.build(0, 0) // no watchdogs: nothing wall-clock-dependent
+	spec := JobSpec{Workload: "pr", Seed: 7, Accesses: 1000, EpochCycles: 50_000}.Normalize()
+	cfg, err := spec.Build(0, 0) // no watchdogs: nothing wall-clock-dependent
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := spec.key(cfg, "")
+	key := spec.Key(cfg, "")
 
 	// Path 1: plain serial system.Run, trace built exactly as the
 	// scheduler and bench layers build it (DefaultScale + spec overrides).

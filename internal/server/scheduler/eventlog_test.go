@@ -121,9 +121,9 @@ func TestEventLogUnsubscribeIdempotent(t *testing.T) {
 // terminal and its terminal event being published used to get a closed
 // channel without that event. Every subscription must end with it.
 func TestSubscribeRacingFinishEndsWithTerminal(t *testing.T) {
-	spec := fastSpec(1).normalize()
+	spec := fastSpec(1).Normalize()
 	cfg := mustBuild(t, spec)
-	key := spec.key(cfg, "")
+	key := spec.Key(cfg, "")
 	const subs = 4
 	lost := 0
 	for i := 0; i < 5000; i++ {

@@ -5,10 +5,15 @@ import (
 	"sync"
 	"time"
 
+	"ndpext/internal/runspec"
 	"ndpext/internal/simcache"
 	"ndpext/internal/system"
 	"ndpext/internal/telemetry"
 )
+
+// JobSpec is the submission body of POST /v1/jobs: the run spec shared
+// with ndpsim (see internal/runspec).
+type JobSpec = runspec.Spec
 
 // State is a job's lifecycle phase.
 type State string

@@ -180,7 +180,7 @@ func TestDeadlineTruncates(t *testing.T) {
 	noDeadline := spec
 	noDeadline.DeadlineMS = 0
 	cfg := mustBuild(t, noDeadline)
-	if noDeadline.normalize().key(cfg, "") != j.Key {
+	if noDeadline.Normalize().Key(cfg, "") != j.Key {
 		t.Error("deadline_ms leaked into the cache key")
 	}
 

@@ -175,8 +175,8 @@ var ErrDraining = errors.New("scheduler: draining, not accepting jobs")
 // prepare validates and keys one spec, returning an unregistered job
 // ready for admission.
 func (s *Scheduler) prepare(spec JobSpec) (*Job, error) {
-	spec = spec.normalize()
-	cfg, err := spec.build(s.opt.MaxWall, s.opt.MaxCycles)
+	spec = spec.Normalize()
+	cfg, err := spec.Build(s.opt.MaxWall, s.opt.MaxCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -190,7 +190,7 @@ func (s *Scheduler) prepare(spec JobSpec) (*Job, error) {
 			return nil, err
 		}
 	}
-	return newJob(spec.key(cfg, digest), spec, cfg), nil
+	return newJob(spec.Key(cfg, digest), spec, cfg), nil
 }
 
 // KeyFor validates and normalizes spec and returns its content
@@ -520,7 +520,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		}
 		src = rs
 	} else {
-		tr, err := s.genTrace(job.Spec)
+		tr, err := s.genTrace(job.Spec, job.cfg.NumUnits())
 		if err != nil {
 			return nil, err
 		}
@@ -608,29 +608,14 @@ func (s *Scheduler) quarantineIfCorrupt(name string, err error) error {
 	return fmt.Errorf("scheduler: trace %q quarantined (digest %s): %w", name, digest, err)
 }
 
-// genTrace builds (or reuses) the workload trace for a spec. Distinct
-// machine configs share one trace when their workload parameters and
-// unit counts agree; a run never mutates its input, so concurrent jobs
-// may replay it at once.
-func (s *Scheduler) genTrace(spec JobSpec) (*workloads.Trace, error) {
-	d, err := system.ParseDesign(spec.Design)
-	if err != nil {
-		return nil, err
-	}
-	cores := system.DefaultConfig(system.NDPExt).NumUnits()
-	if d != system.Host {
-		cores = system.DefaultConfig(d).NumUnits()
-	}
-	key := simcache.Sum(spec.workloadCanon(""), []byte(fmt.Sprintf("cores=%d", cores)))
+// genTrace builds (or reuses) the workload trace for a spec on a
+// machine of the given core count. Distinct machine configs share one
+// trace when their workload parameters and unit counts agree; a run
+// never mutates its input, so concurrent jobs may replay it at once.
+func (s *Scheduler) genTrace(spec JobSpec, cores int) (*workloads.Trace, error) {
+	key := simcache.Sum(spec.WorkloadCanon(""), []byte(fmt.Sprintf("cores=%d", cores)))
 	tr, _, err := s.genTraces.Do(key, func() (*workloads.Trace, error) {
-		gen, err := workloads.Get(spec.Workload)
-		if err != nil {
-			return nil, err
-		}
-		sc := workloads.DefaultScale()
-		sc.AccessesPerCore = spec.Accesses
-		sc.Mult = spec.Scale
-		return gen(cores, spec.Seed, sc)
+		return spec.Generate(cores)
 	})
 	return tr, err
 }

@@ -218,9 +218,9 @@ func TestAdaptiveRetryAfter(t *testing.T) {
 // the dropped run surfaces as an explicit "lagged" event instead of a
 // silent gap — and that publishing never blocks.
 func TestLaggedSubscriber(t *testing.T) {
-	spec := fastSpec(1).normalize()
+	spec := fastSpec(1).Normalize()
 	cfg := mustBuild(t, spec)
-	j := newJob(spec.key(cfg, ""), spec, cfg)
+	j := newJob(spec.Key(cfg, ""), spec, cfg)
 
 	ch, unsub := j.events.subscribe(2)
 	defer unsub()
@@ -277,7 +277,7 @@ func TestLaggedSubscriber(t *testing.T) {
 
 func mustBuild(t *testing.T, js JobSpec) system.Config {
 	t.Helper()
-	cfg, err := js.normalize().build(0, 0)
+	cfg, err := js.Normalize().Build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,48 +410,6 @@ func TestPersistWarmRestart(t *testing.T) {
 	}
 }
 
-func TestJobSpecNormalizeAndKey(t *testing.T) {
-	def := JobSpec{Workload: "pr"}.normalize()
-	want := JobSpec{Workload: "pr", Design: "NDPExt", Mem: "hbm", Seed: 1,
-		Accesses: 30000, Scale: 1, Reconfig: "full", FaultSeed: 1, BanditSeed: 1}
-	if def != want {
-		t.Errorf("normalize() = %+v, want %+v", def, want)
-	}
-
-	// An omitted field and its explicit default must address the same
-	// cache entry.
-	keyOf := func(js JobSpec) string {
-		t.Helper()
-		js = js.normalize()
-		cfg, err := js.build(0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js.key(cfg, "").String()
-	}
-	if keyOf(JobSpec{Workload: "pr"}) != keyOf(want) {
-		t.Error("defaulted and explicit specs hash differently")
-	}
-	base := keyOf(JobSpec{Workload: "pr"})
-	for name, js := range map[string]JobSpec{
-		"workload":  {Workload: "bfs"},
-		"design":    {Workload: "pr", Design: "Nexus"},
-		"mem":       {Workload: "pr", Mem: "hmc"},
-		"seed":      {Workload: "pr", Seed: 2},
-		"accesses":  {Workload: "pr", Accesses: 40000},
-		"scale":     {Workload: "pr", Scale: 2},
-		"reconfig":  {Workload: "pr", Reconfig: "partial"},
-		"epoch":     {Workload: "pr", EpochCycles: 123456},
-		"faults":    {Workload: "pr", Faults: "cxl-retry,rate=0.01"},
-		"faultseed": {Workload: "pr", FaultSeed: 9},
-		"maxcycles": {Workload: "pr", MaxCycles: 5_000_000},
-	} {
-		if keyOf(js) == base {
-			t.Errorf("changing %s did not change the cache key", name)
-		}
-	}
-}
-
 // TestScaleBeyondGraphLimitRejected: a scale whose RMAT graphs exceed
 // graph.RMAT's limit is an input error at submission, for every
 // workload, and never reaches a worker as a panic. The bound itself is
@@ -459,7 +417,7 @@ func TestJobSpecNormalizeAndKey(t *testing.T) {
 func TestScaleBeyondGraphLimitRejected(t *testing.T) {
 	const largest = 1 << 13 // 2^28 vertices over the graph kernels' 2^15
 	for scale, ok := range map[float64]bool{largest: true, largest + 0.01: false} {
-		if _, err := (JobSpec{Workload: "pr", Scale: scale}).normalize().build(0, 0); (err == nil) != ok {
+		if _, err := (JobSpec{Workload: "pr", Scale: scale}).Normalize().Build(0, 0); (err == nil) != ok {
 			t.Errorf("scale %g: build error %v, want accepted=%v", scale, err, ok)
 		}
 	}

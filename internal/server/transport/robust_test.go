@@ -80,6 +80,7 @@ func TestMalformedSubmissions(t *testing.T) {
 		{"negative deadline", "/v1/jobs", `{"workload":"pr","deadline_ms":-100}`, http.StatusBadRequest},
 		{"string deadline", "/v1/jobs", `{"workload":"pr","deadline_ms":"soon"}`, http.StatusBadRequest},
 		{"unknown workload", "/v1/jobs", `{"workload":"nope"}`, http.StatusBadRequest},
+		{"unknown mem", "/v1/jobs", `{"workload":"pr","mem":"ddr"}`, http.StatusBadRequest},
 		{"workload and trace", "/v1/jobs", `{"workload":"pr","trace":"t.ndptrc"}`, http.StatusBadRequest},
 		{"trace escape", "/v1/jobs", `{"trace":"../../etc/passwd"}`, http.StatusBadRequest},
 		{"batch not json", "/v1/batch", `{{{{`, http.StatusBadRequest},

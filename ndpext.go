@@ -100,11 +100,7 @@ func Workloads() []string { return workloads.Names() }
 // GenerateTrace builds one of the built-in workloads for a machine with
 // the given core count, at the default model scale.
 func GenerateTrace(name string, cores int, seed uint64) (*Trace, error) {
-	gen, err := workloads.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return gen(cores, seed, workloads.DefaultScale())
+	return GenerateTraceN(name, cores, seed, workloads.DefaultScale().AccessesPerCore)
 }
 
 // GenerateTraceN is GenerateTrace with an explicit per-core access
