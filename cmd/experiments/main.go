@@ -9,8 +9,9 @@
 //	experiments -trace run.ndptrc  # sweep all designs over a recorded trace
 //
 // Figures: 2, 4b, 5a, 5b, 6, 7, 8a, 8b, 9a..9f, vd (consistent hashing),
-// meta (metadata hit rates), faults (degraded-mode sweep), adapt
-// (NDPExt-MAB vs fixed arms on the phased workload). With -trace,
+// meta (metadata hit rates), attach (extended-memory attach ablation),
+// waypred (indirect-cache organization ablation), faults (degraded-mode
+// sweep), adapt (NDPExt-MAB vs fixed arms on the phased workload). With -trace,
 // the figure matrix is replaced by a design sweep replaying the given
 // trace file (recorded with ndpsim -record or imported with ndptrace
 // convert) on every machine.
@@ -34,7 +35,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 
-	fig := flag.String("fig", "", "figure to reproduce (2, 4b, 5a, 5b, 6, 7, 8a, 8b, 9a-9f, vd, meta, faults, adapt)")
+	fig := flag.String("fig", "", "figure to reproduce (2, 4b, 5a, 5b, 6, 7, 8a, 8b, 9a-9f, vd, meta, attach, waypred, faults, adapt)")
 	all := flag.Bool("all", false, "run the full matrix")
 	quick := flag.Bool("quick", false, "reduced workload set and trace length")
 	accesses := flag.Int("accesses", 0, "override per-core access budget")

@@ -1,8 +1,8 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"ndpext/internal/system"
 	"ndpext/internal/workloads"
@@ -58,30 +58,52 @@ func adaptTrace() (*workloads.Trace, error) {
 // once with the full bandit and once per arm pinned as a fixed policy.
 // Because no single arm is optimal across both phases, the bandit's
 // modeled AMAT beats every fixed arm. The returned metrics map carries
-// mab_amat_ns, best_fixed_amat_ns, and their ratio for the harness.
+// mab_amat_ns, best_fixed_amat_ns, and their ratio for the harness. A
+// failed regime keeps its row, marked FAILED, the metrics map is nil,
+// and the failures come back in a *BatchError.
 func AdaptSweep(opt Options) (Table, map[string]float64, error) {
 	base, err := adaptTrace()
 	if err != nil {
 		return Table{}, nil, err
 	}
-	results := make([]*system.Result, len(adaptRegimes))
-	errs := make([]error, len(adaptRegimes))
-	var wg sync.WaitGroup
+	cells := make([]Cell, len(adaptRegimes))
 	for i, reg := range adaptRegimes {
-		wg.Add(1)
-		go func(i int, arms string) {
-			defer wg.Done()
-			cfg := adaptMachine()
-			cfg.Adapt.Arms = arms
-			cfg.BanditSeed = 1
-			results[i], errs[i] = system.RunContext(opt.context(), cfg, base.Source())
-		}(i, reg.arms)
+		cfg := adaptMachine()
+		cfg.Adapt.Arms = reg.arms
+		cfg.BanditSeed = 1
+		cells[i] = Cell{Config: cfg, Workload: base.Name, Trace: base}
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return Table{}, nil, fmt.Errorf("adapt %s: %w", adaptRegimes[i].label, err)
+	results, err := RunCells(cells, opt)
+	var be *BatchError
+	if err != nil && !errors.As(err, &be) {
+		return Table{}, nil, err
+	}
+
+	tbl := Table{
+		Title:   "NDPExt-MAB adaptive configuration (phased workload, 8-unit machine)",
+		Columns: []string{"policy", "modeled AMAT (ns)", "vs MAB", "switches", "reconfigs", "sim time (us)"},
+	}
+	for i, res := range results {
+		if res == nil {
+			tbl.Rows = append(tbl.Rows, []string{adaptRegimes[i].label, be.failText(i)})
+			continue
 		}
+		amat := res.Metrics().Float("adapt.modeled_amat_ns")
+		vsMAB := "-"
+		if mab := results[0]; mab != nil {
+			vsMAB = f2(amat / mab.Metrics().Float("adapt.modeled_amat_ns"))
+		}
+		tbl.Rows = append(tbl.Rows, []string{
+			adaptRegimes[i].label,
+			f2(amat),
+			vsMAB,
+			fmt.Sprintf("%d", res.AdaptSwitches),
+			fmt.Sprintf("%d", res.Reconfigs),
+			f1(res.Time.NS() / 1e3),
+		})
+	}
+	if err != nil {
+		return tbl, nil, err
 	}
 
 	mabAMAT := results[0].Metrics().Float("adapt.modeled_amat_ns")
@@ -90,23 +112,6 @@ func AdaptSweep(opt Options) (Table, map[string]float64, error) {
 		if a := res.Metrics().Float("adapt.modeled_amat_ns"); bestFixed == 0 || a < bestFixed {
 			bestFixed = a
 		}
-	}
-
-	tbl := Table{
-		Title:   "NDPExt-MAB adaptive configuration (phased workload, 8-unit machine)",
-		Columns: []string{"policy", "modeled AMAT (ns)", "vs MAB", "switches", "reconfigs", "sim time (us)"},
-	}
-	for i, res := range results {
-		m := res.Metrics()
-		amat := m.Float("adapt.modeled_amat_ns")
-		tbl.Rows = append(tbl.Rows, []string{
-			adaptRegimes[i].label,
-			f2(amat),
-			f2(amat / mabAMAT),
-			fmt.Sprintf("%d", res.AdaptSwitches),
-			fmt.Sprintf("%d", res.Reconfigs),
-			f1(res.Time.NS() / 1e3),
-		})
 	}
 	return tbl, map[string]float64{
 		"mab_amat_ns":        mabAMAT,

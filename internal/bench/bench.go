@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"ndpext/internal/runspec"
 	"ndpext/internal/simcache"
 	"ndpext/internal/system"
 	"ndpext/internal/workloads"
@@ -60,55 +61,14 @@ func Quick() Options {
 	}
 }
 
-// traceKey caches generated traces (generation dominates quick runs).
-type traceKey struct {
-	name     string
-	cores    int
-	seed     uint64
-	accesses int
-}
-
-// traceEntry is one cache slot; its once gate makes concurrent workers
-// requesting the same trace generate it exactly once.
-type traceEntry struct {
-	once sync.Once
-	tr   *workloads.Trace
-	err  error
-}
-
-var (
-	traceMu    sync.Mutex
-	traceCache = map[traceKey]*traceEntry{}
-)
-
-// trace returns the cached trace for (name, cores), generating it on
-// first use. Every caller shares one trace: a run never mutates its
-// input. Safe for concurrent use.
-func trace(name string, cores int, opt Options) (*workloads.Trace, error) {
-	key := traceKey{name, cores, opt.Seed, opt.AccessesPerCore}
-	traceMu.Lock()
-	e := traceCache[key]
-	if e == nil {
-		e = &traceEntry{}
-		traceCache[key] = e
-	}
-	traceMu.Unlock()
-	e.once.Do(func() {
-		gen, err := workloads.Get(name)
-		if err != nil {
-			e.err = err
-			return
-		}
-		sc := workloads.DefaultScale()
-		sc.AccessesPerCore = opt.AccessesPerCore
-		e.tr, e.err = gen(cores, opt.Seed, sc)
-	})
-	return e.tr, e.err
-}
-
 // testRunHook, when non-nil, runs before each cell's simulation. Tests
 // use it to poison specific rows and exercise the pool's panic recovery.
 var testRunHook func(cfg system.Config, name string)
+
+// traces holds the generated workload traces of every figure. -all
+// generates 25 distinct traces (13 workloads at 128 cores, plus Fig.
+// 8(a)'s four workloads at 32, 64 and 256 cores), within its bound of 32.
+var traces = runspec.NewTraces()
 
 // resultCache dedups identical (config, workload) cells across figures:
 // the matrix reuses e.g. the NDPExt/hbm baseline in Figs. 5, 6, 8, and 9,
@@ -117,63 +77,50 @@ var testRunHook func(cfg system.Config, name string)
 // the cache (simcache.Do only stores successes).
 var resultCache = simcache.New[*system.Result](512, 0)
 
-// run simulates one (workload, config) pair, deduplicating identical
-// cells through resultCache.
-func run(cfg system.Config, name string, opt Options) (*system.Result, error) {
+// Cell is one (machine config, workload) simulation of an experiment
+// matrix. A cell with Trace set replays that trace instead of generating
+// Workload (which then only names the row), and bypasses the result
+// cache.
+type Cell struct {
+	Config   system.Config
+	Workload string
+	Trace    *workloads.Trace
+}
+
+// run simulates one cell, deduplicating identical cells through
+// resultCache.
+func run(c Cell, opt Options) (*system.Result, error) {
+	cfg := c.Config
 	cores := cfg.NumUnits()
 	if cfg.Design == system.Host {
 		// Host folds any trace; generate at the NDP core count of the
 		// default machine so all designs replay identical traces.
 		cores = system.DefaultConfig(system.NDPExt).NumUnits()
 	}
+	spec := runspec.Spec{Workload: c.Workload, Seed: opt.Seed, Accesses: opt.AccessesPerCore, Scale: 1}
 	sim := func() (*system.Result, error) {
-		tr, err := trace(name, cores, opt)
-		if err != nil {
-			return nil, err
+		tr := c.Trace
+		if tr == nil {
+			var err error
+			if tr, err = traces.Get(spec, cores); err != nil {
+				return nil, err
+			}
 		}
 		return system.RunContext(opt.context(), cfg, tr.Source())
 	}
-	if testRunHook != nil || cfg.OnEpoch != nil || cfg.Probe != nil {
-		// Hooks are excluded from the canonical config bytes (they don't
-		// change results) but must still fire on every run, so hooked
-		// configs — and test-poisoned cells — bypass the cache.
-		if testRunHook != nil {
-			testRunHook(cfg, name)
-		}
+	if testRunHook != nil {
+		testRunHook(cfg, c.Workload)
+	}
+	// The spec key does not name a carried trace, and hooks are excluded
+	// from the canonical config bytes (they don't change results) but
+	// must still fire on every run, so carried traces, hooked configs —
+	// and test-poisoned cells — bypass the cache. The key needs no core
+	// count: cores follows from cfg.
+	if c.Trace != nil || testRunHook != nil || cfg.OnEpoch != nil || cfg.Probe != nil {
 		return sim()
 	}
-	key := simcache.Sum(cfg.CanonicalBytes(),
-		[]byte(fmt.Sprintf("bench/v1|w=%s|cores=%d|seed=%d|acc=%d",
-			name, cores, opt.Seed, opt.AccessesPerCore)))
-	res, _, err := resultCache.Do(key, sim)
+	res, _, err := resultCache.Do(spec.Key(cfg, ""), sim)
 	return res, err
-}
-
-// cell identifies one (machine config, workload) simulation in a batch.
-type cell struct {
-	cfg  system.Config
-	name string
-}
-
-// Cell is the exported form of a batch cell, for callers that assemble
-// their own experiment matrices (cross-path determinism tests, external
-// harnesses) and want them executed on the shared bounded pool.
-type Cell struct {
-	Config   system.Config
-	Workload string
-}
-
-// RunCells simulates the given cells concurrently on the bounded worker
-// pool and returns the results in input order; identical cells are
-// deduplicated through the result cache exactly like the figure matrix.
-// Failures come back aggregated in a *BatchError with surviving rows
-// intact (see runCells).
-func RunCells(cells []Cell, opt Options) ([]*system.Result, error) {
-	in := make([]cell, len(cells))
-	for i, c := range cells {
-		in[i] = cell{cfg: c.Config, name: c.Workload}
-	}
-	return runCells(in, opt)
 }
 
 // RowError describes one failed cell of an experiment matrix: which row
@@ -188,16 +135,19 @@ type RowError struct {
 }
 
 func (e *RowError) Error() string {
-	kind := "error"
-	if e.Panicked {
-		kind = "panic"
-	}
-	return fmt.Sprintf("row %d (%s, %s): %s: %v", e.Index, e.Design, e.Workload, kind, e.Err)
+	return fmt.Sprintf("row %d (%s, %s): %s: %v", e.Index, e.Design, e.Workload, e.kind(), e.Err)
 }
 
 func (e *RowError) Unwrap() error { return e.Err }
 
-// BatchError aggregates every failed row of one runCells batch. The
+func (e *RowError) kind() string {
+	if e.Panicked {
+		return "panic"
+	}
+	return "error"
+}
+
+// BatchError aggregates every failed row of one RunCells batch. The
 // surviving rows' results are still returned alongside it, in order.
 type BatchError struct {
 	Rows []*RowError
@@ -221,15 +171,21 @@ func (e *BatchError) ByIndex(i int) *RowError {
 	return nil
 }
 
-// runCells simulates every cell of an experiment matrix concurrently on
+// failText renders failed cell i as a table cell.
+func (e *BatchError) failText(i int) string {
+	re := e.ByIndex(i)
+	return fmt.Sprintf("FAILED(%s: %v)", re.kind(), re.Err)
+}
+
+// RunCells simulates every cell of an experiment matrix concurrently on
 // a bounded worker pool (GOMAXPROCS workers) and returns the results in
 // input order, so table rows stay deterministic regardless of
-// scheduling. Each simulation is independent (per-run state, cloned
-// traces; the trace cache is once-guarded), so concurrency cannot change
-// any result. A failing or panicking row does not kill the batch: every
-// other cell still completes and keeps its slot, and the failures come
-// back aggregated in a *BatchError (failed slots hold nil).
-func runCells(cells []cell, opt Options) ([]*system.Result, error) {
+// scheduling. Each simulation is independent (per-run state; the trace
+// and result caches are singleflight-guarded), so concurrency cannot
+// change any result. A failing or panicking row does not kill the batch:
+// every other cell still completes and keeps its slot, and the failures
+// come back aggregated in a *BatchError (failed slots hold nil).
+func RunCells(cells []Cell, opt Options) ([]*system.Result, error) {
 	results := make([]*system.Result, len(cells))
 	errs := make([]error, len(cells))
 	panicked := make([]bool, len(cells))
@@ -256,7 +212,7 @@ func runCells(cells []cell, opt Options) ([]*system.Result, error) {
 					results[i] = nil
 				}
 			}()
-			results[i], errs[i] = run(cells[i].cfg, cells[i].name, opt)
+			results[i], errs[i] = run(cells[i], opt)
 		}(i)
 	}
 	wg.Wait()
@@ -265,8 +221,8 @@ func runCells(cells []cell, opt Options) ([]*system.Result, error) {
 		if err != nil {
 			be.Rows = append(be.Rows, &RowError{
 				Index:    i,
-				Design:   cells[i].cfg.Design.String(),
-				Workload: cells[i].name,
+				Design:   cells[i].Config.Design.String(),
+				Workload: cells[i].Workload,
 				Panicked: panicked[i],
 				Err:      err,
 			})

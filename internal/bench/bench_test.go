@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"ndpext/internal/runspec"
+	"ndpext/internal/simcache"
 	"ndpext/internal/system"
 )
 
@@ -59,25 +61,24 @@ func TestFig4bShape(t *testing.T) {
 // generated trace per key (a run never mutates its input), and distinct
 // keys get distinct traces.
 func TestTraceCacheSharesOneTrace(t *testing.T) {
-	opt := Quick()
-	opt.AccessesPerCore = 500
-	a, err := trace("pr", 8, opt)
+	spec := runspec.Spec{Workload: "pr", Seed: 1, Accesses: 500, Scale: 1}
+	a, err := traces.Get(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := trace("pr", 8, opt)
+	b, err := traces.Get(spec, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Fatal("trace() generated the same key twice")
+		t.Fatal("traces.Get generated the same key twice")
 	}
-	c, err := trace("pr", 4, opt)
+	c, err := traces.Get(spec, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a || len(c.PerCore) != 4 {
-		t.Fatalf("trace() for 4 cores returned %d-core trace (shared with 8 cores: %v)", len(c.PerCore), c == a)
+		t.Fatalf("traces.Get for 4 cores returned %d-core trace (shared with 8 cores: %v)", len(c.PerCore), c == a)
 	}
 }
 
@@ -169,31 +170,44 @@ func TestRunCellsMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-machine simulations")
 	}
+	freshCaches(t)
 	opt := Options{Workloads: []string{"pr"}, AccessesPerCore: 1000, Seed: 7}
-	cells := []cell{
-		{system.DefaultConfig(system.NDPExt), "pr"},
-		{system.DefaultConfig(system.Nexus), "pr"},
-		{system.DefaultConfig(system.NDPExt), "pr"}, // duplicate: exercises the shared trace cache
+	cells := []Cell{
+		{Config: system.DefaultConfig(system.NDPExt), Workload: "pr"},
+		{Config: system.DefaultConfig(system.Nexus), Workload: "pr"},
+		{Config: system.DefaultConfig(system.NDPExt), Workload: "pr"}, // duplicate: exercises the result cache
 	}
-	par, err := runCells(cells, opt)
+	par, err := RunCells(cells, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(par) != len(cells) {
 		t.Fatalf("got %d results for %d cells", len(par), len(cells))
 	}
+	// Two designs on one workload generate its trace once; a worker that
+	// joined the in-flight generation counts as a miss and a dedup.
+	if st := traces.Stats(); st.Misses-st.Dedups != 1 || st.Entries != 1 {
+		t.Fatalf("trace cache after one workload: %+v, want one generation", st)
+	}
+	spec := runspec.Spec{Workload: "pr", Seed: opt.Seed, Accesses: opt.AccessesPerCore, Scale: 1}
 	for i, c := range cells {
-		want, err := run(c.cfg, c.name, opt)
+		// The serial reference carries its trace, so it simulates again
+		// instead of returning the pooled run's cached result.
+		c.Trace, err = traces.Get(spec, c.Config.NumUnits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(c, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := par[i]
-		if got.Design != c.cfg.Design {
-			t.Fatalf("cell %d: result for %v in %v's slot", i, got.Design, c.cfg.Design)
+		if got.Design != c.Config.Design {
+			t.Fatalf("cell %d: result for %v in %v's slot", i, got.Design, c.Config.Design)
 		}
 		if got.Time != want.Time || got.Breakdown != want.Breakdown ||
 			got.CacheHits != want.CacheHits || got.Energy != want.Energy {
-			t.Fatalf("cell %d (%v): pooled run diverged from serial run", i, c.cfg.Design)
+			t.Fatalf("cell %d (%v): pooled run diverged from serial run", i, c.Config.Design)
 		}
 	}
 	if par[0].Time != par[2].Time {
@@ -205,10 +219,10 @@ func TestRunCellsPropagatesErrors(t *testing.T) {
 	opt := Options{Workloads: []string{"pr"}, AccessesPerCore: 100, Seed: 1}
 	bad := system.DefaultConfig(system.NDPExt)
 	bad.UnitRows = 0
-	if _, err := runCells([]cell{{bad, "pr"}}, opt); err == nil {
+	if _, err := RunCells([]Cell{{Config: bad, Workload: "pr"}}, opt); err == nil {
 		t.Fatal("invalid config did not surface an error")
 	}
-	if _, err := runCells([]cell{{system.DefaultConfig(system.NDPExt), "no-such-workload"}}, opt); err == nil {
+	if _, err := RunCells([]Cell{{Config: system.DefaultConfig(system.NDPExt), Workload: "no-such-workload"}}, opt); err == nil {
 		t.Fatal("unknown workload did not surface an error")
 	}
 }
@@ -229,8 +243,8 @@ func TestRunCellsRecoversPoisonedRow(t *testing.T) {
 	cfg.UnitRows = 64 // shrink for test speed
 	ncfg := system.DefaultConfig(system.Nexus)
 	ncfg.UnitRows = 64
-	cells := []cell{{cfg, "pr"}, {ncfg, "pr"}, {cfg, "pr"}}
-	results, err := runCells(cells, opt)
+	cells := []Cell{{Config: cfg, Workload: "pr"}, {Config: ncfg, Workload: "pr"}, {Config: cfg, Workload: "pr"}}
+	results, err := RunCells(cells, opt)
 	if err == nil {
 		t.Fatal("poisoned row surfaced no error")
 	}
@@ -263,7 +277,7 @@ func TestRunCellsRecoversPoisonedRow(t *testing.T) {
 		t.Fatal("identical surviving cells diverged")
 	}
 	// And the survivors match an unpoisoned serial run exactly.
-	want, err2 := run(cfg, "pr", opt)
+	want, err2 := run(Cell{Config: cfg, Workload: "pr"}, opt)
 	if err2 != nil {
 		t.Fatal(err2)
 	}
@@ -276,11 +290,11 @@ func TestRunCellsCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := Options{Workloads: []string{"pr"}, AccessesPerCore: 500, Seed: 1, Ctx: ctx}
-	cells := []cell{
-		{system.DefaultConfig(system.NDPExt), "pr"},
-		{system.DefaultConfig(system.Nexus), "pr"},
+	cells := []Cell{
+		{Config: system.DefaultConfig(system.NDPExt), Workload: "pr"},
+		{Config: system.DefaultConfig(system.Nexus), Workload: "pr"},
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	var be *BatchError
 	if !errors.As(err, &be) || len(be.Rows) != len(cells) {
 		t.Fatalf("canceled batch: err = %v, want a BatchError covering all %d cells", err, len(cells))
@@ -298,13 +312,13 @@ func TestRunDedupsIdenticalCells(t *testing.T) {
 		t.Skip("full-machine simulations")
 	}
 	opt := Options{Workloads: []string{"pr"}, AccessesPerCore: 600, Seed: 99}
-	cfg := system.DefaultConfig(system.NDPExt)
+	cell := Cell{Config: system.DefaultConfig(system.NDPExt), Workload: "pr"}
 	before := resultCache.Stats()
-	a, err := run(cfg, "pr", opt)
+	a, err := run(cell, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := run(cfg, "pr", opt)
+	b, err := run(cell, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,11 +331,45 @@ func TestRunDedupsIdenticalCells(t *testing.T) {
 	}
 	// A different seed must not alias the cached cell.
 	opt.Seed = 100
-	c, err := run(cfg, "pr", opt)
+	c, err := run(cell, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c == a {
 		t.Error("different seed returned the cached result")
 	}
+
+	// A cell carrying its own trace simulates every time and never
+	// touches the result cache.
+	cell.Trace, err = traces.Get(runspec.Spec{Workload: "pr", Seed: 99, Accesses: 600, Scale: 1}, cell.Config.NumUnits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = resultCache.Stats()
+	d, err := run(cell, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := run(cell, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := resultCache.Stats(); after != before {
+		t.Errorf("trace-carrying cells used the result cache: %+v -> %+v", before, after)
+	}
+	if d == e || d == a {
+		t.Error("trace-carrying cell returned a cached result")
+	}
+	if d.Time != a.Time || d.Energy != a.Energy {
+		t.Error("replaying the generated trace diverged from the generated cell")
+	}
+}
+
+// freshCaches gives the test empty result and trace caches, so counts
+// hold under -count > 1.
+func freshCaches(t *testing.T) {
+	t.Helper()
+	results, trs := resultCache, traces
+	resultCache, traces = simcache.New[*system.Result](512, 0), runspec.NewTraces()
+	t.Cleanup(func() { resultCache, traces = results, trs })
 }

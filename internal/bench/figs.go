@@ -36,27 +36,19 @@ func Fig5(hmc bool, opt Options) (Table, map[string]float64, float64, error) {
 	}
 
 	// One matrix row per workload: the host run plus every NDP design.
-	var cells []cell
+	var cells []Cell
 	for _, w := range opt.Workloads {
-		cells = append(cells, cell{mk(system.Host), w})
+		cells = append(cells, Cell{Config: mk(system.Host), Workload: w})
 		for _, d := range designs {
-			cells = append(cells, cell{mk(d), w})
+			cells = append(cells, Cell{Config: mk(d), Workload: w})
 		}
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	// A failed or panicked row becomes a FAILED cell in the table (and
 	// drops out of the geomeans) instead of killing the whole figure.
 	var be *BatchError
 	if err != nil && !errors.As(err, &be) {
 		return tbl, nil, 0, err
-	}
-	failText := func(ci int) string {
-		re := be.ByIndex(ci)
-		kind := "error"
-		if re.Panicked {
-			kind = "panic"
-		}
-		return fmt.Sprintf("FAILED(%s: %v)", kind, re.Err)
 	}
 
 	perDesign := map[string][]float64{}
@@ -65,7 +57,7 @@ func Fig5(hmc bool, opt Options) (Table, map[string]float64, float64, error) {
 	for wi, w := range opt.Workloads {
 		host := results[wi*stride]
 		if host == nil {
-			tbl.Rows = append(tbl.Rows, []string{w, "host " + failText(wi*stride)})
+			tbl.Rows = append(tbl.Rows, []string{w, "host " + be.failText(wi*stride)})
 			continue
 		}
 		row := []string{w}
@@ -73,7 +65,7 @@ func Fig5(hmc bool, opt Options) (Table, map[string]float64, float64, error) {
 		for di, d := range designs {
 			res := results[wi*stride+1+di]
 			if res == nil {
-				row = append(row, failText(wi*stride+1+di))
+				row = append(row, be.failText(wi*stride+1+di))
 				continue
 			}
 			sp := float64(host.Time) / float64(res.Time)
@@ -113,9 +105,9 @@ func Fig2(opt Options) (Table, error) {
 		Title:   "Fig 2(a): latency breakdown, static interleaving (pr)",
 		Columns: []string{"system", "core", "meta", "intra-noc", "inter-noc", "dram", "extended", "hit-rate"},
 	}
-	results, err := runCells([]cell{
-		{system.DefaultConfig(system.StaticInterleave), "pr"},
-		{system.DefaultConfig(system.Host), "pr"},
+	results, err := RunCells([]Cell{
+		{Config: system.DefaultConfig(system.StaticInterleave), Workload: "pr"},
+		{Config: system.DefaultConfig(system.Host), Workload: "pr"},
 	}, opt)
 	if err != nil {
 		return tbl, err
@@ -175,12 +167,12 @@ func Fig6(opt Options) (Table, float64, error) {
 		Title:   "Fig 6: energy, NDPExt vs Nexus (uJ; ratio = Nexus/NDPExt)",
 		Columns: []string{"workload", "design", "static", "ndp-dram", "ext-dram", "noc", "cxl", "sram", "total", "ratio"},
 	}
-	var cells []cell
+	var cells []Cell
 	for _, w := range opt.Workloads {
-		cells = append(cells, cell{system.DefaultConfig(system.Nexus), w})
-		cells = append(cells, cell{system.DefaultConfig(system.NDPExt), w})
+		cells = append(cells, Cell{Config: system.DefaultConfig(system.Nexus), Workload: w})
+		cells = append(cells, Cell{Config: system.DefaultConfig(system.NDPExt), Workload: w})
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, 0, err
 	}
@@ -212,12 +204,12 @@ func Fig7(opt Options) (Table, error) {
 		Title:   "Fig 7: interconnect latency (ns/access) and miss rate",
 		Columns: []string{"workload", "nexus-ns", "ndpext-ns", "nexus-miss", "ndpext-miss"},
 	}
-	var cells []cell
+	var cells []Cell
 	for _, w := range opt.Workloads {
-		cells = append(cells, cell{system.DefaultConfig(system.Nexus), w})
-		cells = append(cells, cell{system.DefaultConfig(system.NDPExt), w})
+		cells = append(cells, Cell{Config: system.DefaultConfig(system.Nexus), Workload: w})
+		cells = append(cells, Cell{Config: system.DefaultConfig(system.NDPExt), Workload: w})
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, err
 	}
@@ -237,10 +229,11 @@ type fig8aVariant struct {
 	unitsX, unitsY   int
 }
 
+func (v fig8aVariant) String() string { return v.label }
+
 // Fig8a reproduces Fig. 8(a): NDPExt speedup over Nexus across NDP core
 // counts and stack arrangements.
 func Fig8a(opt Options) (Table, map[string]float64, error) {
-	opt = sweepSubset(opt, "recsys", "pr", "mv", "hotspot")
 	variants := []fig8aVariant{
 		{"2x64 (128 cores)", 2, 1, 8, 8},
 		{"8x16 (128 cores)", 4, 2, 4, 4},
@@ -249,39 +242,20 @@ func Fig8a(opt Options) (Table, map[string]float64, error) {
 		{"4x16 (64 cores)", 2, 2, 4, 4},
 		{"16x16 (256 cores)", 4, 4, 4, 4},
 	}
-	tbl := Table{
-		Title:   "Fig 8(a): NDPExt speedup over Nexus vs core count (stacks x cores/stack)",
-		Columns: []string{"machine", "speedup"},
-	}
-	mk := func(v fig8aVariant, d system.Design) system.Config {
-		cfg := system.DefaultConfig(d)
-		cfg.NoC.StacksX, cfg.NoC.StacksY = v.stacksX, v.stacksY
-		cfg.NoC.UnitsX, cfg.NoC.UnitsY = v.unitsX, v.unitsY
-		return cfg
-	}
-	var cells []cell
-	for _, v := range variants {
-		for _, w := range opt.Workloads {
-			cells = append(cells, cell{mk(v, system.Nexus), w})
-			cells = append(cells, cell{mk(v, system.NDPExt), w})
-		}
-	}
-	results, err := runCells(cells, opt)
+	tbl, geo, err := ndpextOverNexus("Fig 8(a): NDPExt speedup over Nexus vs core count (stacks x cores/stack)",
+		[]string{"machine", "speedup"}, variants,
+		func(v fig8aVariant, d system.Design) system.Config {
+			cfg := system.DefaultConfig(d)
+			cfg.NoC.StacksX, cfg.NoC.StacksY = v.stacksX, v.stacksY
+			cfg.NoC.UnitsX, cfg.NoC.UnitsY = v.unitsX, v.unitsY
+			return cfg
+		}, opt)
 	if err != nil {
 		return tbl, nil, err
 	}
 	out := map[string]float64{}
-	i := 0
-	for _, v := range variants {
-		var sps []float64
-		for range opt.Workloads {
-			nx, nd := results[i], results[i+1]
-			i += 2
-			sps = append(sps, float64(nx.Time)/float64(nd.Time))
-		}
-		g := stats.Geomean(sps)
+	for v, g := range geo {
 		out[v.label] = g
-		tbl.Rows = append(tbl.Rows, []string{v.label, f2(g)})
 	}
 	return tbl, out, nil
 }
@@ -289,76 +263,74 @@ func Fig8a(opt Options) (Table, map[string]float64, error) {
 // Fig8b reproduces Fig. 8(b): NDPExt speedup over Nexus across CXL link
 // latencies (paper: 1.33x at 50 ns to 1.50x at 400 ns).
 func Fig8b(opt Options) (Table, map[int]float64, error) {
+	return ndpextOverNexus("Fig 8(b): NDPExt speedup over Nexus vs CXL link latency",
+		[]string{"latency-ns", "speedup"}, []int{50, 100, 200, 400},
+		func(ns int, d system.Design) system.Config {
+			cfg := system.DefaultConfig(d)
+			cfg.CXL.LinkLatency = sim.FromNS(float64(ns))
+			return cfg
+		}, opt)
+}
+
+// ndpextOverNexus runs Nexus and NDPExt on the Fig. 8 workloads at each
+// sweep point and reports NDPExt's geomean speedup over Nexus per point.
+func ndpextOverNexus[P comparable](title string, columns []string, points []P,
+	mk func(p P, d system.Design) system.Config, opt Options) (Table, map[P]float64, error) {
+
 	opt = sweepSubset(opt, "recsys", "pr", "mv", "hotspot")
-	tbl := Table{
-		Title:   "Fig 8(b): NDPExt speedup over Nexus vs CXL link latency",
-		Columns: []string{"latency-ns", "speedup"},
-	}
-	points := []int{50, 100, 200, 400}
-	mk := func(ns int, d system.Design) system.Config {
-		cfg := system.DefaultConfig(d)
-		cfg.CXL.LinkLatency = sim.FromNS(float64(ns))
-		return cfg
-	}
-	var cells []cell
-	for _, ns := range points {
+	tbl := Table{Title: title, Columns: columns}
+	var cells []Cell
+	for _, p := range points {
 		for _, w := range opt.Workloads {
-			cells = append(cells, cell{mk(ns, system.Nexus), w})
-			cells = append(cells, cell{mk(ns, system.NDPExt), w})
+			cells = append(cells, Cell{Config: mk(p, system.Nexus), Workload: w})
+			cells = append(cells, Cell{Config: mk(p, system.NDPExt), Workload: w})
 		}
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, nil, err
 	}
-	out := map[int]float64{}
+	out := map[P]float64{}
 	i := 0
-	for _, ns := range points {
+	for _, p := range points {
 		var sps []float64
 		for range opt.Workloads {
 			nx, nd := results[i], results[i+1]
 			i += 2
 			sps = append(sps, float64(nx.Time)/float64(nd.Time))
 		}
-		g := stats.Geomean(sps)
-		out[ns] = g
-		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(ns), f2(g)})
+		out[p] = stats.Geomean(sps)
+		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(p), f2(out[p])})
 	}
 	return tbl, out, nil
 }
 
-// ndpextSweep runs NDPExt over a config mutation sweep and reports
-// speedups normalized to the reference point.
-func ndpextSweep(title, unit string, points []int, ref int,
-	mutate func(cfg *system.Config, v int), opt Options) (Table, map[int]float64, error) {
+// ndpextSweep runs NDPExt over a config mutation sweep and reports each
+// point's total run time over opt's workloads as a speedup over ref's.
+func ndpextSweep[P comparable](title string, columns []string, points []P, ref P,
+	mutate func(cfg *system.Config, p P), opt Options) (Table, map[P]float64, error) {
 
-	tbl := Table{Title: title, Columns: []string{unit, "speedup-vs-default"}}
-	var cells []cell
-	for _, v := range points {
+	tbl := Table{Title: title, Columns: columns}
+	var cells []Cell
+	for _, p := range points {
 		for _, w := range opt.Workloads {
 			cfg := system.DefaultConfig(system.NDPExt)
-			mutate(&cfg, v)
-			cells = append(cells, cell{cfg, w})
+			mutate(&cfg, p)
+			cells = append(cells, Cell{Config: cfg, Workload: w})
 		}
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, nil, err
 	}
-	times := map[int]float64{}
-	i := 0
-	for _, v := range points {
-		var total float64
-		for range opt.Workloads {
-			total += float64(results[i].Time)
-			i++
-		}
-		times[v] = total
+	times := map[P]float64{}
+	for i, res := range results {
+		times[points[i/len(opt.Workloads)]] += float64(res.Time)
 	}
-	out := map[int]float64{}
-	for _, v := range points {
-		out[v] = times[ref] / times[v]
-		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(v), f2(out[v])})
+	out := map[P]float64{}
+	for _, p := range points {
+		out[p] = times[ref] / times[p]
+		tbl.Rows = append(tbl.Rows, []string{fmt.Sprint(p), f2(out[p])})
 	}
 	return tbl, out, nil
 }
@@ -367,7 +339,7 @@ func ndpextSweep(title, unit string, points []int, ref int,
 // acceptable; graphs gain 10-20% at 64 ways).
 func Fig9a(opt Options) (Table, map[int]float64, error) {
 	opt = sweepSubset(opt, "pr", "cc", "recsys") // graphs gain the most (paper)
-	return ndpextSweep("Fig 9(a): indirect cache associativity", "ways",
+	return ndpextSweep("Fig 9(a): indirect cache associativity", []string{"ways", "speedup-vs-default"},
 		[]int{1, 4, 16, 64}, 1,
 		func(cfg *system.Config, v int) { cfg.Stream.IndirectWays = v }, opt)
 }
@@ -375,7 +347,7 @@ func Fig9a(opt Options) (Table, map[int]float64, error) {
 // Fig9b: affine stream block size (paper default 1 kB).
 func Fig9b(opt Options) (Table, map[int]float64, error) {
 	opt = sweepSubset(opt, "mv", "hotspot", "pathfinder")
-	return ndpextSweep("Fig 9(b): affine block size (bytes)", "block",
+	return ndpextSweep("Fig 9(b): affine block size (bytes)", []string{"block", "speedup-vs-default"},
 		[]int{256, 512, 1024, 2048}, 1024,
 		func(cfg *system.Config, v int) { cfg.Stream.BlockBytes = v }, opt)
 }
@@ -384,7 +356,7 @@ func Fig9b(opt Options) (Table, map[int]float64, error) {
 // with a near-unlimited point standing in for the ideal case).
 func Fig9c(opt Options) (Table, map[int]float64, error) {
 	opt = sweepSubset(opt, "mv", "gnn") // the paper's affine-heavy pair
-	return ndpextSweep("Fig 9(c): affine space restriction (bytes/unit, scaled)", "cap",
+	return ndpextSweep("Fig 9(c): affine space restriction (bytes/unit, scaled)", []string{"cap", "speedup-vs-default"},
 		[]int{4 << 10, 8 << 10, 16 << 10, 64 << 10, 1 << 20}, 16<<10,
 		func(cfg *system.Config, v int) { cfg.Stream.AffineCapBytes = v }, opt)
 }
@@ -392,7 +364,7 @@ func Fig9c(opt Options) (Table, map[int]float64, error) {
 // Fig9d: miss-curve sampler sets k (paper: insensitive).
 func Fig9d(opt Options) (Table, map[int]float64, error) {
 	opt = sweepSubset(opt, "recsys", "pr")
-	return ndpextSweep("Fig 9(d): sampler sets k", "k",
+	return ndpextSweep("Fig 9(d): sampler sets k", []string{"k", "speedup-vs-default"},
 		[]int{8, 16, 32, 64}, 32,
 		func(cfg *system.Config, v int) { cfg.Sampler.SampleSets = v }, opt)
 }
@@ -412,15 +384,15 @@ func Fig9e(opt Options) (Table, map[string]float64, error) {
 		{"Partial", system.ReconfigPartial},
 		{"Full", system.ReconfigFull},
 	}
-	var cells []cell
+	var cells []Cell
 	for _, w := range opt.Workloads {
 		for _, m := range modes {
 			cfg := system.DefaultConfig(system.NDPExt)
 			cfg.Reconfig = m.mode
-			cells = append(cells, cell{cfg, w})
+			cells = append(cells, Cell{Config: cfg, Workload: w})
 		}
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, nil, err
 	}
@@ -452,7 +424,7 @@ func Fig9e(opt Options) (Table, map[string]float64, error) {
 func Fig9f(opt Options) (Table, map[int]float64, error) {
 	opt = sweepSubset(opt, "recsys", "pr", "mv")
 	base := int(system.DefaultConfig(system.NDPExt).EpochCycles)
-	return ndpextSweep("Fig 9(f): reconfiguration interval (cycles)", "epoch",
+	return ndpextSweep("Fig 9(f): reconfiguration interval (cycles)", []string{"epoch", "speedup-vs-default"},
 		[]int{base / 4, base / 2, base, base * 2, base * 4}, base,
 		func(cfg *system.Config, v int) { cfg.EpochCycles = int64(v) }, opt)
 }
@@ -465,15 +437,15 @@ func SecVD(opt Options) (Table, float64, float64, error) {
 		Title:   "SecV-D: consistent hashing vs bulk invalidation",
 		Columns: []string{"workload", "speedup", "invalidation-reduction"},
 	}
-	var cells []cell
+	var cells []Cell
 	for _, w := range opt.Workloads {
 		cons := system.DefaultConfig(system.NDPExt)
 		cons.ConsistentHash = true
 		bulk := system.DefaultConfig(system.NDPExt)
 		bulk.ConsistentHash = false
-		cells = append(cells, cell{cons, w}, cell{bulk, w})
+		cells = append(cells, Cell{Config: cons, Workload: w}, Cell{Config: bulk, Workload: w})
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, 0, 0, err
 	}
@@ -501,46 +473,14 @@ func SecVD(opt Options) (Table, float64, float64, error) {
 // host processor (highest latency). NDPExt runs on each.
 func AblationExtAttach(opt Options) (Table, map[string]float64, error) {
 	opt = sweepSubset(opt, "recsys", "pr", "mv")
-	tbl := Table{
-		Title:   "Ablation (SecIII-A): extended-memory attach technology (speedup vs CXL)",
-		Columns: []string{"attach", "speedup"},
+	attaches := map[string]cxl.Config{
+		"cxl":        cxl.DefaultConfig(),
+		"dimm":       cxl.DIMMConfig(),
+		"host-relay": cxl.HostRelayConfig(),
 	}
-	attaches := []struct {
-		name string
-		cfg  cxl.Config
-	}{
-		{"cxl", cxl.DefaultConfig()},
-		{"dimm", cxl.DIMMConfig()},
-		{"host-relay", cxl.HostRelayConfig()},
-	}
-	var cells []cell
-	for _, at := range attaches {
-		for _, w := range opt.Workloads {
-			cfg := system.DefaultConfig(system.NDPExt)
-			cfg.CXL = at.cfg
-			cells = append(cells, cell{cfg, w})
-		}
-	}
-	results, err := runCells(cells, opt)
-	if err != nil {
-		return tbl, nil, err
-	}
-	times := map[string]float64{}
-	i := 0
-	for _, at := range attaches {
-		var total float64
-		for range opt.Workloads {
-			total += float64(results[i].Time)
-			i++
-		}
-		times[at.name] = total
-	}
-	out := map[string]float64{}
-	for _, at := range attaches {
-		out[at.name] = times["cxl"] / times[at.name]
-		tbl.Rows = append(tbl.Rows, []string{at.name, f2(out[at.name])})
-	}
-	return tbl, out, nil
+	return ndpextSweep("Ablation (SecIII-A): extended-memory attach technology (speedup vs CXL)",
+		[]string{"attach", "speedup"}, []string{"cxl", "dimm", "host-relay"}, "cxl",
+		func(cfg *system.Config, at string) { cfg.CXL = attaches[at] }, opt)
 }
 
 // AblationWayPredict compares the indirect-cache organizations of
@@ -549,48 +489,21 @@ func AblationExtAttach(opt Options) (Table, map[string]float64, error) {
 // alternative, paying a second DRAM access per misprediction).
 func AblationWayPredict(opt Options) (Table, map[string]float64, error) {
 	opt = sweepSubset(opt, "recsys", "pr")
-	tbl := Table{
-		Title:   "Ablation (SecIV-C): indirect cache organization (speedup vs direct-mapped)",
-		Columns: []string{"organization", "speedup"},
-	}
-	organizations := []struct {
-		name    string
+	organizations := map[string]struct {
 		ways    int
 		predict bool
 	}{
-		{"direct-mapped", 1, false},
-		{"4-way ideal", 4, false},
-		{"4-way way-predicted", 4, true},
+		"direct-mapped":       {1, false},
+		"4-way ideal":         {4, false},
+		"4-way way-predicted": {4, true},
 	}
-	var cells []cell
-	for _, org := range organizations {
-		for _, w := range opt.Workloads {
-			cfg := system.DefaultConfig(system.NDPExt)
-			cfg.Stream.IndirectWays = org.ways
-			cfg.Stream.WayPredict = org.predict
-			cells = append(cells, cell{cfg, w})
-		}
-	}
-	results, err := runCells(cells, opt)
-	if err != nil {
-		return tbl, nil, err
-	}
-	times := map[string]float64{}
-	i := 0
-	for _, org := range organizations {
-		var total float64
-		for range opt.Workloads {
-			total += float64(results[i].Time)
-			i++
-		}
-		times[org.name] = total
-	}
-	out := map[string]float64{}
-	for _, org := range organizations {
-		out[org.name] = times["direct-mapped"] / times[org.name]
-		tbl.Rows = append(tbl.Rows, []string{org.name, f2(out[org.name])})
-	}
-	return tbl, out, nil
+	return ndpextSweep("Ablation (SecIV-C): indirect cache organization (speedup vs direct-mapped)",
+		[]string{"organization", "speedup"},
+		[]string{"direct-mapped", "4-way ideal", "4-way way-predicted"}, "direct-mapped",
+		func(cfg *system.Config, org string) {
+			cfg.Stream.IndirectWays = organizations[org].ways
+			cfg.Stream.WayPredict = organizations[org].predict
+		}, opt)
 }
 
 // MetaHitRates reports the baselines' metadata cache hit rates per
@@ -601,11 +514,11 @@ func MetaHitRates(opt Options) (Table, error) {
 		Title:   "SecVII-A: baseline metadata cache hit rate (Nexus)",
 		Columns: []string{"workload", "meta-hit-rate"},
 	}
-	var cells []cell
+	var cells []Cell
 	for _, w := range opt.Workloads {
-		cells = append(cells, cell{system.DefaultConfig(system.Nexus), w})
+		cells = append(cells, Cell{Config: system.DefaultConfig(system.Nexus), Workload: w})
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, err
 	}
@@ -641,7 +554,7 @@ func FaultSweep(opt Options) (Table, error) {
 		{"lossy-fabric", "cxl-retry,rate=0.05,lat=200ns;cxl-degrade,at=0,factor=4;vault-fail,unit=5,at=300us"},
 	}
 	designs := []system.Design{system.NDPExt, system.Nexus}
-	var cells []cell
+	var cells []Cell
 	for _, rg := range regimes {
 		spec, err := fault.Parse(rg.spec)
 		if err != nil {
@@ -651,10 +564,10 @@ func FaultSweep(opt Options) (Table, error) {
 			cfg := system.DefaultConfig(d)
 			cfg.Faults = spec
 			cfg.FaultSeed = 1
-			cells = append(cells, cell{cfg, w})
+			cells = append(cells, Cell{Config: cfg, Workload: w})
 		}
 	}
-	results, err := runCells(cells, opt)
+	results, err := RunCells(cells, opt)
 	if err != nil {
 		return tbl, err
 	}

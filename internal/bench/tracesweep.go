@@ -1,11 +1,9 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
-	"ndpext/internal/sim"
 	"ndpext/internal/system"
 	tracefmt "ndpext/internal/trace"
 )
@@ -17,8 +15,10 @@ import (
 // with ndptrace convert (or record one with ndpsim -record) and sweep
 // it instead of a synthetic generator.
 //
-// The file is decoded once; every design replays a clone of the
-// materialized trace, so a sweep costs one decode regardless of width.
+// The file is decoded once and every design replays the materialized
+// trace, so a sweep costs one decode regardless of width. A failed
+// design keeps its row, marked FAILED, and the failures come back in a
+// *BatchError.
 func TraceSweep(path string, opt Options) (Table, error) {
 	r, err := tracefmt.OpenFile(path)
 	if err != nil {
@@ -44,39 +44,25 @@ func TraceSweep(path string, opt Options) (Table, error) {
 			path, len(mat.PerCore), n, n)
 	}
 
-	results := make([]*system.Result, len(designs))
-	errs := make([]error, len(designs))
-	sem := make(chan struct{}, max(runtime.GOMAXPROCS(0), 1))
-	ctx := opt.context()
-	var wg sync.WaitGroup
+	cells := make([]Cell, len(designs))
 	for i, d := range designs {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, d system.Design) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = system.RunContext(ctx, system.DefaultConfig(d), mat.Source())
-		}(i, d)
+		cells[i] = Cell{Config: system.DefaultConfig(d), Workload: mat.Name, Trace: mat}
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return tbl, fmt.Errorf("%s: %w", designs[i], err)
-		}
-	}
-
-	var hostT sim.Time
-	for i, d := range designs {
-		if d == system.Host {
-			hostT = results[i].Time
-		}
+	results, err := RunCells(cells, opt)
+	var be *BatchError
+	if err != nil && !errors.As(err, &be) {
+		return tbl, err
 	}
 	for i, d := range designs {
 		res := results[i]
+		if res == nil {
+			tbl.Rows = append(tbl.Rows, []string{d.String(), be.failText(i)})
+			continue
+		}
+		speedup := "-"
+		if host := results[0]; host != nil { // designs[0] is Host
+			speedup = f2(float64(host.Time) / float64(res.Time))
+		}
 		hitRate := 0.0
 		if res.Accesses > 0 {
 			hitRate = float64(res.L1Hits) / float64(res.Accesses)
@@ -84,10 +70,10 @@ func TraceSweep(path string, opt Options) (Table, error) {
 		tbl.Rows = append(tbl.Rows, []string{
 			d.String(),
 			res.Time.String(),
-			f2(float64(hostT) / float64(res.Time)),
+			speedup,
 			pct(hitRate),
 			fmt.Sprintf("%d", res.Reconfigs),
 		})
 	}
-	return tbl, nil
+	return tbl, err
 }

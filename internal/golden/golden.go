@@ -19,6 +19,7 @@ package golden
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 
@@ -177,7 +178,7 @@ func (c Case) RunTrace(tr *workloads.Trace) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := system.Run(cfg, tr)
+	res, err := system.RunContext(context.Background(), cfg, tr.Source())
 	if err != nil {
 		return nil, err
 	}

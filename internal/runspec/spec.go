@@ -212,3 +212,30 @@ func (js Spec) Generate(cores int) (*workloads.Trace, error) {
 	sc.Mult = js.Scale
 	return gen(cores, js.Seed, sc)
 }
+
+// Traces caches generated workload traces by what determines them: the
+// spec's workload half and the core count. Machine configs that agree on
+// both share one trace; a run never mutates its input, so concurrent
+// runs may replay one trace at once. Safe for concurrent use.
+type Traces struct {
+	cache *simcache.Cache[*workloads.Trace]
+}
+
+// NewTraces returns a cache holding at most 32 traces.
+func NewTraces() *Traces {
+	return &Traces{cache: simcache.New[*workloads.Trace](32, 0)}
+}
+
+// Get returns the spec's workload generated for cores cores, generating
+// it on first use; concurrent callers of one key share one generation.
+func (t *Traces) Get(js Spec, cores int) (*workloads.Trace, error) {
+	key := simcache.Sum(js.WorkloadCanon(""), []byte(fmt.Sprintf("cores=%d", cores)))
+	tr, _, err := t.cache.Do(key, func() (*workloads.Trace, error) {
+		return js.Generate(cores)
+	})
+	return tr, err
+}
+
+// Stats reports the cache's activity; a caller that joined an in-flight
+// generation counts as both a miss and a dedup.
+func (t *Traces) Stats() simcache.Stats { return t.cache.Stats() }

@@ -7,14 +7,14 @@ import (
 	"testing"
 
 	"ndpext/internal/bench"
+	"ndpext/internal/runspec"
 	"ndpext/internal/server/result"
 	"ndpext/internal/system"
-	"ndpext/internal/workloads"
 )
 
 // TestDeterminismAcrossExecutionPaths is the concurrency-safety oracle
 // for the whole serving stack: one job spec simulated four ways —
-// serially via system.Run, through the bench worker pool, and as
+// serially via system.RunContext, through the bench worker pool, and as
 // concurrent submissions on two independent scheduler instances — must
 // produce byte-identical canonical result documents under the same
 // CanonicalBytes-derived cache key. Run under -race this also proves the
@@ -29,20 +29,13 @@ func TestDeterminismAcrossExecutionPaths(t *testing.T) {
 	}
 	key := spec.Key(cfg, "")
 
-	// Path 1: plain serial system.Run, trace built exactly as the
-	// scheduler and bench layers build it (DefaultScale + spec overrides).
-	gen, err := workloads.Get(spec.Workload)
+	// Path 1: plain serial system.RunContext on the trace the shared
+	// runspec cache generates.
+	tr, err := runspec.NewTraces().Get(spec, cfg.NumUnits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := workloads.DefaultScale()
-	sc.AccessesPerCore = spec.Accesses
-	sc.Mult = spec.Scale
-	tr, err := gen(cfg.NumUnits(), spec.Seed, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSerial, err := system.Run(cfg, tr)
+	resSerial, err := system.RunContext(context.Background(), cfg, tr.Source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ndpext/internal/runspec"
 	"ndpext/internal/server/result"
 	"ndpext/internal/server/store"
 	"ndpext/internal/simcache"
@@ -102,7 +103,7 @@ type Scheduler struct {
 
 	// genTraces dedupes generated workload traces across jobs whose
 	// workload parameters and unit counts agree.
-	genTraces *simcache.Cache[*workloads.Trace]
+	genTraces *runspec.Traces
 
 	queue chan *Job
 
@@ -142,7 +143,7 @@ func New(st *store.Store, traces *store.TraceRegistry, opt Options) *Scheduler {
 		opt:       opt,
 		st:        st,
 		traces:    traces,
-		genTraces: simcache.New[*workloads.Trace](32, 0),
+		genTraces: runspec.NewTraces(),
 		queue:     make(chan *Job, opt.QueueDepth),
 		accepting: true,
 		jobs:      make(map[string]*Job),
@@ -520,7 +521,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		}
 		src = rs
 	} else {
-		tr, err := s.genTrace(job.Spec, job.cfg.NumUnits())
+		tr, err := s.genTraces.Get(job.Spec, job.cfg.NumUnits())
 		if err != nil {
 			return nil, err
 		}
@@ -606,18 +607,6 @@ func (s *Scheduler) quarantineIfCorrupt(name string, err error) error {
 		return err
 	}
 	return fmt.Errorf("scheduler: trace %q quarantined (digest %s): %w", name, digest, err)
-}
-
-// genTrace builds (or reuses) the workload trace for a spec on a
-// machine of the given core count. Distinct machine configs share one
-// trace when their workload parameters and unit counts agree; a run
-// never mutates its input, so concurrent jobs may replay it at once.
-func (s *Scheduler) genTrace(spec JobSpec, cores int) (*workloads.Trace, error) {
-	key := simcache.Sum(spec.WorkloadCanon(""), []byte(fmt.Sprintf("cores=%d", cores)))
-	tr, _, err := s.genTraces.Do(key, func() (*workloads.Trace, error) {
-		return spec.Generate(cores)
-	})
-	return tr, err
 }
 
 // Drain gracefully shuts the engine down: stop accepting submissions,

@@ -26,7 +26,10 @@
 package ndpext
 
 import (
+	"context"
+
 	"ndpext/internal/bench"
+	"ndpext/internal/runspec"
 	"ndpext/internal/sim"
 	"ndpext/internal/stream"
 	"ndpext/internal/system"
@@ -106,13 +109,7 @@ func GenerateTrace(name string, cores int, seed uint64) (*Trace, error) {
 // GenerateTraceN is GenerateTrace with an explicit per-core access
 // budget (shorter traces run faster; longer ones stress capacity more).
 func GenerateTraceN(name string, cores int, seed uint64, accessesPerCore int) (*Trace, error) {
-	gen, err := workloads.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	sc := workloads.DefaultScale()
-	sc.AccessesPerCore = accessesPerCore
-	return gen(cores, seed, sc)
+	return runspec.Spec{Workload: name, Seed: seed, Accesses: accessesPerCore, Scale: 1}.Generate(cores)
 }
 
 // NewBuilder starts a custom workload trace (see Builder).
@@ -142,7 +139,7 @@ func LoadTrace(path string) (*Trace, error) {
 // found it, so one trace may be simulated any number of times, including
 // concurrently.
 func Simulate(cfg Config, tr *Trace) (*Result, error) {
-	return system.Run(cfg, tr)
+	return system.RunContext(context.Background(), cfg, tr.Source())
 }
 
 // Experiments exposes the paper's evaluation harness (one function per
