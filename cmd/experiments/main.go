@@ -19,8 +19,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -59,17 +61,8 @@ func main() {
 
 	if *tracePath != "" {
 		tbl, err := bench.TraceSweep(*tracePath, opt)
-		if err != nil {
+		if err := emit(os.Stdout, tbl, err, *asJSON, ""); err != nil {
 			log.Fatal(err)
-		}
-		if *asJSON {
-			out, err := tbl.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(tbl.String())
 		}
 		return
 	}
@@ -95,28 +88,42 @@ func main() {
 		if ctx.Err() != nil {
 			log.Fatalf("interrupted during fig %s", f)
 		}
-		if err != nil {
+		footer := fmt.Sprintf("(%s in %v)\n\n", f, time.Since(start).Round(time.Millisecond))
+		if err := emit(os.Stdout, tbl, err, *asJSON, footer); err != nil {
 			log.Printf("fig %s: %v", f, err)
 			failed++
-			continue
-		}
-		if *asJSON {
-			out, err := tbl.JSON()
-			if err != nil {
-				log.Printf("fig %s: %v", f, err)
-				failed++
-				continue
-			}
-			fmt.Println(string(out))
-		} else {
-			fmt.Print(tbl.String())
-			fmt.Printf("(%s in %v)\n\n", f, time.Since(start).Round(time.Millisecond))
 		}
 	}
 	if failed > 0 {
 		log.Printf("%d of %d figures failed", failed, len(figs))
 		os.Exit(1)
 	}
+}
+
+// emit prints a figure's table to w, as JSON or as text followed by
+// footer, and returns the figure's error err. A figure that fails in
+// part returns its surviving rows beside err, the failed ones as
+// FAILED(...) cells, so the table is printed whenever it has rows; a
+// failure without rows prints nothing. When err is nil, emit returns the
+// error of printing.
+func emit(w io.Writer, tbl bench.Table, err error, asJSON bool, footer string) error {
+	if err != nil && len(tbl.Rows) == 0 {
+		return err
+	}
+	var text string
+	if asJSON {
+		out, jerr := tbl.JSON()
+		if jerr != nil {
+			return errors.Join(err, jerr)
+		}
+		text = string(out) + "\n"
+	} else {
+		text = tbl.String() + footer
+	}
+	if _, werr := io.WriteString(w, text); err == nil {
+		err = werr
+	}
+	return err
 }
 
 func dispatch(fig string, opt bench.Options) (bench.Table, error) {

@@ -9,7 +9,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"ndpext/internal/sim"
 )
@@ -59,29 +58,72 @@ func (g *CSR) Validate() error {
 	return nil
 }
 
+// Scratch holds the buffers a graph is built in. A Scratch reused across
+// graphs reallocates a buffer only when a graph needs a larger one; the
+// graphs it returns share no storage with it. The zero value is ready to use. A Scratch is not safe
+// for concurrent use.
+type Scratch struct {
+	draws         []uint64 // one batch of RMAT's random draws
+	src, dst      []uint32 // the edge list
+	bySrc         []uint32 // the sources, bucketed by destination
+	start, cursor []uint32 // per-vertex bucket starts and scatter cursors
+}
+
+// grow returns b resized to n, reallocating only when it is too short.
+func grow[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
 // fromPairs builds a CSR from (src, dst) pairs.
 func fromPairs(n int, src, dst []uint32) *CSR {
+	var s Scratch
+	return s.csr(n, src, dst)
+}
+
+// csr builds the CSR of the (src, dst) pairs with every adjacency list
+// sorted, GAP-style, for locality and for the intersection-based
+// triangle counting. It is a two-pass counting sort: the sources are
+// bucketed by destination, then the buckets are scattered in increasing
+// destination order, each source to the next free slot of its row. Each
+// row therefore fills in ascending order, and holds the values sorting
+// it would give: equal destinations are indistinguishable.
+func (s *Scratch) csr(n int, src, dst []uint32) *CSR {
+	start := grow(s.start, n+1)
+	clear(start)
+	for _, d := range dst {
+		start[d+1]++
+	}
+	for v := 1; v <= n; v++ {
+		start[v] += start[v-1]
+	}
+	cursor := grow(s.cursor, n)
+	copy(cursor, start)
+	bySrc := grow(s.bySrc, len(src))
+	for i, d := range dst {
+		bySrc[cursor[d]] = src[i]
+		cursor[d]++
+	}
+
 	offsets := make([]uint32, n+1)
-	for _, s := range src {
-		offsets[s+1]++
+	for _, u := range src {
+		offsets[u+1]++
 	}
-	for i := 1; i <= n; i++ {
-		offsets[i] += offsets[i-1]
+	for v := 1; v <= n; v++ {
+		offsets[v] += offsets[v-1]
 	}
+	copy(cursor, offsets)
 	edges := make([]uint32, len(src))
-	cursor := make([]uint32, n)
-	for i, s := range src {
-		edges[offsets[s]+cursor[s]] = dst[i]
-		cursor[s]++
+	for v := range n {
+		for _, u := range bySrc[start[v]:start[v+1]] {
+			edges[cursor[u]] = uint32(v)
+			cursor[u]++
+		}
 	}
-	g := &CSR{Offsets: offsets, Edges: edges}
-	// Sort each adjacency list (GAP-style) for locality and for the
-	// intersection-based triangle counting.
-	for v := 0; v < n; v++ {
-		adj := g.Edges[offsets[v]:offsets[v+1]]
-		slices.Sort(adj)
-	}
-	return g
+	s.start, s.cursor, s.bySrc = start, cursor, bySrc
+	return &CSR{Offsets: offsets, Edges: edges}
 }
 
 // Uniform generates a graph with n vertices and about n*degree edges with
@@ -117,40 +159,86 @@ func CheckRMAT(scale, edgeFactor int) error {
 // RMAT generates a Kronecker/RMAT graph with 2^scale vertices and
 // edgeFactor*2^scale edges using the standard (0.57, 0.19, 0.19, 0.05)
 // partition probabilities, yielding the heavy-tailed degree distribution
-// of real-world graphs.
-//
-// Each bit of an edge's endpoints consumes one 53-bit draw k, the draw
-// behind rng.Float64() = k/2^53, and picks the quadrant by comparing k
-// against the integer thresholds of the cumulative probabilities. The
-// comparison is exact, so the graph is the one drawing Float64 per bit
-// would produce; the bits are set without branching on the draw.
-// It panics if CheckRMAT rejects the sizes.
+// of real-world graphs. It panics if CheckRMAT rejects the sizes.
 func RMAT(scale, edgeFactor int, seed uint64) *CSR {
+	var s Scratch
+	return s.RMAT(scale, edgeFactor, seed)
+}
+
+// rmatBatch is the number of draws RMAT takes from its generator at a
+// time: a batch of whole edges, 32 KB of draws.
+const rmatBatch = 4096
+
+// RMAT builds the graph the package-level RMAT builds, in s's buffers.
+//
+// Each bit of an edge's endpoints consumes one draw, whose top 53 bits k
+// are the draw behind rng.Float64() = k/2^53; the bit's quadrant is the
+// number of cumulative-probability thresholds k reaches. The draws come
+// in batches of whole edges from rng.Fill. A draw's top byte selects a
+// range of 2^45 values of k, and rmatBits holds the quadrant's bits for
+// every range that lies between two thresholds; only the three ranges a
+// threshold splits compare k itself. Either way the quadrant is the one
+// comparing k/2^53 with the probabilities gives, so the graph is the one
+// drawing Float64 per bit builds.
+func (s *Scratch) RMAT(scale, edgeFactor int, seed uint64) *CSR {
 	if err := CheckRMAT(scale, edgeFactor); err != nil {
 		panic(err)
 	}
 	rng := sim.NewRNG(seed)
 	n := 1 << scale
 	m := n * edgeFactor
-	src := make([]uint32, m)
-	dst := make([]uint32, m)
-	for i := 0; i < m; i++ {
-		var s, d uint32
-		for bit := scale - 1; bit >= 0; bit-- {
-			k := rng.Uint64() >> 11
-			// geX is 1 when k/2^53 >= X. The quadrants in order are
-			// (src, dst) bits 00, 01, 10, 11, so the src bit is geAB and
-			// the dst bit is set in the second and fourth quadrants.
-			geA := (rmatA - 1 - k) >> 63
-			geAB := (rmatAB - 1 - k) >> 63
-			geABC := (rmatABC - 1 - k) >> 63
-			s |= uint32(geAB) << bit
-			d |= uint32(geA^geAB^geABC) << bit
+	src, dst := grow(s.src, m), grow(s.dst, m)
+	perBatch := max(rmatBatch/scale, 1)
+	draws := grow(s.draws, perBatch*scale)
+	for i := 0; i < m; i += perBatch {
+		edges := min(perBatch, m-i)
+		batch := draws[:edges*scale]
+		rng.Fill(batch)
+		for e := range edges {
+			// The src bits collect from bit 32 up, the dst bits from
+			// bit 0; scale <= 28 keeps the two apart.
+			var sd uint64
+			for _, x := range batch[e*scale : (e+1)*scale] {
+				b := rmatBits[x>>56]
+				if b == rmatSplit {
+					b = quadrantBits(x >> 11)
+				}
+				sd = sd<<1 | b
+			}
+			src[i+e], dst[i+e] = uint32(sd>>32), uint32(sd)
 		}
-		src[i], dst[i] = s, d
 	}
-	return fromPairs(n, src, dst)
+	s.src, s.dst, s.draws = src, dst, draws
+	return s.csr(n, src, dst)
 }
+
+// quadrantBits returns the (src, dst) bits of the quadrant of the 53-bit
+// draw k, the src bit at bit 32. The quadrants in order are the bit
+// pairs 00, 01, 10, 11, so the src bit is set once k reaches rmatAB and
+// the dst bit once it reaches an odd number of thresholds.
+func quadrantBits(k uint64) uint64 {
+	// (t - 1 - k) >> 63 is 1 exactly when k >= t.
+	geA, geAB, geABC := (rmatA-1-k)>>63, (rmatAB-1-k)>>63, (rmatABC-1-k)>>63
+	return geAB<<32 | geA ^ geAB ^ geABC
+}
+
+// rmatSplit marks a top byte whose range of draws a threshold splits.
+const rmatSplit = math.MaxUint64
+
+// rmatBits maps a draw's top byte to the quadrantBits of every draw with
+// that byte, or to rmatSplit. The quadrant rises with k, so a range
+// whose first and last draws share a quadrant lies within it.
+var rmatBits = func() (t [256]uint64) {
+	for b := range t {
+		lo := uint64(b) << 45
+		hi := lo + 1<<45 - 1
+		t[b] = quadrantBits(lo)
+		if t[b] != quadrantBits(hi) {
+			t[b] = rmatSplit
+		}
+	}
+	return t
+}()
 
 // The RMAT partition thresholds: the smallest k with k/2^53 >= p for the
 // cumulative probabilities p = a, a+b, a+b+c of (0.57, 0.19, 0.19, 0.05).

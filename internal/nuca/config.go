@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ndpext/internal/policy"
+	"ndpext/internal/sampler"
 	"ndpext/internal/stream"
 	"ndpext/internal/streamcache"
 )
@@ -43,7 +44,7 @@ func Configure(kind Kind, cfg policy.Config, streams []policy.StreamInput) (map[
 // best jump until the global space or the utility runs out. Returns rows
 // per stream. degreeOf scales the effective capacity a stream needs (a
 // stream replicated R times needs R times the rows for the same curve
-// position).
+// position). The streams' SIDs are distinct.
 func sizeByLookahead(in policy.Config, streams []policy.StreamInput, degreeOf func(policy.StreamInput) int) map[stream.ID]uint64 {
 	totalRows := uint64(in.NumUnits) * uint64(in.UnitRows)
 	// Leave the misc partition's reservation alone.
@@ -52,50 +53,80 @@ func sizeByLookahead(in policy.Config, streams []policy.StreamInput, degreeOf fu
 		totalRows -= reserve
 	}
 	rows := make(map[stream.ID]uint64)
-	type cand struct {
-		idx   int
-		slope float64
-		jump  uint64
+	la := make([]lookahead, len(streams))
+	for i := range streams {
+		s := &streams[i]
+		l := &la[i]
+		if l.acc = totalAcc(*s); l.acc == 0 {
+			continue
+		}
+		l.deg = 1
+		if degreeOf != nil {
+			l.deg = degreeOf(*s)
+		}
+		l.atPoint = make([]float64, len(s.Curve.Points))
+		for j, p := range s.Curve.Points {
+			l.atPoint[j] = s.Curve.MissRateAt(p.Bytes)
+		}
+		l.refresh(in, s.Curve, 0)
 	}
 	var used uint64
 	for {
-		best := cand{idx: -1}
-		for i := range streams {
-			s := &streams[i]
-			acc := totalAcc(*s)
-			if acc == 0 {
-				continue
-			}
-			deg := 1
-			if degreeOf != nil {
-				deg = degreeOf(*s)
-			}
-			// Current per-copy capacity in bytes.
-			cur := int64(rows[s.SID]) * int64(in.RowBytes) / int64(deg)
-			mrCur := s.Curve.MissRateAt(cur)
-			for _, p := range s.Curve.Points {
-				if p.Bytes <= cur {
-					continue
-				}
-				d := mrCur - s.Curve.MissRateAt(p.Bytes)
-				if d <= 0 {
-					continue
-				}
-				jumpRows := uint64((p.Bytes-cur)*int64(deg)+int64(in.RowBytes)-1) / uint64(in.RowBytes)
-				if jumpRows == 0 || used+jumpRows > totalRows {
-					continue
-				}
-				slope := float64(acc) * d / float64(jumpRows)
-				if slope > best.slope {
-					best = cand{idx: i, slope: slope, jump: jumpRows}
+		// Strict > in stream, then point order: the first of equal
+		// slopes wins.
+		best, bestSlope, bestRows := -1, 0.0, uint64(0)
+		for i := range la {
+			for _, c := range la[i].cands {
+				if used+c.rows <= totalRows && c.slope > bestSlope {
+					best, bestSlope, bestRows = i, c.slope, c.rows
 				}
 			}
 		}
-		if best.idx < 0 {
+		if best < 0 {
 			return rows
 		}
-		rows[streams[best.idx].SID] += best.jump
-		used += best.jump
+		sid := streams[best].SID
+		rows[sid] += bestRows
+		used += bestRows
+		la[best].refresh(in, streams[best].Curve, rows[sid])
+	}
+}
+
+// lookahead is one stream's state in sizeByLookahead.
+type lookahead struct {
+	acc     uint64    // the stream's accesses; 0 takes no rows
+	deg     int       // copies the stream's rows hold
+	atPoint []float64 // the curve's MissRateAt at each of its points
+	cands   []jump    // the jumps from the current rows, in point order
+}
+
+// jump is a move to a larger curve point: the rows it adds and the
+// accesses it saves per row.
+type jump struct {
+	rows  uint64
+	slope float64
+}
+
+// refresh recomputes l.cands for a stream holding rows rows: a jump to
+// every curve point beyond the current per-copy capacity that lowers the
+// miss rate and adds at least one row.
+func (l *lookahead) refresh(in policy.Config, c sampler.Curve, rows uint64) {
+	l.cands = l.cands[:0]
+	cur := int64(rows) * int64(in.RowBytes) / int64(l.deg)
+	mrCur := c.MissRateAt(cur)
+	for j, p := range c.Points {
+		if p.Bytes <= cur {
+			continue
+		}
+		d := mrCur - l.atPoint[j]
+		if d <= 0 {
+			continue
+		}
+		jumpRows := uint64((p.Bytes-cur)*int64(l.deg)+int64(in.RowBytes)-1) / uint64(in.RowBytes)
+		if jumpRows == 0 {
+			continue
+		}
+		l.cands = append(l.cands, jump{rows: jumpRows, slope: float64(l.acc) * d / float64(jumpRows)})
 	}
 }
 

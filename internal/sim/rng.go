@@ -61,6 +61,24 @@ func (r *RNG) Uint64() uint64 {
 	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
+// Fill writes the next len(dst) outputs of Uint64 into dst, in order.
+// The state stays in locals across the loop instead of being loaded and
+// stored once per output.
+func (r *RNG) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i] = bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

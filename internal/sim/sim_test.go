@@ -38,6 +38,28 @@ func TestRNGMatchesXoshiro(t *testing.T) {
 	}
 }
 
+// TestRNGFillMatchesUint64 checks that Fill writes the next outputs of
+// Uint64 and leaves the generator where those calls would.
+func TestRNGFillMatchesUint64(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		for _, n := range []int{0, 1, 7, 4096} {
+			got, want := NewRNG(seed), NewRNG(seed)
+			got.Uint64()
+			want.Uint64()
+			buf := make([]uint64, n)
+			got.Fill(buf)
+			for i, v := range buf {
+				if w := want.Uint64(); v != w {
+					t.Fatalf("seed %d, Fill(%d)[%d] = %#x, want %#x", seed, n, i, v, w)
+				}
+			}
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d, after Fill(%d): next Uint64 %#x, want %#x", seed, n, g, w)
+			}
+		}
+	}
+}
+
 func TestRNGDistinctSeeds(t *testing.T) {
 	a, b := NewRNG(1), NewRNG(2)
 	same := 0

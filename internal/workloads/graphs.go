@@ -63,9 +63,9 @@ func rmatScale(n int) int { return bits.Len(uint(n - 1)) }
 
 // rmatGraphs builds np RMAT graphs of n vertices rounded up to a power
 // of two, graph p seeded seed+p*stride, on at most GOMAXPROCS
-// goroutines. Each graph depends only on its own seed, so the result is
-// the one building them in order gives. A panic in a build is raised
-// again in the caller.
+// goroutines, each building in its own reused graph.Scratch. Each graph
+// depends only on its own seed, so the result is the one building them
+// in order gives. A panic in a build is raised again in the caller.
 func rmatGraphs(np, n, edgeFactor int, seed, stride uint64) []*graph.CSR {
 	scale := rmatScale(n)
 	graphs := make([]*graph.CSR, np)
@@ -84,8 +84,9 @@ func rmatGraphs(np, n, edgeFactor int, seed, stride uint64) []*graph.CSR {
 					once.Do(func() { failure = v })
 				}
 			}()
+			var scratch graph.Scratch
 			for p := int(next.Add(1) - 1); p < np; p = int(next.Add(1) - 1) {
-				graphs[p] = graph.RMAT(scale, edgeFactor, seed+uint64(p)*stride)
+				graphs[p] = scratch.RMAT(scale, edgeFactor, seed+uint64(p)*stride)
 			}
 		}()
 	}
