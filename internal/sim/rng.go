@@ -121,8 +121,18 @@ func (r *RNG) Perm(n int) []int {
 // ZipfTable is the cumulative weight table of a Zipf distribution over
 // [0, n): probability proportional to 1/(i+1)^s. It is read-only once
 // built, so samplers over any number of RNGs can share one.
+//
+// A draw is a 53-bit integer k, the uniform u = k/2^53, and its sample
+// is the first i with cum[i] >= u. A guide table of G = 2^g cells, G at
+// most n/8, narrows the search: the draw's top g bits name its cell
+// [j/G, (j+1)/G), whose bounds are exact in float64, and guide[j] is
+// the sample of the cell's upper bound. The draw's sample lies between
+// the samples of its cell's bounds, so a bisection inside that range
+// returns exactly what one over the whole table returns.
 type ZipfTable struct {
-	cum []float64 // cumulative, normalized to cum[n-1] == 1
+	cum   []float64 // cumulative, normalized to cum[n-1] == 1
+	guide []int32   // guide[j]: the sample of u = (j+1)/len(guide); nil for n < 8
+	shift uint      // a draw's cell is k >> shift
 }
 
 // NewZipfTable builds the table over [0, n) with exponent s > 0.
@@ -140,26 +150,38 @@ func NewZipfTable(n int, s float64) *ZipfTable {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &ZipfTable{cum: cum}
+	t := &ZipfTable{cum: cum}
+	if n >= 8 {
+		g := bits.Len(uint(n/8)) - 1
+		t.guide = make([]int32, 1<<g)
+		t.shift = uint(53 - g)
+		i := 0
+		for j := range t.guide {
+			bound := float64(j+1) / float64(len(t.guide))
+			for i < n-1 && cum[i] < bound {
+				i++
+			}
+			t.guide[j] = int32(i)
+		}
+	}
+	return t
 }
 
-// Sampler returns a sampler that draws from t with rng.
-func (t *ZipfTable) Sampler(rng *RNG) *Zipf { return &Zipf{rng: rng, cum: t.cum} }
-
-// Zipf samples integers from a ZipfTable's distribution.
-type Zipf struct {
-	rng *RNG
-	cum []float64 // the table's, shared
-}
-
-// Next returns the next Zipf-distributed sample.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cum[i] >= u.
-	lo, hi := 0, len(z.cum)-1
+// sample returns the first i with cum[i] >= k/2^53 for a 53-bit draw k,
+// or n-1 when there is none.
+func (t *ZipfTable) sample(k uint64) int {
+	u := float64(k) / (1 << 53)
+	lo, hi := 0, len(t.cum)-1
+	if t.guide != nil {
+		j := k >> t.shift
+		hi = int(t.guide[j])
+		if j > 0 {
+			lo = int(t.guide[j-1])
+		}
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
+		if t.cum[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -167,6 +189,19 @@ func (z *Zipf) Next() int {
 	}
 	return lo
 }
+
+// Sampler returns a sampler that draws from t with rng.
+func (t *ZipfTable) Sampler(rng *RNG) *Zipf { return &Zipf{rng: rng, t: *t} }
+
+// Zipf samples integers from a ZipfTable's distribution.
+type Zipf struct {
+	rng *RNG
+	t   ZipfTable // the table's slices, shared
+}
+
+// Next returns the next Zipf-distributed sample. Its draw is the one
+// rng.Float64 would make.
+func (z *Zipf) Next() int { return z.t.sample(z.rng.Uint64() >> 11) }
 
 // pow is math.Pow; aliased so the sampler code reads naturally.
 func pow(base, exp float64) float64 { return math.Pow(base, exp) }

@@ -68,6 +68,29 @@ func BenchmarkEncodeFlate(b *testing.B) {
 	b.ReportMetric(float64(buf.Len())/float64(total), "bytes/access")
 }
 
+// BenchmarkWriteTrace times the record step of a generated trace:
+// recsys at 128 cores and 4000 accesses per core, written as SaveFile
+// writes it (default chunking, flate on).
+func BenchmarkWriteTrace(b *testing.B) {
+	sc := workloads.DefaultScale()
+	sc.AccessesPerCore = 4000
+	tr, err := workloads.Recsys(128, 1, sc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WriteTrace(&buf, tr, 0, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportAccessRate(b, tr.TotalAccesses())
+}
+
 // BenchmarkDecode measures streaming decode throughput in accesses/s —
 // the replay feed rate; the acceptance floor is 10M accesses/s.
 func BenchmarkDecode(b *testing.B) {

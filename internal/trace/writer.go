@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"os"
 
+	"ndpext/internal/par"
 	"ndpext/internal/stream"
 	"ndpext/internal/telemetry"
 	"ndpext/internal/workloads"
@@ -47,10 +49,9 @@ type Writer struct {
 	written []uint64             // per-core flushed access count
 	chunks  []chunkMeta
 
-	scratch []byte // chunk encode buffer, reused across flushes
-	fw      *flate.Writer
-	closed  bool
-	err     error
+	enc    chunkEncoder // reused across flushes
+	closed bool
+	err    error
 }
 
 // NewWriter starts a trace file on w.
@@ -73,13 +74,6 @@ func NewWriter(w io.Writer, opts Options) (*Writer, error) {
 			c.ReadOnly = true // snapshot as freshly configured
 			tw.streams = append(tw.streams, c)
 		}
-	}
-	if opts.Compress {
-		fw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			return nil, err
-		}
-		tw.fw = fw
 	}
 	return tw, tw.writeHeader()
 }
@@ -139,38 +133,33 @@ func (tw *Writer) flush(core int) {
 	if tw.err != nil || len(accs) == 0 {
 		return
 	}
-	raw := encodeChunkPayload(tw.scratch[:0], accs)
-	tw.scratch = raw
-	enc := raw
-	if tw.fw != nil {
-		var cb countingBuf
-		tw.fw.Reset(&cb)
-		if _, err := tw.fw.Write(raw); err != nil {
-			tw.err = err
-			return
-		}
-		if err := tw.fw.Close(); err != nil {
-			tw.err = err
-			return
-		}
-		enc = cb.b
+	c, err := tw.enc.encode(core, accs, tw.opts.Compress)
+	if err != nil {
+		tw.err = err
+		return
 	}
+	tw.writeChunk(c)
+	tw.buf[core] = accs[:0]
+}
+
+// writeChunk writes c after the chunks before it and indexes it.
+func (tw *Writer) writeChunk(c chunk) {
+	start := tw.written[c.core]
 	h := []byte{chunkMarker}
-	h = appendUvarint(h, uint64(core))
-	h = appendUvarint(h, tw.written[core])
-	h = appendUvarint(h, uint64(len(accs)))
-	h = appendUvarint(h, uint64(len(raw)))
-	h = appendUvarint(h, uint64(len(enc)))
-	h = binary.LittleEndian.AppendUint32(h, crc32.ChecksumIEEE(raw))
-	meta := chunkMeta{core: core, startIdx: tw.written[core], count: uint64(len(accs)), offset: tw.off}
+	h = appendUvarint(h, uint64(c.core))
+	h = appendUvarint(h, start)
+	h = appendUvarint(h, uint64(c.count))
+	h = appendUvarint(h, uint64(c.rawLen))
+	h = appendUvarint(h, uint64(len(c.stored)))
+	h = binary.LittleEndian.AppendUint32(h, c.crc)
+	meta := chunkMeta{core: c.core, startIdx: start, count: uint64(c.count), offset: tw.off}
 	tw.write(h)
-	tw.write(enc)
+	tw.write(c.stored)
 	if tw.err != nil {
 		return
 	}
 	tw.chunks = append(tw.chunks, meta)
-	tw.written[core] += uint64(len(accs))
-	tw.buf[core] = accs[:0]
+	tw.written[c.core] += uint64(c.count)
 }
 
 // Close flushes every partial chunk and writes the index and footer. It
@@ -210,6 +199,50 @@ func (tw *Writer) Close() error {
 	return tw.err
 }
 
+// chunk is one encoded chunk: its core, its access count, the length
+// and CRC of its raw payload, and the payload as stored, flate-compressed
+// or raw.
+type chunk struct {
+	core, count, rawLen int
+	crc                 uint32
+	stored              []byte
+}
+
+// chunkEncoder encodes chunks, reusing its buffers and its flate state
+// from one chunk to the next.
+type chunkEncoder struct {
+	raw []byte
+	out countingBuf
+	fw  *flate.Writer
+}
+
+// encode encodes accs as one chunk of core. The chunk's stored payload
+// is e's buffer, valid until e's next encode.
+func (e *chunkEncoder) encode(core int, accs []workloads.Access, compress bool) (chunk, error) {
+	e.raw = encodeChunkPayload(e.raw[:0], accs)
+	c := chunk{core: core, count: len(accs), rawLen: len(e.raw), crc: crc32.ChecksumIEEE(e.raw), stored: e.raw}
+	if !compress {
+		return c, nil
+	}
+	if e.fw == nil {
+		fw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			return chunk{}, err
+		}
+		e.fw = fw
+	}
+	e.out.b = e.out.b[:0]
+	e.fw.Reset(&e.out)
+	if _, err := e.fw.Write(e.raw); err != nil {
+		return chunk{}, err
+	}
+	if err := e.fw.Close(); err != nil {
+		return chunk{}, err
+	}
+	c.stored = e.out.b
+	return c, nil
+}
+
 // countingBuf collects flate output.
 type countingBuf struct{ b []byte }
 
@@ -218,7 +251,12 @@ func (c *countingBuf) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// WriteTrace writes a materialized trace to w in the native format.
+// WriteTrace writes a materialized trace to w in the native format. The
+// file is the one a Writer fed core by core with Add writes: every
+// core's full chunks in core order, then, from Close, every core's
+// remainder in core order. The chunks are independent, so they are
+// encoded on at most GOMAXPROCS goroutines and held until written in
+// that order.
 func WriteTrace(w io.Writer, tr *workloads.Trace, chunkAccesses int, compress bool) error {
 	tw, err := NewWriter(w, Options{
 		Name: tr.Name, Table: tr.Table, Cores: len(tr.PerCore),
@@ -227,12 +265,32 @@ func WriteTrace(w io.Writer, tr *workloads.Trace, chunkAccesses int, compress bo
 	if err != nil {
 		return err
 	}
+	type span struct{ core, lo, hi int }
+	var spans []span
+	per := tw.opts.ChunkAccesses
 	for c, accs := range tr.PerCore {
-		for _, a := range accs {
-			if err := tw.Add(c, a); err != nil {
-				return err
-			}
+		for lo := 0; lo+per <= len(accs); lo += per {
+			spans = append(spans, span{c, lo, lo + per})
 		}
+	}
+	for c, accs := range tr.PerCore {
+		if r := len(accs) % per; r > 0 {
+			spans = append(spans, span{c, len(accs) - r, len(accs)})
+		}
+	}
+	chunks := make([]chunk, len(spans))
+	errs := make([]error, len(spans))
+	par.Each(len(spans), func(e *chunkEncoder, i int) {
+		s := spans[i]
+		c, err := e.encode(s.core, tr.PerCore[s.core][s.lo:s.hi], compress)
+		c.stored = bytes.Clone(c.stored)
+		chunks[i], errs[i] = c, err
+	})
+	for i, c := range chunks {
+		if errs[i] != nil {
+			return errs[i]
+		}
+		tw.writeChunk(c)
 	}
 	return tw.Close()
 }

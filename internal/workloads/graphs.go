@@ -3,11 +3,9 @@ package workloads
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ndpext/internal/graph"
+	"ndpext/internal/par"
 	"ndpext/internal/stream"
 )
 
@@ -69,31 +67,9 @@ func rmatScale(n int) int { return bits.Len(uint(n - 1)) }
 func rmatGraphs(np, n, edgeFactor int, seed, stride uint64) []*graph.CSR {
 	scale := rmatScale(n)
 	graphs := make([]*graph.CSR, np)
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		once    sync.Once
-		failure any
-	)
-	for w := min(np, runtime.GOMAXPROCS(0)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					once.Do(func() { failure = v })
-				}
-			}()
-			var scratch graph.Scratch
-			for p := int(next.Add(1) - 1); p < np; p = int(next.Add(1) - 1) {
-				graphs[p] = scratch.RMAT(scale, edgeFactor, seed+uint64(p)*stride)
-			}
-		}()
-	}
-	wg.Wait()
-	if failure != nil {
-		panic(failure)
-	}
+	par.Each(np, func(scratch *graph.Scratch, p int) {
+		graphs[p] = scratch.RMAT(scale, edgeFactor, seed+uint64(p)*stride)
+	})
 	return graphs
 }
 
@@ -113,36 +89,40 @@ func PageRank(cores int, seed uint64, sc Scale) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, gp := range procs {
+	emit := make([]func(), len(procs))
+	for pi, gp := range procs {
 		n := gp.g.NumVertices()
 		src := b.indirect(n, 4) // rank[u] read through edge targets
 		dst := b.affine(n, 4)   // this iteration's output ranks
-		ranks := make([]float32, n)
-		for i := range ranks {
-			ranks[i] = 1 / float32(n)
-		}
-		next := make([]float32, n)
-		for iter := 0; iter < 8 && !procFull(b, gp.cores); iter++ {
-			for ci, core := range gp.cores {
-				lo, hi := vertexRange(gp.g, gp.cores, ci)
-				for v := lo; v < hi && !b.full(core); v++ {
-					b.read(core, gp.offsets, v, 1)
-					var sum float32
-					for ei, e := range gp.g.Neighbors(v) {
-						b.read(core, gp.edges, int(gp.g.Offsets[v])+ei, 0)
-						b.read(core, src, int(e), 2)
-						d := gp.g.Degree(int(e))
-						if d > 0 {
-							sum += ranks[e] / float32(d)
-						}
-					}
-					next[v] = 0.15/float32(n) + 0.85*sum
-					b.write(core, dst, v, 1)
-				}
+		emit[pi] = func() {
+			ranks := make([]float32, n)
+			for i := range ranks {
+				ranks[i] = 1 / float32(n)
 			}
-			copy(ranks, next)
+			next := make([]float32, n)
+			for iter := 0; iter < 8 && !procFull(b, gp.cores); iter++ {
+				for ci, core := range gp.cores {
+					lo, hi := vertexRange(gp.g, gp.cores, ci)
+					for v := lo; v < hi && !b.full(core); v++ {
+						b.read(core, gp.offsets, v, 1)
+						var sum float32
+						for ei, e := range gp.g.Neighbors(v) {
+							b.read(core, gp.edges, int(gp.g.Offsets[v])+ei, 0)
+							b.read(core, src, int(e), 2)
+							d := gp.g.Degree(int(e))
+							if d > 0 {
+								sum += ranks[e] / float32(d)
+							}
+						}
+						next[v] = 0.15/float32(n) + 0.85*sum
+						b.write(core, dst, v, 1)
+					}
+				}
+				copy(ranks, next)
+			}
 		}
 	}
+	b.emitProcs(emit)
 	return b.trace()
 }
 
@@ -154,41 +134,45 @@ func BFS(cores int, seed uint64, sc Scale) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	emit := make([]func(), len(procs))
 	for pi, gp := range procs {
 		n := gp.g.NumVertices()
 		parent := b.indirect(n, 4)
 		frontierS := b.affine(n, 4)
-		rng := rngFor(seed, pi)
-		// GAP runs BFS from many sources; keep starting new traversals
-		// until the trace budget is reached.
-		for trial := 0; trial < 32 && !procFull(b, gp.cores); trial++ {
-			par := make([]int32, n)
-			for i := range par {
-				par[i] = -1
-			}
-			root := int(rng.Uint64n(uint64(n)))
-			par[root] = int32(root)
-			frontier := []int{root}
-			for len(frontier) > 0 && !procFull(b, gp.cores) {
-				var next []int
-				for fi, u := range frontier {
-					core := gp.cores[fi%len(gp.cores)]
-					b.read(core, frontierS, fi%n, 1)
-					b.read(core, gp.offsets, u, 0)
-					for ei, e := range gp.g.Neighbors(u) {
-						b.read(core, gp.edges, int(gp.g.Offsets[u])+ei, 0)
-						b.read(core, parent, int(e), 2) // check visited
-						if par[e] == -1 {
-							par[e] = int32(u)
-							b.write(core, parent, int(e), 1)
-							next = append(next, int(e))
+		emit[pi] = func() {
+			rng := rngFor(seed, pi)
+			// GAP runs BFS from many sources; keep starting new traversals
+			// until the trace budget is reached.
+			for trial := 0; trial < 32 && !procFull(b, gp.cores); trial++ {
+				pred := make([]int32, n)
+				for i := range pred {
+					pred[i] = -1
+				}
+				root := int(rng.Uint64n(uint64(n)))
+				pred[root] = int32(root)
+				frontier := []int{root}
+				for len(frontier) > 0 && !procFull(b, gp.cores) {
+					var next []int
+					for fi, u := range frontier {
+						core := gp.cores[fi%len(gp.cores)]
+						b.read(core, frontierS, fi%n, 1)
+						b.read(core, gp.offsets, u, 0)
+						for ei, e := range gp.g.Neighbors(u) {
+							b.read(core, gp.edges, int(gp.g.Offsets[u])+ei, 0)
+							b.read(core, parent, int(e), 2) // check visited
+							if pred[e] == -1 {
+								pred[e] = int32(u)
+								b.write(core, parent, int(e), 1)
+								next = append(next, int(e))
+							}
 						}
 					}
+					frontier = next
 				}
-				frontier = next
 			}
 		}
 	}
+	b.emitProcs(emit)
 	return b.trace()
 }
 
@@ -200,40 +184,44 @@ func CC(cores int, seed uint64, sc Scale) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, gp := range procs {
+	emit := make([]func(), len(procs))
+	for pi, gp := range procs {
 		n := gp.g.NumVertices()
 		comp := b.indirect(n, 4)
-		labels := make([]uint32, n)
-		for i := range labels {
-			labels[i] = uint32(i)
-		}
-		for iter := 0; iter < 6 && !procFull(b, gp.cores); iter++ {
-			changed := false
-			for ci, core := range gp.cores {
-				lo, hi := vertexRange(gp.g, gp.cores, ci)
-				for v := lo; v < hi && !b.full(core); v++ {
-					b.read(core, gp.offsets, v, 1)
-					best := labels[v]
-					b.read(core, comp, v, 0)
-					for ei, e := range gp.g.Neighbors(v) {
-						b.read(core, gp.edges, int(gp.g.Offsets[v])+ei, 0)
-						b.read(core, comp, int(e), 2)
-						if labels[e] < best {
-							best = labels[e]
+		emit[pi] = func() {
+			labels := make([]uint32, n)
+			for i := range labels {
+				labels[i] = uint32(i)
+			}
+			for iter := 0; iter < 6 && !procFull(b, gp.cores); iter++ {
+				changed := false
+				for ci, core := range gp.cores {
+					lo, hi := vertexRange(gp.g, gp.cores, ci)
+					for v := lo; v < hi && !b.full(core); v++ {
+						b.read(core, gp.offsets, v, 1)
+						best := labels[v]
+						b.read(core, comp, v, 0)
+						for ei, e := range gp.g.Neighbors(v) {
+							b.read(core, gp.edges, int(gp.g.Offsets[v])+ei, 0)
+							b.read(core, comp, int(e), 2)
+							if labels[e] < best {
+								best = labels[e]
+							}
+						}
+						if best < labels[v] {
+							labels[v] = best
+							changed = true
+							b.write(core, comp, v, 1)
 						}
 					}
-					if best < labels[v] {
-						labels[v] = best
-						changed = true
-						b.write(core, comp, v, 1)
-					}
 				}
-			}
-			if !changed {
-				break
+				if !changed {
+					break
+				}
 			}
 		}
 	}
+	b.emitProcs(emit)
 	return b.trace()
 }
 
@@ -246,62 +234,65 @@ func BC(cores int, seed uint64, sc Scale) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
+	emit := make([]func(), len(procs))
 	for pi, gp := range procs {
 		n := gp.g.NumVertices()
 		sigma := b.indirect(n, 4)
 		delta := b.indirect(n, 4)
 		depthS := b.indirect(n, 4)
-
-		depth := make([]int32, n)
-		for i := range depth {
-			depth[i] = -1
-		}
-		sig := make([]float32, n)
-		root := int(rngFor(seed, pi).Uint64n(uint64(n)))
-		depth[root] = 0
-		sig[root] = 1
-		levels := [][]int{{root}}
-		// Forward phase.
-		for len(levels[len(levels)-1]) > 0 && !procFull(b, gp.cores) {
-			cur := levels[len(levels)-1]
-			var next []int
-			for fi, u := range cur {
-				core := gp.cores[fi%len(gp.cores)]
-				b.read(core, gp.offsets, u, 1)
-				for ei, e := range gp.g.Neighbors(u) {
-					b.read(core, gp.edges, int(gp.g.Offsets[u])+ei, 0)
-					b.read(core, depthS, int(e), 1)
-					if depth[e] == -1 {
-						depth[e] = depth[u] + 1
-						next = append(next, int(e))
-						b.write(core, depthS, int(e), 0)
-					}
-					if depth[e] == depth[u]+1 {
-						sig[e] += sig[u]
-						b.read(core, sigma, u, 1)
-						b.write(core, sigma, int(e), 1)
+		emit[pi] = func() {
+			depth := make([]int32, n)
+			for i := range depth {
+				depth[i] = -1
+			}
+			sig := make([]float32, n)
+			root := int(rngFor(seed, pi).Uint64n(uint64(n)))
+			depth[root] = 0
+			sig[root] = 1
+			levels := [][]int{{root}}
+			// Forward phase.
+			for len(levels[len(levels)-1]) > 0 && !procFull(b, gp.cores) {
+				cur := levels[len(levels)-1]
+				var next []int
+				for fi, u := range cur {
+					core := gp.cores[fi%len(gp.cores)]
+					b.read(core, gp.offsets, u, 1)
+					for ei, e := range gp.g.Neighbors(u) {
+						b.read(core, gp.edges, int(gp.g.Offsets[u])+ei, 0)
+						b.read(core, depthS, int(e), 1)
+						if depth[e] == -1 {
+							depth[e] = depth[u] + 1
+							next = append(next, int(e))
+							b.write(core, depthS, int(e), 0)
+						}
+						if depth[e] == depth[u]+1 {
+							sig[e] += sig[u]
+							b.read(core, sigma, u, 1)
+							b.write(core, sigma, int(e), 1)
+						}
 					}
 				}
+				levels = append(levels, next)
 			}
-			levels = append(levels, next)
-		}
-		// Backward phase.
-		for li := len(levels) - 1; li > 0 && !procFull(b, gp.cores); li-- {
-			for fi, u := range levels[li] {
-				core := gp.cores[fi%len(gp.cores)]
-				b.read(core, gp.offsets, u, 1)
-				for ei, e := range gp.g.Neighbors(u) {
-					b.read(core, gp.edges, int(gp.g.Offsets[u])+ei, 0)
-					b.read(core, depthS, int(e), 1)
-					if depth[e] == depth[u]+1 {
-						b.read(core, sigma, int(e), 1)
-						b.read(core, delta, int(e), 1)
-						b.write(core, delta, u, 1)
+			// Backward phase.
+			for li := len(levels) - 1; li > 0 && !procFull(b, gp.cores); li-- {
+				for fi, u := range levels[li] {
+					core := gp.cores[fi%len(gp.cores)]
+					b.read(core, gp.offsets, u, 1)
+					for ei, e := range gp.g.Neighbors(u) {
+						b.read(core, gp.edges, int(gp.g.Offsets[u])+ei, 0)
+						b.read(core, depthS, int(e), 1)
+						if depth[e] == depth[u]+1 {
+							b.read(core, sigma, int(e), 1)
+							b.read(core, delta, int(e), 1)
+							b.write(core, delta, u, 1)
+						}
 					}
 				}
 			}
 		}
 	}
+	b.emitProcs(emit)
 	return b.trace()
 }
 
@@ -314,46 +305,50 @@ func TC(cores int, seed uint64, sc Scale) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, gp := range procs {
-		for ci, core := range gp.cores {
-			lo, hi := vertexRange(gp.g, gp.cores, ci)
-			triangles := 0
-			for u := lo; u < hi && !b.full(core); u++ {
-				b.read(core, gp.offsets, u, 1)
-				nu := gp.g.Neighbors(u)
-				for vi, v := range nu {
-					if int(v) <= u {
-						continue
+	emit := make([]func(), len(procs))
+	for pi, gp := range procs {
+		emit[pi] = func() {
+			for ci, core := range gp.cores {
+				lo, hi := vertexRange(gp.g, gp.cores, ci)
+				triangles := 0
+				for u := lo; u < hi && !b.full(core); u++ {
+					b.read(core, gp.offsets, u, 1)
+					nu := gp.g.Neighbors(u)
+					for vi, v := range nu {
+						if int(v) <= u {
+							continue
+						}
+						b.read(core, gp.edges, int(gp.g.Offsets[u])+vi, 0)
+						b.read(core, gp.offsets, int(v), 0)
+						nv := gp.g.Neighbors(int(v))
+						// Merge-intersection of sorted lists.
+						i, j := 0, 0
+						for i < len(nu) && j < len(nv) {
+							b.read(core, gp.edges, int(gp.g.Offsets[u])+i, 0)
+							b.read(core, gp.edges, int(gp.g.Offsets[int(v)])+j, 2)
+							switch {
+							case nu[i] == nv[j]:
+								triangles++
+								i++
+								j++
+							case nu[i] < nv[j]:
+								i++
+							default:
+								j++
+							}
+							if b.full(core) {
+								break
+							}
+						}
 					}
-					b.read(core, gp.edges, int(gp.g.Offsets[u])+vi, 0)
-					b.read(core, gp.offsets, int(v), 0)
-					nv := gp.g.Neighbors(int(v))
-					// Merge-intersection of sorted lists.
-					i, j := 0, 0
-					for i < len(nu) && j < len(nv) {
-						b.read(core, gp.edges, int(gp.g.Offsets[u])+i, 0)
-						b.read(core, gp.edges, int(gp.g.Offsets[int(v)])+j, 2)
-						switch {
-						case nu[i] == nv[j]:
-							triangles++
-							i++
-							j++
-						case nu[i] < nv[j]:
-							i++
-						default:
-							j++
-						}
-						if b.full(core) {
-							break
-						}
+					if b.full(core) {
+						break
 					}
 				}
-				if b.full(core) {
-					break
-				}
+				_ = triangles
 			}
-			_ = triangles
 		}
 	}
+	b.emitProcs(emit)
 	return b.trace()
 }

@@ -21,6 +21,7 @@ func Phased(cores int, seed uint64, sc Scale) (*Trace, error) {
 	}
 	graphs := rmatGraphs(np, vertices, 12, seed, 1000003)
 
+	emit := make([]func(), len(graphs))
 	for p, g := range graphs {
 		// Dense-phase streams (the mv shape).
 		a := b.affine(rowsE*colsE, 4)
@@ -35,37 +36,39 @@ func Phased(cores int, seed uint64, sc Scale) (*Trace, error) {
 
 		pcores := procCores(cores, np, p)
 		half := sc.AccessesPerCore / 2
-
-		// Phase 1: row sweeps over the core's matrix slice, wrapping
-		// until half the budget is spent.
-		for ci, core := range pcores {
-			lo, hi := ci*rowsE/len(pcores), (ci+1)*rowsE/len(pcores)
-			for r := lo; len(b.perCore[core]) < half; r++ {
-				if r >= hi {
-					r = lo
-				}
-				for c := 0; c < colsE && len(b.perCore[core]) < half; c += vecStep {
-					b.read(core, a, r*colsE+c, 1)
-					b.read(core, x, c, 1)
-				}
-				b.write(core, y, r, 2)
-			}
-		}
-
-		// Phase 2: pull-style rank accumulation until the budget fills.
-		for !procFull(b, pcores) {
+		emit[p] = func() {
+			// Phase 1: row sweeps over the core's matrix slice, wrapping
+			// until half the budget is spent.
 			for ci, core := range pcores {
-				lo, hi := vertexRange(g, pcores, ci)
-				for v := lo; v < hi && !b.full(core); v++ {
-					b.read(core, offsets, v, 1)
-					for ei, e := range g.Neighbors(v) {
-						b.read(core, edges, int(g.Offsets[v])+ei, 0)
-						b.read(core, src, int(e), 2)
+				lo, hi := ci*rowsE/len(pcores), (ci+1)*rowsE/len(pcores)
+				for r := lo; len(b.perCore[core]) < half; r++ {
+					if r >= hi {
+						r = lo
 					}
-					b.write(core, dst, v, 1)
+					for c := 0; c < colsE && len(b.perCore[core]) < half; c += vecStep {
+						b.read(core, a, r*colsE+c, 1)
+						b.read(core, x, c, 1)
+					}
+					b.write(core, y, r, 2)
+				}
+			}
+
+			// Phase 2: pull-style rank accumulation until the budget fills.
+			for !procFull(b, pcores) {
+				for ci, core := range pcores {
+					lo, hi := vertexRange(g, pcores, ci)
+					for v := lo; v < hi && !b.full(core); v++ {
+						b.read(core, offsets, v, 1)
+						for ei, e := range g.Neighbors(v) {
+							b.read(core, edges, int(g.Offsets[v])+ei, 0)
+							b.read(core, src, int(e), 2)
+						}
+						b.write(core, dst, v, 1)
+					}
 				}
 			}
 		}
 	}
+	b.emitProcs(emit)
 	return b.trace()
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ndpext/internal/par"
 	"ndpext/internal/sim"
 	"ndpext/internal/stream"
 )
@@ -250,6 +251,53 @@ func (b *builder) emit(core int, addr uint64, write bool, gap uint8) {
 		return
 	}
 	b.perCore[core] = append(b.perCore[core], Access{Addr: addr, Write: write, Gap: gap})
+}
+
+// presizeLimit caps the capacity emitProcs gives a core up front, so a
+// budget far beyond what a generator emits does not allocate the
+// budget; a core that passes it grows by append.
+const presizeLimit = 1 << 16
+
+// emitProcs runs the processes' emission: procs[p] emits only on the
+// cores procCores(cores, len(procs), p) and touches no state of another
+// process, so the processes run on at most GOMAXPROCS goroutines and
+// the trace is the one running them in order gives. A build that
+// already failed emits nothing.
+//
+// Each goroutine gives its process's cores slices of capacity budget
+// (up to presizeLimit), which emit then never has to grow. A core that
+// fills its slice keeps it; a shorter one is copied out at its exact
+// length and its slice goes back to the goroutine's pool for the next
+// process. The trace so holds exactly its accesses, and the pools hold
+// at most one process's cores per goroutine on top.
+func (b *builder) emitProcs(procs []func()) {
+	if b.err != nil {
+		return
+	}
+	np := len(procs)
+	size := min(max(b.budget, 0), presizeLimit)
+	par.Each(np, func(pool *[][]Access, p int) {
+		cores := procCores(len(b.perCore), np, p)
+		for _, c := range cores {
+			if n := len(*pool); n > 0 {
+				b.perCore[c], *pool = (*pool)[n-1], (*pool)[:n-1]
+			} else {
+				b.perCore[c] = make([]Access, 0, size)
+			}
+		}
+		procs[p]()
+		for _, c := range cores {
+			pc := b.perCore[c]
+			if len(pc) > 0 && len(pc) == cap(pc) {
+				continue
+			}
+			b.perCore[c] = nil
+			if len(pc) > 0 {
+				b.perCore[c] = append(make([]Access, 0, len(pc)), pc...)
+			}
+			*pool = append(*pool, pc[:0])
+		}
+	})
 }
 
 // trace returns the finished trace, or the first error of the build.
