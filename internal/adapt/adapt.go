@@ -6,7 +6,7 @@
 // installed against the freshly harvested miss curves (shadow
 // evaluation: a modeled AMAT + energy estimate, no second simulation).
 // A seeded Thompson-sampling bandit over the per-epoch rewards picks
-// the live arm; switching arms pays a configurable migration penalty,
+// the live arm; switching arms pays a modeled migration penalty,
 // so the bandit only chases a better policy when the gap covers the
 // reconfiguration cost.
 //
@@ -31,98 +31,48 @@ import (
 // index order.
 const DefaultArms = "paper,static,greedy,replicate"
 
-// Params tunes the adaptive controller. The zero value selects the
-// defaults (all four arms, the default migration model); every field is
-// a scalar or string so the struct canonicalizes deterministically with
-// %+v inside system.Config.CanonicalBytes.
+// Params tunes the adaptive controller. The zero value selects all four
+// arms. Every field is a scalar or string so the struct canonicalizes
+// deterministically with %+v inside system.Config.CanonicalBytes.
 type Params struct {
 	// Arms is the comma-separated arm list ("" = DefaultArms). Order is
 	// the bandit index order; a single name degenerates to that fixed
 	// policy run through the same scoring machinery (the fixed-arm
 	// baselines of the EXPERIMENTS.md sweep).
 	Arms string
-	// MigrateRowNS is the modeled latency cost of refilling one moved
+}
+
+// The controller's fixed migration model and bandit tuning.
+const (
+	// migrateRowNS is the modeled latency cost of refilling one moved
 	// DRAM-cache row after an arm switch (charged per moved row,
-	// amortized over the epoch's accesses when scoring). 0 = default.
-	MigrateRowNS float64
-	// MigrateRowPJ is the modeled energy per moved row (telemetry only;
+	// amortized over the epoch's accesses when scoring).
+	migrateRowNS = 200.0
+	// migrateRowPJ is the modeled energy per moved row (telemetry only;
 	// it never enters the simulated energy.Breakdown, whose total must
-	// stay the exact sum of its simulated components). 0 = default.
-	MigrateRowPJ float64
-	// Decay is the per-epoch discount on the Beta posteriors, so the
+	// stay the exact sum of its simulated components).
+	migrateRowPJ = 2000.0
+	// decay is the per-epoch discount on the Beta posteriors, so the
 	// bandit tracks phase changes instead of averaging over them.
-	// 0 = default; must stay in (0, 1].
-	Decay float64
-	// ObsWeight is the pseudo-count each epoch's observation adds to a
+	decay = 0.9
+	// obsWeight is the pseudo-count each epoch's observation adds to a
 	// posterior. Shadow evaluation is full-information — every arm is
 	// scored every epoch, not just the pulled one — so posteriors may
-	// tighten faster than a one-pull bandit's. Higher converges faster
-	// but chases reward noise harder. 0 = default.
-	ObsWeight float64
-	// SwitchMargin is the Thompson hysteresis: a challenger's sampled
+	// tighten faster than a one-pull bandit's.
+	obsWeight = 4.0
+	// switchMargin is the Thompson hysteresis: a challenger's sampled
 	// value must exceed the live arm's by this margin before the bandit
 	// switches, so posterior noise alone never pays the migration cost.
-	// 0 = default; negative disables hysteresis.
-	SwitchMargin float64
-	// EnergyWeight converts the modeled per-access energy (pJ) into the
-	// score's ns axis. 0 = default (a small tie-breaking weight).
-	EnergyWeight float64
-}
-
-// Default parameter values, applied by New when the field is zero.
-const (
-	defaultMigrateRowNS = 200.0
-	defaultMigrateRowPJ = 2000.0
-	defaultDecay        = 0.9
-	defaultObsWeight    = 4.0
-	defaultSwitchMargin = 0.02
-	defaultEnergyWeight = 0.001
+	switchMargin = 0.02
+	// energyWeight converts the modeled per-access energy (pJ) into the
+	// score's ns axis: a small tie-breaking weight.
+	energyWeight = 0.001
 )
-
-func (p Params) withDefaults() Params {
-	if p.Arms == "" {
-		p.Arms = DefaultArms
-	}
-	if p.MigrateRowNS == 0 {
-		p.MigrateRowNS = defaultMigrateRowNS
-	}
-	if p.MigrateRowPJ == 0 {
-		p.MigrateRowPJ = defaultMigrateRowPJ
-	}
-	if p.Decay == 0 {
-		p.Decay = defaultDecay
-	}
-	if p.ObsWeight == 0 {
-		p.ObsWeight = defaultObsWeight
-	}
-	if p.SwitchMargin == 0 {
-		p.SwitchMargin = defaultSwitchMargin
-	}
-	if p.SwitchMargin < 0 {
-		p.SwitchMargin = 0
-	}
-	if p.EnergyWeight == 0 {
-		p.EnergyWeight = defaultEnergyWeight
-	}
-	return p
-}
 
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	q := p.withDefaults()
-	if _, err := ParseArms(q.Arms); err != nil {
-		return err
-	}
-	if q.Decay <= 0 || q.Decay > 1 {
-		return fmt.Errorf("adapt: decay %g outside (0, 1]", q.Decay)
-	}
-	if q.MigrateRowNS < 0 || q.MigrateRowPJ < 0 || q.EnergyWeight < 0 {
-		return fmt.Errorf("adapt: negative cost parameter in %+v", q)
-	}
-	if q.ObsWeight < 0 {
-		return fmt.Errorf("adapt: negative observation weight %g", q.ObsWeight)
-	}
-	return nil
+	_, err := ParseArms(p.Arms)
+	return err
 }
 
 // Arm is one candidate configuration policy: a deterministic function

@@ -305,13 +305,7 @@ func TestParamsValidate(t *testing.T) {
 	if err := (Params{}).Validate(); err != nil {
 		t.Fatalf("zero params invalid: %v", err)
 	}
-	if err := (Params{Decay: 1.5}).Validate(); err == nil {
-		t.Fatal("decay > 1 accepted")
-	}
 	if err := (Params{Arms: "nope"}).Validate(); err == nil {
 		t.Fatal("unknown arm accepted")
-	}
-	if err := (Params{MigrateRowNS: -1}).Validate(); err == nil {
-		t.Fatal("negative migration cost accepted")
 	}
 }

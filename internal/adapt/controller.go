@@ -19,7 +19,6 @@ import (
 // never from the epoch worker goroutine, which is what keeps the pick
 // sequence deterministic however the worker is scheduled.
 type Controller struct {
-	params Params
 	arms   []Arm
 	model  CostModel
 	bandit *bandit
@@ -39,23 +38,18 @@ type Controller struct {
 	droppedItems int // actual items invalidated by arm-switch installs
 }
 
-// New builds a controller from the parameters (zero fields take
-// defaults), the bandit seed, and the machine's cost model.
+// New builds a controller from the parameters, the bandit seed, and
+// the machine's cost model.
 func New(p Params, seed uint64, model CostModel) (*Controller, error) {
-	p = p.withDefaults()
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	arms, err := ParseArms(p.Arms)
 	if err != nil {
 		return nil, err
 	}
-	model.EnergyWeight = p.EnergyWeight
+	model.EnergyWeight = energyWeight
 	return &Controller{
-		params: p,
 		arms:   arms,
 		model:  model,
-		bandit: newBandit(len(arms), p.Decay, p.ObsWeight, seed),
+		bandit: newBandit(len(arms), decay, obsWeight, seed),
 		live:   -1,
 		picks:  make([]uint64, len(arms)),
 	}, nil
@@ -98,7 +92,7 @@ func (c *Controller) Decide(pcfg policy.Config, ins []policy.StreamInput, live m
 		moved[i] = MovedRows(live, a)
 		penalized[i] = base[i]
 		if epochAccesses > 0 {
-			penalized[i] += float64(moved[i]) * c.params.MigrateRowNS / float64(epochAccesses)
+			penalized[i] += float64(moved[i]) * migrateRowNS / float64(epochAccesses)
 		}
 	}
 	c.bandit.update(rewards(penalized))
@@ -112,7 +106,7 @@ func (c *Controller) Decide(pcfg policy.Config, ins []policy.StreamInput, live m
 	// Thompson hysteresis: posterior noise alone must not pay the
 	// migration cost — a challenger has to beat the live arm's sample by
 	// the configured margin to take over.
-	if c.live >= 0 && next != c.live && samples[next] <= samples[c.live]+c.params.SwitchMargin {
+	if c.live >= 0 && next != c.live && samples[next] <= samples[c.live]+switchMargin {
 		next = c.live
 	}
 
@@ -120,8 +114,8 @@ func (c *Controller) Decide(pcfg policy.Config, ins []policy.StreamInput, live m
 	if switched {
 		c.switches++
 		c.migratedRows += moved[next]
-		c.migrateNS += float64(moved[next]) * c.params.MigrateRowNS
-		c.migratePJ += float64(moved[next]) * c.params.MigrateRowPJ
+		c.migrateNS += float64(moved[next]) * migrateRowNS
+		c.migratePJ += float64(moved[next]) * migrateRowPJ
 	}
 	c.weightedNS += base[next] * float64(epochAccesses)
 	c.accTotal += epochAccesses

@@ -23,7 +23,7 @@ type CostModel struct {
 	// (0 for u == v).
 	NetNS func(u, v int) float64
 	// HitPJ / MissPJ are the modeled per-access energies of the two
-	// outcomes, weighted into the score by Params.EnergyWeight.
+	// outcomes, weighted into the score by energyWeight.
 	HitPJ, MissPJ float64
 	// EnergyWeight converts pJ to the score's ns axis.
 	EnergyWeight float64

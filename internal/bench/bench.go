@@ -9,11 +9,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
+	"ndpext/internal/par"
 	"ndpext/internal/runspec"
 	"ndpext/internal/simcache"
 	"ndpext/internal/system"
@@ -178,7 +177,7 @@ func (e *BatchError) failText(i int) string {
 }
 
 // RunCells simulates every cell of an experiment matrix concurrently on
-// a bounded worker pool (GOMAXPROCS workers) and returns the results in
+// the par worker pool (GOMAXPROCS workers) and returns the results in
 // input order, so table rows stay deterministic regardless of
 // scheduling. Each simulation is independent (per-run state; the trace
 // and result caches are singleflight-guarded), so concurrency cannot
@@ -189,33 +188,24 @@ func RunCells(cells []Cell, opt Options) ([]*system.Result, error) {
 	results := make([]*system.Result, len(cells))
 	errs := make([]error, len(cells))
 	panicked := make([]bool, len(cells))
-	sem := make(chan struct{}, max(runtime.GOMAXPROCS(0), 1))
 	ctx := opt.context()
-	var wg sync.WaitGroup
-	for i := range cells {
-		// A canceled batch stops launching new cells; already-running
-		// ones abort cooperatively inside system.RunContext and report
-		// the cancellation through their own error slots.
-		if err := ctx.Err(); err != nil {
+	par.Each(len(cells), func(_ *struct{}, i int) {
+		// A canceled batch starts no new cells; already-running ones
+		// abort cooperatively inside system.RunContext and report the
+		// cancellation through their own error slots.
+		if ctx.Err() != nil {
 			errs[i] = context.Cause(ctx)
-			continue
+			return
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("%v", v)
-					panicked[i] = true
-					results[i] = nil
-				}
-			}()
-			results[i], errs[i] = run(cells[i], opt)
-		}(i)
-	}
-	wg.Wait()
+		defer func() {
+			if v := recover(); v != nil {
+				errs[i] = fmt.Errorf("%v", v)
+				panicked[i] = true
+				results[i] = nil
+			}
+		}()
+		results[i], errs[i] = run(cells[i], opt)
+	})
 	var be BatchError
 	for i, err := range errs {
 		if err != nil {

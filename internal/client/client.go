@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"ndpext/internal/server/scheduler"
+	"ndpext/internal/server/wire"
 )
 
 // Options configures a Client. Zero values take the documented
@@ -151,9 +152,7 @@ func sleep(ctx context.Context, d time.Duration) error {
 // errorMessage extracts the server's JSON diagnostic (falling back to
 // the raw body).
 func errorMessage(body []byte) string {
-	var doc struct {
-		Error string `json:"error"`
-	}
+	var doc wire.ErrorDoc
 	if json.Unmarshal(body, &doc) == nil && doc.Error != "" {
 		return doc.Error
 	}

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 
 	"ndpext/internal/client"
 	"ndpext/internal/server/scheduler"
+	"ndpext/internal/server/wire"
 )
 
 // replicaMaxBody bounds PUT /v1/cluster/cache bodies: result documents
@@ -54,45 +54,6 @@ type handler struct {
 	inner http.Handler
 }
 
-// Local copies of the transport JSON/SSE helpers: cluster and transport
-// sit side by side at the HTTP edge and must not import each other.
-
-type errorDoc struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorDoc{Error: err.Error()})
-}
-
-func sseWriter(w http.ResponseWriter) http.Flusher {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
-		return nil
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	return fl
-}
-
-// writeSSERaw emits one event whose payload is already JSON.
-func writeSSERaw(w http.ResponseWriter, fl http.Flusher, event string, data []byte) {
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
-	fl.Flush()
-}
-
 // writeAPIError maps a client-layer error from a peer onto this
 // response: API verdicts pass through with their status, transport
 // failures become 502.
@@ -100,11 +61,11 @@ func writeAPIError(w http.ResponseWriter, peer string, err error) {
 	var apiErr *client.APIError
 	switch {
 	case errors.Is(err, client.ErrUnknownJob):
-		writeError(w, http.StatusNotFound, err)
+		wire.WriteError(w, http.StatusNotFound, err)
 	case errors.As(err, &apiErr):
-		writeError(w, apiErr.StatusCode, errors.New(apiErr.Message))
+		wire.WriteError(w, apiErr.StatusCode, errors.New(apiErr.Message))
 	default:
-		writeError(w, http.StatusBadGateway,
+		wire.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("cluster: peer %s unreachable: %w", peer, err))
 	}
 }
@@ -126,18 +87,10 @@ func (h *handler) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	r.Body.Close()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return nil, false
 	}
 	return body, true
-}
-
-// decodeStrict mirrors the transport's strict decoding so the router
-// and the inner handler agree on what parses.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
 }
 
 // handleSubmit routes one submission by its content address: local when
@@ -156,7 +109,7 @@ func (h *handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		h.n.forwardsIn.Add(1)
 	}
 	var spec scheduler.JobSpec
-	if decodeStrict(body, &spec) != nil {
+	if wire.DecodeStrict(bytes.NewReader(body), &spec) != nil {
 		h.serveInner(w, r, body)
 		return
 	}
@@ -179,7 +132,7 @@ func (h *handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &apiErr) {
 				// The owner answered and rejected (bad spec, quarantined
 				// trace, backpressure): its verdict is the response.
-				writeError(w, apiErr.StatusCode, errors.New(apiErr.Message))
+				writeAPIError(w, owner, err)
 				return
 			}
 			h.n.members.ReportFailure(owner, err)
@@ -193,7 +146,7 @@ func (h *handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		if st.State.Terminal() {
 			code = http.StatusOK
 		}
-		writeJSON(w, code, st)
+		wire.WriteJSON(w, code, st)
 		return
 	}
 	h.n.cellsOwned.Add(1)
@@ -215,7 +168,7 @@ func (h *handler) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st.Owner = peer
-	writeJSON(w, http.StatusOK, st)
+	wire.WriteJSON(w, http.StatusOK, st)
 }
 
 // handleJobResult proxies a forwarded job's result document verbatim.
@@ -246,12 +199,12 @@ func (h *handler) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		h.inner.ServeHTTP(w, r)
 		return
 	}
-	fl := sseWriter(w)
+	fl := wire.SSEWriter(w)
 	if fl == nil {
 		return
 	}
 	for ev := range client.New(peer, h.n.cfg.Client).Events(r.Context(), id) {
-		writeSSERaw(w, fl, ev.Type, ev.Data)
+		wire.WriteSSE(w, fl, ev.Type, ev.Data)
 	}
 }
 
@@ -270,7 +223,7 @@ func (h *handler) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec scheduler.BatchSpec
-	if decodeStrict(body, &spec) != nil {
+	if wire.DecodeStrict(bytes.NewReader(body), &spec) != nil {
 		h.serveInner(w, r, body)
 		return
 	}
@@ -279,7 +232,7 @@ func (h *handler) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		h.serveInner(w, r, body)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, b.Status())
+	wire.WriteJSON(w, http.StatusAccepted, b.Status())
 }
 
 // handleReplica accepts a result document pushed by a peer's OnStored
@@ -288,11 +241,11 @@ func (h *handler) handleReplica(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, replicaMaxBody))
 	r.Body.Close()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading replica body: %w", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading replica body: %w", err))
 		return
 	}
 	if err := h.n.acceptReplica(r.PathValue("key"), body); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		wire.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -300,5 +253,5 @@ func (h *handler) handleReplica(w http.ResponseWriter, r *http.Request) {
 
 // handleInfo serves the node's cluster document.
 func (h *handler) handleInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.n.Info())
+	wire.WriteJSON(w, http.StatusOK, h.n.Info())
 }

@@ -185,17 +185,6 @@ func (j *Job) finish(state State, result []byte, errMsg string) {
 	close(j.done)
 }
 
-// duration returns how long the job actually ran (zero until finished
-// or for jobs that never ran).
-func (j *Job) duration() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started.IsZero() || j.finished.IsZero() {
-		return 0
-	}
-	return j.finished.Sub(j.started)
-}
-
 // progressTarget is the job whose event stream carries this job's
 // progress: the leader for piggybacked jobs, itself otherwise.
 func (j *Job) progressTarget() *Job {

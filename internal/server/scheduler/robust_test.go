@@ -92,8 +92,8 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestPanicFansOutToFollowers: submissions piggybacked on a leader that
-// panics must fail with the same diagnostic, and the singleflight key
-// must be released so the next identical submission starts fresh.
+// panics must fail with the same diagnostic, and the key must be
+// released so the next identical submission starts fresh.
 func TestPanicFansOutToFollowers(t *testing.T) {
 	hold := make(chan struct{})
 	var once sync.Once

@@ -123,6 +123,7 @@ type Scheduler struct {
 
 	simsRun   atomic.Uint64 // simulations actually executed
 	rejected  atomic.Uint64 // submissions bounced with queue-full
+	dedups    atomic.Uint64 // submissions piggybacked on an in-flight job
 	meanNanos atomic.Uint64 // EWMA of completed job durations (ns)
 	panics    atomic.Uint64 // worker panics recovered into failed jobs
 
@@ -250,30 +251,32 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	return job, nil
 }
 
-// admitLocked assigns an ID and admits one prepared job: store hit,
-// piggyback on an identical in-flight leader, or a fresh queue slot.
-// Caller holds s.mu.
+// admitLocked assigns an ID and admits one prepared job: piggyback on
+// an identical in-flight leader, store hit, or a fresh queue slot. The
+// in-flight check comes first, so each admission moves exactly one of
+// the dedup, hit and miss counters. Caller holds s.mu.
 func (s *Scheduler) admitLocked(job *Job) error {
 	s.nextID++
 	job.ID = fmt.Sprintf("%s%06d", s.opt.IDPrefix, s.nextID)
 
-	if doc, ok := s.st.Get(job.Key); ok {
-		// Content-addressed hit: done before it ever queued.
-		job.cacheHit = true
-		s.register(job)
-		job.finish(stateForDoc(doc), doc, "")
-		return nil
-	}
 	if leader, ok := s.active[job.Key]; ok {
 		// Identical job already in flight: piggyback, costing nothing.
 		job.leader = leader
 		job.deduped = true
+		s.dedups.Add(1)
 		s.register(job)
 		leader.mu.Lock()
 		leader.followers = append(leader.followers, job)
 		leader.mu.Unlock()
 		job.publish(Event{Type: "state", Data: map[string]string{
 			"state": string(StateQueued), "piggyback_on": leader.ID}})
+		return nil
+	}
+	if doc, ok := s.st.Get(job.Key); ok {
+		// Content-addressed hit: done before it ever queued.
+		job.cacheHit = true
+		s.register(job)
+		job.finish(stateForDoc(doc), doc, "")
 		return nil
 	}
 	select {
@@ -319,8 +322,13 @@ func (s *Scheduler) Jobs() []*Job {
 // deduplication.
 func (s *Scheduler) SimsRun() uint64 { return s.simsRun.Load() }
 
-// CacheStats exposes the result store counters.
-func (s *Scheduler) CacheStats() simcache.Stats { return s.st.Stats() }
+// CacheStats exposes the result store counters, with Dedups counting
+// the submissions that piggybacked on an identical in-flight job.
+func (s *Scheduler) CacheStats() simcache.Stats {
+	cs := s.st.Stats()
+	cs.Dedups = s.dedups.Load()
+	return cs
+}
 
 // QueueDepth returns (queued, capacity).
 func (s *Scheduler) QueueDepth() (int, int) { return len(s.queue), cap(s.queue) }
@@ -409,29 +417,22 @@ func stateForDoc(doc []byte) State {
 	return StateDone
 }
 
-// runJob executes one leader job on the calling worker. A panic
-// anywhere in the run is the job's failure, never the process's: the
-// inner recover (inside the singleflight fn) converts it to an error so
-// waiters resolve and nothing poisons the store; the outer recover is
-// belt-and-braces for panics outside that scope, releasing the key and
-// failing the job and its followers so the worker goroutine survives.
+// runJob executes one leader job on the calling worker and finishes
+// it and its followers with the outcome.
 func (s *Scheduler) runJob(job *Job) {
+	state, doc, errMsg := s.execute(job)
+	s.complete(job, state, doc, errMsg)
+}
+
+// execute runs one leader job and classifies the outcome. A panic
+// anywhere in the run is the job's failure, never the process's: the
+// one recover turns it into a failed outcome, which complete fans out
+// to the followers, and nothing enters the store.
+func (s *Scheduler) execute(job *Job) (state State, doc []byte, errMsg string) {
 	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		s.panics.Add(1)
-		errMsg := fmt.Sprintf("%v: %v\n\n%s", ErrPanicked, p, debug.Stack())
-		s.mu.Lock()
-		delete(s.active, job.Key)
-		job.mu.Lock()
-		followers := append([]*Job(nil), job.followers...)
-		job.mu.Unlock()
-		s.mu.Unlock()
-		job.finish(StateFailed, nil, errMsg) // idempotent if already terminal
-		for _, f := range followers {
-			f.finish(StateFailed, nil, errMsg)
+		if p := recover(); p != nil {
+			s.panics.Add(1)
+			state, doc, errMsg = StateFailed, nil, fmt.Sprintf("%v: %v\n\n%s", ErrPanicked, p, debug.Stack())
 		}
 	}()
 	if s.testJobStarted != nil {
@@ -439,58 +440,53 @@ func (s *Scheduler) runJob(job *Job) {
 	}
 	job.setRunning()
 
-	doc, cached, err := s.st.Do(job.Key, func() (doc []byte, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				// Recover here, inside the singleflight fn: the key
-				// resolves cleanly (errors are shared with waiters and
-				// never cached), so piggybacked followers fail with the
-				// same diagnostic and a resubmission retries for real.
-				s.panics.Add(1)
-				doc = nil
-				err = fmt.Errorf("%w: %v\n\n%s", ErrPanicked, p, debug.Stack())
-			}
-		}()
-		return s.simulate(job)
-	})
-	if err == nil && !cached && s.opt.OnStored != nil {
-		// A fresh document just entered the store; let the cluster layer
-		// replicate it to the ring successor.
-		s.opt.OnStored(job.Key, doc)
+	// A replica installed while the job was queued serves it without
+	// simulating. Contains leaves the counters alone, so a fresh key
+	// counts only its admission miss.
+	if s.st.Contains(job.Key) {
+		if doc, ok := s.st.Get(job.Key); ok {
+			return stateForDoc(doc), doc, ""
+		}
 	}
-
-	var state State
-	var errMsg string
+	doc, err := s.simulate(job)
 	switch {
 	case err == nil:
-		state = stateForDoc(doc)
-	case errors.Is(err, errNotCacheable) || errors.Is(err, context.Canceled):
-		// Checkpoint: a partial document exists, keep it with the job
-		// even though it never enters the store.
-		if doc != nil {
-			state = StateTruncated
-		} else {
-			state, errMsg = StateFailed, err.Error()
+		s.st.Put(job.Key, doc)
+		if s.opt.OnStored != nil {
+			// A fresh document just entered the store; let the cluster
+			// layer replicate it to the ring successor.
+			s.opt.OnStored(job.Key, doc)
 		}
+		return stateForDoc(doc), doc, ""
+	case errors.Is(err, errNotCacheable):
+		// Checkpoint: simulate returns the partial document with every
+		// such error; keep it with the job, out of the store.
+		return StateTruncated, doc, ""
 	default:
-		state, errMsg, doc = StateFailed, err.Error(), nil
+		return StateFailed, nil, err.Error()
 	}
+}
 
-	// Release the key and collect piggybackers before finishing, so a
-	// new submission of the same key either sees the stored entry or
-	// starts fresh — never a finished "leader".
+// complete is the one terminal path of a leader job. It releases the
+// key and collects the followers under s.mu, so a new submission of
+// the key either sees the stored entry or starts fresh, never a
+// finished leader. It feeds the duration EWMA before any Done channel
+// closes, then finishes the leader and every follower alike.
+func (s *Scheduler) complete(job *Job, state State, doc []byte, errMsg string) {
 	s.mu.Lock()
 	delete(s.active, job.Key)
 	job.mu.Lock()
-	followers := append([]*Job(nil), job.followers...)
+	followers, started := job.followers, job.started
 	job.mu.Unlock()
 	s.mu.Unlock()
 
+	if !started.IsZero() {
+		s.observeDuration(time.Since(started))
+	}
 	job.finish(state, doc, errMsg)
 	for _, f := range followers {
 		f.finish(state, doc, errMsg)
 	}
-	s.observeDuration(job.duration())
 }
 
 // simulate runs the job's simulation, publishing progress events, and

@@ -16,6 +16,7 @@ import (
 
 	"ndpext/internal/server/result"
 	"ndpext/internal/server/store"
+	"ndpext/internal/simcache"
 	"ndpext/internal/system"
 )
 
@@ -113,6 +114,107 @@ func TestDedupSixteenSubmissionsFourSims(t *testing.T) {
 		} else {
 			docs[seed] = st.Result
 		}
+	}
+}
+
+// holdFirstJob builds a one-worker scheduler whose first job holds the
+// worker until release is closed; started receives that job.
+func holdFirstJob(t *testing.T, opt Options) (s *Scheduler, started <-chan *Job, release chan struct{}) {
+	t.Helper()
+	ch := make(chan *Job, 1)
+	release = make(chan struct{})
+	var once sync.Once
+	opt.Workers = 1
+	s = New(newTestStore(t, store.Options{}), nil, opt)
+	s.testJobStarted = func(j *Job) {
+		once.Do(func() {
+			ch <- j
+			<-release
+		})
+	}
+	s.Start()
+	return s, ch, release
+}
+
+// TestDedupCounterCountsPiggybacks: the dedups counter of /v1/stats is
+// the scheduler's piggybacked submissions, and a fresh key counts one
+// store miss however many submissions share it.
+func TestDedupCounterCountsPiggybacks(t *testing.T) {
+	s, started, release := holdFirstJob(t, Options{QueueDepth: 4})
+	defer s.Drain(context.Background())
+
+	var jobs []*Job
+	for i := 0; i < 3; i++ {
+		j, err := s.Submit(fastSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+		if i == 0 {
+			<-started // the leader holds the only worker
+		}
+	}
+	close(release)
+	for _, j := range jobs {
+		waitJob(t, j)
+		if st := j.State(); st != StateDone {
+			t.Errorf("job %s finished %s, want done", j.ID, st)
+		}
+	}
+	cs := s.CacheStats()
+	if cs.Dedups != 2 || cs.Misses != 1 || cs.Hits != 0 {
+		t.Errorf("cache stats %+v, want dedups 2, misses 1, hits 0", cs)
+	}
+	if got := s.SimsRun(); got != 1 {
+		t.Errorf("SimsRun = %d, want 1", got)
+	}
+}
+
+// TestReplicaInstalledWhileQueuedServesJob: a result replicated into
+// the store while its job waits in the queue serves that job without a
+// simulation, and is not replicated onward.
+func TestReplicaInstalledWhileQueuedServesJob(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		stored int
+	)
+	s, started, release := holdFirstJob(t, Options{QueueDepth: 4,
+		OnStored: func(simcache.Key, []byte) {
+			mu.Lock()
+			stored++
+			mu.Unlock()
+		},
+	})
+	defer s.Drain(context.Background())
+
+	a, err := s.Submit(fastSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	b, err := s.Submit(fastSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := []byte(`{"schema_version":1,"replica":true}`)
+	if err := s.InstallResult(b.Key.String(), doc); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	waitJob(t, a)
+	waitJob(t, b)
+
+	st := b.Status()
+	if served := bytes.Equal(st.Result, doc); st.State != StateDone || !served {
+		t.Fatalf("queued job after InstallResult: state %s, replica doc served %v; want done with the replica doc", st.State, served)
+	}
+	if got := s.SimsRun(); got != 1 {
+		t.Errorf("SimsRun = %d, want 1 (job A only)", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if stored != 1 {
+		t.Errorf("OnStored fired %d times, want 1 (job A only)", stored)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // TestPutInstallsWithoutComputing: Put (the cluster replication
-// landing point) makes a document visible to Get/Contains and lets a
-// later Do serve it without running its compute function.
+// landing point) makes a document visible to Get/Contains, so the
+// scheduler serves it without simulating.
 func TestPutInstallsWithoutComputing(t *testing.T) {
 	s, err := Open(Options{})
 	if err != nil {
@@ -25,19 +25,6 @@ func TestPutInstallsWithoutComputing(t *testing.T) {
 	}
 	if got, ok := s.Get(k); !ok || !bytes.Equal(got, doc) {
 		t.Fatalf("Get after Put = %q ok=%v", got, ok)
-	}
-
-	// Do must treat the installed document as authoritative.
-	computed := false
-	got, cached, err := s.Do(k, func() ([]byte, error) {
-		computed = true
-		return []byte(`{"recomputed":true}`), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computed || !cached || !bytes.Equal(got, doc) {
-		t.Fatalf("Do after Put: computed=%v cached=%v doc=%s", computed, cached, got)
 	}
 
 	// Put overwrites: last write wins, as a re-replicated newer result

@@ -103,12 +103,6 @@ func (s *Store) Put(k simcache.Key, doc []byte) { s.results.Put(k, doc) }
 // Contains reports residency without touching recency or stats.
 func (s *Store) Contains(k simcache.Key) bool { return s.results.Contains(k) }
 
-// Do returns the stored document for k, or computes it with fn exactly
-// once across concurrent callers (singleflight); errors are not stored.
-func (s *Store) Do(k simcache.Key, fn func() ([]byte, error)) ([]byte, bool, error) {
-	return s.results.Do(k, fn)
-}
-
 // Stats returns the result store's activity counters.
 func (s *Store) Stats() simcache.Stats { return s.results.Stats() }
 

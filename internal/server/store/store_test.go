@@ -31,9 +31,7 @@ func TestPersistRoundTrip(t *testing.T) {
 		"b": []byte(`{"schema_version":1,"design":"Nexus"}`),
 	}
 	for name, doc := range docs {
-		if _, _, err := s1.Do(key(name), func() ([]byte, error) { return doc, nil }); err != nil {
-			t.Fatal(err)
-		}
+		s1.Put(key(name), doc)
 	}
 	if err := s1.Persist(); err != nil {
 		t.Fatal(err)
@@ -85,9 +83,7 @@ func TestContainsIsStatsNeutral(t *testing.T) {
 	if s.Contains(key("a")) {
 		t.Fatal("empty store contains a key")
 	}
-	if _, _, err := s.Do(key("a"), func() ([]byte, error) { return []byte("x"), nil }); err != nil {
-		t.Fatal(err)
-	}
+	s.Put(key("a"), []byte("x"))
 	before := s.Stats()
 	for i := 0; i < 10; i++ {
 		if !s.Contains(key("a")) {
@@ -110,9 +106,7 @@ func TestContainsRespectsTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Do(key("a"), func() ([]byte, error) { return []byte("x"), nil }); err != nil {
-		t.Fatal(err)
-	}
+	s.Put(key("a"), []byte("x"))
 	time.Sleep(10 * time.Millisecond)
 	if s.Contains(key("a")) {
 		t.Error("expired entry still reported resident")
@@ -252,9 +246,7 @@ func TestOpenQuarantinesCorruptIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s0.Do(key("a"), func() ([]byte, error) { return []byte(`{"x":1}`), nil }); err != nil {
-		t.Fatal(err)
-	}
+	s0.Put(key("a"), []byte(`{"x":1}`))
 	if err := s0.Persist(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +290,7 @@ func TestOpenQuarantinesCorruptIndex(t *testing.T) {
 	}
 
 	// The store works and re-persists a clean index.
-	if _, _, err := s1.Do(key("b"), func() ([]byte, error) { return []byte(`{"y":2}`), nil }); err != nil {
-		t.Fatal(err)
-	}
+	s1.Put(key("b"), []byte(`{"y":2}`))
 	if err := s1.Persist(); err != nil {
 		t.Fatal(err)
 	}

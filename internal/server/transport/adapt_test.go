@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndpext/internal/server/scheduler"
+	"ndpext/internal/server/wire"
 	"ndpext/internal/system"
 )
 
@@ -19,7 +20,7 @@ func TestUnknownDesign422(t *testing.T) {
 		if resp.StatusCode != 422 {
 			t.Fatalf("POST %s = %d, want 422", url, resp.StatusCode)
 		}
-		doc := decode[errorDoc](t, resp)
+		doc := decode[wire.ErrorDoc](t, resp)
 		if len(doc.ValidDesigns) != len(system.AllDesigns()) {
 			t.Fatalf("valid_designs = %v, want all %d designs", doc.ValidDesigns, len(system.AllDesigns()))
 		}
@@ -42,7 +43,7 @@ func TestUnknownDesign422(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("unknown workload = %d, want 400", resp.StatusCode)
 	}
-	if doc := decode[errorDoc](t, resp); len(doc.ValidDesigns) != 0 {
+	if doc := decode[wire.ErrorDoc](t, resp); len(doc.ValidDesigns) != 0 {
 		t.Fatalf("400 body unexpectedly carries valid_designs: %v", doc.ValidDesigns)
 	}
 }

@@ -1,14 +1,14 @@
 // Package transport is the HTTP edge of the serving stack: JSON
 // routing, request decoding and validation, SSE streaming, and status
 // codes. It holds no scheduling or storage logic of its own — every
-// decision is delegated to the scheduler layer — and it is the only
-// serving-stack layer allowed to import net/http (enforced by an arch
-// test). That seam is where a sharded-cluster mode will later plug
-// consistent-hash forwarding without touching the engine.
+// decision is delegated to the scheduler layer — and it is, with the
+// wire module it writes through, the only serving-stack layer allowed
+// to import net/http (enforced by an arch test). That seam is where a
+// sharded-cluster mode will later plug consistent-hash forwarding
+// without touching the engine.
 package transport
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -17,6 +17,7 @@ import (
 
 	"ndpext/internal/server/scheduler"
 	"ndpext/internal/server/store"
+	"ndpext/internal/server/wire"
 	"ndpext/internal/system"
 	"ndpext/internal/workloads"
 )
@@ -85,7 +86,7 @@ func NewHandler(s *scheduler.Scheduler, opt Options) http.Handler {
 	mux.HandleFunc("GET /v1/batch/{id}/result", a.handleBatchResult)
 	mux.HandleFunc("GET /v1/batch/{id}/events", a.handleBatchEvents)
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, workloads.Names())
+		wire.WriteJSON(w, http.StatusOK, workloads.Names())
 	})
 	mux.HandleFunc("GET /v1/traces", a.handleTraces)
 	mux.HandleFunc("GET /v1/stats", a.handleStats)
@@ -120,49 +121,31 @@ func (a *api) clusterDoc() any {
 	return a.cluster()
 }
 
-// errorDoc is the uniform error body. ValidDesigns is populated only
-// when the error is an unknown-design rejection, so clients can
-// enumerate what the server accepts without a second request.
-type errorDoc struct {
-	Error        string   `json:"error"`
-	ValidDesigns []string `json:"valid_designs,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorDoc{Error: err.Error()})
-}
-
-// writeSubmitError maps a submission rejection to a status code. An
-// unknown design is semantically invalid rather than malformed, so it
-// gets 422 with the accepted design list; everything else is a 400.
-func writeSubmitError(w http.ResponseWriter, err error) {
+// writeAdmitError maps a submission rejection to its status: 429
+// with the adaptive Retry-After hint under backpressure, 503 while
+// draining, 422 for a quarantined trace or an unknown design (the
+// latter with the accepted design list), 400 for everything else.
+func (a *api) writeAdmitError(w http.ResponseWriter, err error) {
 	var ude *system.UnknownDesignError
-	if errors.As(err, &ude) {
-		writeJSON(w, http.StatusUnprocessableEntity,
-			errorDoc{Error: ude.Error(), ValidDesigns: ude.Valid})
-		return
+	switch {
+	case errors.Is(err, scheduler.ErrQueueFull):
+		// Queue depth × recent mean job duration, clamped, rounded up
+		// to whole seconds.
+		secs := int(math.Ceil(a.s.RetryAfterHint().Seconds()))
+		w.Header().Set("Retry-After", strconv.Itoa(max(secs, 1)))
+		wire.WriteError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, scheduler.ErrDraining):
+		wire.WriteError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, store.ErrTraceQuarantined):
+		// The named bytes are proven corrupt; retrying cannot help.
+		wire.WriteError(w, http.StatusUnprocessableEntity, err)
+	case errors.As(err, &ude):
+		// Semantically invalid rather than malformed.
+		wire.WriteJSON(w, http.StatusUnprocessableEntity,
+			wire.ErrorDoc{Error: ude.Error(), ValidDesigns: ude.Valid})
+	default:
+		wire.WriteError(w, http.StatusBadRequest, err)
 	}
-	writeError(w, http.StatusBadRequest, err)
-}
-
-// writeQueueFull surfaces backpressure: 429 with the scheduler's
-// adaptive Retry-After hint (queue depth × recent mean job duration,
-// clamped), rounded up to whole seconds.
-func (a *api) writeQueueFull(w http.ResponseWriter, err error) {
-	secs := int(math.Ceil(a.s.RetryAfterHint().Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusTooManyRequests, err)
 }
 
 // decodeBody decodes one submission body into v under the body-size
@@ -171,16 +154,14 @@ func (a *api) writeQueueFull(w http.ResponseWriter, err error) {
 // never 500 on input, however malformed.
 func (a *api) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, a.maxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := wire.DecodeStrict(r.Body, v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			wire.WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("%s exceeds the %d-byte body limit", what, tooBig.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", what, err))
 		return false
 	}
 	return true
@@ -192,19 +173,8 @@ func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := a.s.Submit(spec)
-	switch {
-	case errors.Is(err, scheduler.ErrQueueFull):
-		a.writeQueueFull(w, err)
-		return
-	case errors.Is(err, scheduler.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, store.ErrTraceQuarantined):
-		// The named bytes are proven corrupt; retrying cannot help.
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	case err != nil:
-		writeSubmitError(w, err)
+	if err != nil {
+		a.writeAdmitError(w, err)
 		return
 	}
 	code := http.StatusAccepted
@@ -213,11 +183,11 @@ func (a *api) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	st := job.Status()
 	a.annotateOwner(&st)
-	writeJSON(w, code, st)
+	wire.WriteJSON(w, code, st)
 }
 
 func (a *api) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.jobSummaries())
+	wire.WriteJSON(w, http.StatusOK, a.jobSummaries())
 }
 
 // jobSummaries lists every job's status with the result payload
@@ -237,55 +207,28 @@ func (a *api) jobSummaries() []scheduler.JobStatus {
 func (a *api) handleStatus(w http.ResponseWriter, r *http.Request) {
 	job, ok := a.s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	st := job.Status()
 	a.annotateOwner(&st)
-	writeJSON(w, http.StatusOK, st)
+	wire.WriteJSON(w, http.StatusOK, st)
 }
 
 func (a *api) handleResult(w http.ResponseWriter, r *http.Request) {
 	job, ok := a.s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
 	st := job.Status()
 	if len(st.Result) == 0 {
-		writeError(w, http.StatusConflict,
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("job %s is %s; no result yet", job.ID, st.State))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(st.Result)
-}
-
-// sseWriter prepares w for Server-Sent Events and returns the flusher,
-// or nil when the connection cannot stream.
-func sseWriter(w http.ResponseWriter) http.Flusher {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, fmt.Errorf("streaming unsupported"))
-		return nil
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-	return fl
-}
-
-// writeSSE emits one event; payload marshal failures degrade to an
-// inline error object rather than killing the stream.
-func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, data any) {
-	body, err := json.Marshal(data)
-	if err != nil {
-		body = []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, body)
-	fl.Flush()
 }
 
 // handleEvents streams the job's progress as SSE: the full history is
@@ -296,10 +239,10 @@ func writeSSE(w http.ResponseWriter, fl http.Flusher, event string, data any) {
 func (a *api) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job, ok := a.s.Job(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such job %q", r.PathValue("id")))
 		return
 	}
-	fl := sseWriter(w)
+	fl := wire.SSEWriter(w)
 	if fl == nil {
 		return
 	}
@@ -311,7 +254,7 @@ func (a *api) handleEvents(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return // terminal event delivered; stream complete
 			}
-			writeSSE(w, fl, ev.Type, ev.Data)
+			wire.WriteSSEJSON(w, fl, ev.Type, ev.Data)
 		case <-r.Context().Done():
 			return
 		}
@@ -324,18 +267,8 @@ func (a *api) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	b, err := a.s.SubmitBatch(spec)
-	switch {
-	case errors.Is(err, scheduler.ErrQueueFull):
-		a.writeQueueFull(w, err)
-		return
-	case errors.Is(err, scheduler.ErrDraining):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, store.ErrTraceQuarantined):
-		writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	case err != nil:
-		writeSubmitError(w, err)
+	if err != nil {
+		a.writeAdmitError(w, err)
 		return
 	}
 	st := b.Status()
@@ -343,27 +276,27 @@ func (a *api) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 	if st.State.Terminal() {
 		code = http.StatusOK // every cell was already cached
 	}
-	writeJSON(w, code, st)
+	wire.WriteJSON(w, code, st)
 }
 
 func (a *api) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 	b, ok := a.s.Batch(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", r.PathValue("id")))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, b.Status())
+	wire.WriteJSON(w, http.StatusOK, b.Status())
 }
 
 func (a *api) handleBatchResult(w http.ResponseWriter, r *http.Request) {
 	b, ok := a.s.Batch(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", r.PathValue("id")))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", r.PathValue("id")))
 		return
 	}
 	doc, err := b.ResultDoc()
 	if err != nil {
-		writeError(w, http.StatusConflict,
+		wire.WriteError(w, http.StatusConflict,
 			fmt.Errorf("batch %s is %s; no matrix document yet", b.ID, b.State()))
 		return
 	}
@@ -390,10 +323,10 @@ type batchEventDoc struct {
 func (a *api) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	b, ok := a.s.Batch(r.PathValue("id"))
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", r.PathValue("id")))
+		wire.WriteError(w, http.StatusNotFound, fmt.Errorf("no such batch %q", r.PathValue("id")))
 		return
 	}
-	fl := sseWriter(w)
+	fl := wire.SSEWriter(w)
 	if fl == nil {
 		return
 	}
@@ -406,10 +339,10 @@ func (a *api) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 				return // final event delivered; stream complete
 			}
 			if ev.Event.Type == "batch" {
-				writeSSE(w, fl, "batch", ev.Event.Data)
+				wire.WriteSSEJSON(w, fl, "batch", ev.Event.Data)
 				continue
 			}
-			writeSSE(w, fl, ev.Event.Type, batchEventDoc{
+			wire.WriteSSEJSON(w, fl, ev.Event.Type, batchEventDoc{
 				Cell: ev.Cell, Design: ev.Design, Workload: ev.Workload,
 				Trace: ev.Trace, Data: ev.Event.Data,
 			})
@@ -428,14 +361,14 @@ func (a *api) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if reg.Enabled() {
 		list, err := reg.List()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			wire.WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		if list != nil {
 			doc.Traces = list
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 // counters is the shared block of engine counters exposed by /v1/stats,
@@ -487,7 +420,7 @@ func (a *api) handleStats(w http.ResponseWriter, r *http.Request) {
 	for _, j := range a.s.Jobs() {
 		states[j.State()]++
 	}
-	writeJSON(w, http.StatusOK, statsDoc{
+	wire.WriteJSON(w, http.StatusOK, statsDoc{
 		Workers:    a.s.Workers(),
 		counters:   a.counters(),
 		Jobs:       totalJobs(states),
@@ -508,7 +441,7 @@ type healthDoc struct {
 }
 
 func (a *api) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, healthDoc{
+	wire.WriteJSON(w, http.StatusOK, healthDoc{
 		Status:   "ok",
 		Workers:  a.s.Workers(),
 		counters: a.counters(),
@@ -525,7 +458,7 @@ type jobsOverviewDoc struct {
 }
 
 func (a *api) handleJobsOverview(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, jobsOverviewDoc{
+	wire.WriteJSON(w, http.StatusOK, jobsOverviewDoc{
 		counters: a.counters(),
 		Jobs:     a.jobSummaries(),
 		Cluster:  a.clusterDoc(),

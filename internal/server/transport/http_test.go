@@ -42,7 +42,7 @@ func decode[T any](t *testing.T, resp *http.Response) T {
 	return v
 }
 
-// compact canonicalizes JSON bytes: writeJSON re-indents embedded
+// compact canonicalizes JSON bytes: wire.WriteJSON re-indents embedded
 // RawMessage payloads, so byte comparisons happen on the compact form.
 func compact(t *testing.T, b []byte) []byte {
 	t.Helper()

@@ -9,7 +9,7 @@ import (
 // whenever the layout below (or the meaning of a serialized field)
 // changes, so stale content-addressed cache entries miss instead of
 // aliasing results from a different simulator semantics.
-const canonicalVersion = "ndpext-config/v2"
+const canonicalVersion = "ndpext-config/v3"
 
 // CanonicalBytes returns a deterministic, versioned serialization of
 // every simulation-affecting field of the configuration. Two configs
