@@ -58,7 +58,7 @@ func main() {
 	cacheEntries := flag.Int("cache-entries", 1024, "result cache capacity (LRU)")
 	cacheTTL := flag.Duration("cache-ttl", 0, "result cache entry lifetime (0: never expires)")
 	cacheIndex := flag.String("cache-index", "", "persist the cache index here on drain; warm-load it on start")
-	maxWall := flag.Duration("max-wall", 0, "default per-job wall-clock watchdog (0 disables)")
+	maxWall := flag.Duration("max-wall", 0, "default deadline of a job that sets no deadline_ms; truncates it, never keys it (0 disables)")
 	maxCycles := flag.Int64("max-cycles", 0, "default per-job simulated-cycle watchdog (0 disables)")
 	retryAfter := flag.Duration("retry-after", time.Second, "floor of the adaptive Retry-After hint returned with 429")
 	retryAfterMax := flag.Duration("retry-after-max", 60*time.Second, "ceiling of the adaptive Retry-After hint")

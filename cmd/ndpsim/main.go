@@ -12,8 +12,9 @@
 // The run flags (-workload, -design, -mem, -seed, -accesses, -scale,
 // -reconfig, -faults, -fault-seed, -bandit-seed, -arms) are the fields
 // of ndpserve's job spec, internal/runspec, with its defaults, checks and
-// cache key; -max-wall and -max-cycles set the watchdogs, as ndpserve's
-// flags of those names do. Every other flag is local to ndpsim.
+// cache key; -max-cycles (keyed) and -max-wall (a context deadline, not
+// keyed; a run it stops prints its partial result and exits 0) act as
+// ndpserve's flags of those names do. Every other flag is local.
 //
 // -list prints the workload names, -list-designs the registered design
 // names (including the adaptive ndpext-mab); both exit 0.
@@ -36,6 +37,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -52,8 +54,8 @@ import (
 	"ndpext/internal/workloads"
 )
 
-// options is ndpsim's command line: the run spec, its watchdog
-// defaults, and the local-only flags.
+// options is ndpsim's command line: the run spec, its two limits, and
+// the local-only flags.
 type options struct {
 	spec                                   runspec.Spec
 	maxWall                                time.Duration
@@ -111,7 +113,7 @@ func main() {
 	}
 
 	spec := opt.spec.Normalize()
-	cfg, err := spec.Build(opt.maxWall, opt.maxCycles)
+	cfg, err := spec.Build(opt.maxCycles)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -192,9 +194,15 @@ func main() {
 		cfg.AttachProbe(rec)
 	}
 
+	ctx := context.Background()
+	if opt.maxWall > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, opt.maxWall)
+		defer cancel()
+	}
 	simStart := time.Now()
-	res, err := system.RunContext(context.Background(), cfg, src)
-	if err != nil {
+	res, err := system.RunContext(ctx, cfg, src)
+	if err != nil && (res == nil || !errors.Is(err, context.DeadlineExceeded)) {
 		log.Fatal(err)
 	}
 	simDur := time.Since(simStart)

@@ -193,7 +193,7 @@ func TestFlagsKeyLikeScheduler(t *testing.T) {
 			t.Fatalf("%q: %v", tc.args, err)
 		}
 		spec := opt.spec.Normalize()
-		cfg, err := spec.Build(opt.maxWall, opt.maxCycles)
+		cfg, err := spec.Build(opt.maxCycles)
 		if err != nil {
 			t.Fatalf("%q: %v", tc.args, err)
 		}

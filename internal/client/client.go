@@ -97,10 +97,20 @@ func New(base string, opt Options) *Client {
 }
 
 // APIError is a non-2xx response that retrying cannot fix (or that
-// exhausted its retries).
+// exhausted its retries), with its Retry-After hint, if any.
 type APIError struct {
 	StatusCode int
 	Message    string
+	RetryAfter time.Duration
+}
+
+// apiError builds the *APIError of a non-2xx response.
+func apiError(resp *http.Response, body []byte) *APIError {
+	e := &APIError{StatusCode: resp.StatusCode, Message: errorMessage(body)}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		e.RetryAfter = time.Duration(secs) * time.Second
+	}
+	return e
 }
 
 func (e *APIError) Error() string {
@@ -161,8 +171,9 @@ func errorMessage(body []byte) string {
 
 // do performs one JSON round trip with retries, decoding a 2xx body
 // into out (when non-nil). notFound, when non-nil, replaces the
-// *APIError for 404s.
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, notFound error) error {
+// *APIError for 404s. With relay429 set, a 429 returns at once as the
+// server's verdict instead of being retried.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any, notFound error, relay429 bool) error {
 	var lastErr error
 	for attempt := 0; attempt < c.opt.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -207,19 +218,14 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 				return nil
 			}
 			return json.Unmarshal(respBody, out)
-		case retryable(resp.StatusCode):
-			apiErr := &APIError{StatusCode: resp.StatusCode, Message: errorMessage(respBody)}
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-				lastErr = &retryAfterError{apiErr, time.Duration(secs) * time.Second}
-			} else {
-				lastErr = apiErr
-			}
+		case retryable(resp.StatusCode) && !(relay429 && resp.StatusCode == http.StatusTooManyRequests):
+			lastErr = apiError(resp, respBody)
 			continue
 		default:
-			return &APIError{StatusCode: resp.StatusCode, Message: errorMessage(respBody)}
+			return apiError(resp, respBody)
 		}
 	}
-	return fmt.Errorf("client: %s %s failed after %d attempts: %w", method, path, c.opt.MaxAttempts, unwrapLast(lastErr))
+	return fmt.Errorf("client: %s %s failed after %d attempts: %w", method, path, c.opt.MaxAttempts, lastErr)
 }
 
 // netError wraps a transport-level failure so retries distinguish it
@@ -229,41 +235,36 @@ type netError struct{ err error }
 func (e *netError) Error() string { return e.err.Error() }
 func (e *netError) Unwrap() error { return e.err }
 
-// retryAfterError carries a 429's Retry-After hint with the error.
-type retryAfterError struct {
-	*APIError
-	after time.Duration
-}
-
 // lastBackoff derives the sleep before the next try from the previous
 // failure: the server's Retry-After hint when it gave one, jittered
 // exponential backoff otherwise.
 func (c *Client) lastBackoff(n int, lastErr error) time.Duration {
-	var ra *retryAfterError
-	if errors.As(lastErr, &ra) {
-		return c.backoff(n, ra.after)
+	var apiErr *APIError
+	if errors.As(lastErr, &apiErr) {
+		return c.backoff(n, apiErr.RetryAfter)
 	}
 	return c.backoff(n, 0)
-}
-
-// unwrapLast strips the retry-bookkeeping wrappers for the final error.
-func unwrapLast(err error) error {
-	var ra *retryAfterError
-	if errors.As(err, &ra) {
-		return ra.APIError
-	}
-	return err
 }
 
 // Submit posts one JobSpec and returns the accepted job's status
 // (terminal immediately on a cache hit).
 func (c *Client) Submit(ctx context.Context, spec scheduler.JobSpec) (scheduler.JobStatus, error) {
+	return c.submit(ctx, spec, false)
+}
+
+// Forward is Submit for a cluster node relaying to the key's owner: the
+// owner's 429 is its verdict, returned at once rather than retried.
+func (c *Client) Forward(ctx context.Context, spec scheduler.JobSpec) (scheduler.JobStatus, error) {
+	return c.submit(ctx, spec, true)
+}
+
+func (c *Client) submit(ctx context.Context, spec scheduler.JobSpec, relay429 bool) (scheduler.JobStatus, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return scheduler.JobStatus{}, err
 	}
 	var st scheduler.JobStatus
-	err = c.do(ctx, http.MethodPost, "/v1/jobs", body, &st, nil)
+	err = c.do(ctx, http.MethodPost, "/v1/jobs", body, &st, nil, relay429)
 	return st, err
 }
 
@@ -271,7 +272,7 @@ func (c *Client) Submit(ctx context.Context, spec scheduler.JobSpec) (scheduler.
 // know the ID.
 func (c *Client) Job(ctx context.Context, id string) (scheduler.JobStatus, error) {
 	var st scheduler.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st, ErrUnknownJob)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st, ErrUnknownJob, false)
 	return st, err
 }
 
@@ -320,7 +321,7 @@ func (c *Client) SubmitAndAwait(ctx context.Context, spec scheduler.JobSpec) (sc
 // Result fetches a terminal job's canonical result document.
 func (c *Client) Result(ctx context.Context, id string) (json.RawMessage, error) {
 	var doc json.RawMessage
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &doc, ErrUnknownJob)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil, &doc, ErrUnknownJob, false)
 	return doc, err
 }
 
@@ -331,14 +332,14 @@ func (c *Client) SubmitBatch(ctx context.Context, spec scheduler.BatchSpec) (sch
 		return scheduler.BatchStatus{}, err
 	}
 	var st scheduler.BatchStatus
-	err = c.do(ctx, http.MethodPost, "/v1/batch", body, &st, nil)
+	err = c.do(ctx, http.MethodPost, "/v1/batch", body, &st, nil, false)
 	return st, err
 }
 
 // Batch fetches one batch's status.
 func (c *Client) Batch(ctx context.Context, id string) (scheduler.BatchStatus, error) {
 	var st scheduler.BatchStatus
-	err := c.do(ctx, http.MethodGet, "/v1/batch/"+id, nil, &st, ErrUnknownJob)
+	err := c.do(ctx, http.MethodGet, "/v1/batch/"+id, nil, &st, ErrUnknownJob, false)
 	return st, err
 }
 
@@ -361,7 +362,7 @@ func (c *Client) AwaitBatch(ctx context.Context, id string) (scheduler.BatchStat
 // BatchResult fetches a terminal batch's canonical matrix document.
 func (c *Client) BatchResult(ctx context.Context, id string) (json.RawMessage, error) {
 	var doc json.RawMessage
-	err := c.do(ctx, http.MethodGet, "/v1/batch/"+id+"/result", nil, &doc, ErrUnknownJob)
+	err := c.do(ctx, http.MethodGet, "/v1/batch/"+id+"/result", nil, &doc, ErrUnknownJob, false)
 	return doc, err
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,6 +96,58 @@ func TestSubmitToOwnerRunsLocally(t *testing.T) {
 	}
 	if got := nodes[owner].Sched.SimsRun(); got != 1 {
 		t.Errorf("owner sims_run = %d, want 1", got)
+	}
+}
+
+// TestForwardedQueueFull: the owner's 429 is its verdict. A submission
+// forwarded to an owner whose queue is full gets the owner's 429 and
+// Retry-After hint back at once, after exactly one forwarded submit.
+func TestForwardedQueueFull(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	hold := func(scheduler.JobSpec) {
+		once.Do(func() { close(started) })
+		<-release
+	}
+	nodes := newTestCluster(t, 2, scheduler.Options{Workers: 1, QueueDepth: 1, SimHook: hold})
+	defer close(release) // before the cleanup drains the held worker
+
+	// Three specs with one owner: the first holds the owner's worker,
+	// the second fills its queue, the third is forwarded to it.
+	byOwner := map[int][]scheduler.JobSpec{}
+	var owner, other int
+	for seed := uint64(1); len(byOwner[owner]) < 3; seed++ {
+		spec := scheduler.JobSpec{Workload: "pr", Seed: seed, Accesses: 1000}
+		o, x := ownerIndex(t, nodes, spec)
+		byOwner[o] = append(byOwner[o], spec)
+		owner, other = o, x
+	}
+	specs := byOwner[owner]
+	if _, err := nodes[owner].Sched.Submit(specs[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := nodes[owner].Sched.Submit(specs[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	body, err := json.Marshal(specs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(nodes[other].URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("forwarded submission to a full owner = %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Error("relayed 429 carries no Retry-After header")
+	}
+	if got := nodes[owner].Node.Info().ForwardsIn; got != 1 {
+		t.Errorf("owner saw %d forwarded submits, want 1", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"ndpext/internal/client"
 	"ndpext/internal/server/scheduler"
@@ -55,14 +56,17 @@ type handler struct {
 }
 
 // writeAPIError maps a client-layer error from a peer onto this
-// response: API verdicts pass through with their status, transport
-// failures become 502.
+// response: API verdicts pass through with their status and Retry-After
+// hint, transport failures become 502.
 func writeAPIError(w http.ResponseWriter, peer string, err error) {
 	var apiErr *client.APIError
 	switch {
 	case errors.Is(err, client.ErrUnknownJob):
 		wire.WriteError(w, http.StatusNotFound, err)
 	case errors.As(err, &apiErr):
+		if apiErr.RetryAfter > 0 {
+			w.Header().Set("Retry-After", strconv.Itoa(int(apiErr.RetryAfter.Seconds())))
+		}
 		wire.WriteError(w, apiErr.StatusCode, errors.New(apiErr.Message))
 	default:
 		wire.WriteError(w, http.StatusBadGateway,
@@ -126,7 +130,7 @@ func (h *handler) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		cl := h.n.forwardClient(owner, inHops+1)
-		st, err := cl.Submit(r.Context(), spec)
+		st, err := cl.Forward(r.Context(), spec)
 		if err != nil {
 			var apiErr *client.APIError
 			if errors.As(err, &apiErr) {

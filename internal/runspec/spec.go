@@ -5,7 +5,6 @@ package runspec
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"ndpext/internal/fault"
 	"ndpext/internal/simcache"
@@ -61,18 +60,14 @@ type Spec struct {
 	// MaxCycles aborts the run deterministically after this many
 	// simulated core cycles (0: server default).
 	MaxCycles int64 `json:"max_cycles,omitempty"`
-	// MaxWallMS aborts the run after this much wall-clock time
-	// (0: server default). Wall-truncated results are never cached.
-	MaxWallMS int64 `json:"max_wall_ms,omitempty"`
-	// DeadlineMS, when > 0, bounds the run with a context deadline: on
-	// expiry the simulation checkpoints and the job lands truncated with
-	// its partial result, exactly like a drain cancellation. Unlike
-	// MaxWallMS it cancels between events rather than at watchdog
-	// checks, and it is NOT part of the cache key — a run finishing
-	// under its deadline is byte-identical to one without, and a
-	// deadline-truncated result is never cached. A submission that
-	// piggybacks on an identical in-flight job rides that job's
-	// deadline.
+	// DeadlineMS, when > 0, is the run's wall-clock bound (0: server
+	// default), a deadline on its context: on expiry the simulation
+	// checkpoints and the job lands truncated with its partial result,
+	// exactly like a drain cancellation. It is NOT part of the cache
+	// key — a run finishing under its deadline is byte-identical to one
+	// without, and a deadline-truncated result is never cached. A
+	// submission that piggybacks on an identical in-flight job rides
+	// that job's deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
@@ -111,9 +106,9 @@ func (js Spec) Normalize() Spec {
 }
 
 // Build validates the spec and assembles the machine configuration, with
-// the watchdogs defMaxWall and defMaxCycles where the spec sets none. The
-// returned config carries no hooks, so hooks never perturb the cache key.
-func (js Spec) Build(defMaxWall time.Duration, defMaxCycles int64) (system.Config, error) {
+// the cycle budget defMaxCycles where the spec sets none. The returned
+// config carries no hooks, so hooks never perturb the cache key.
+func (js Spec) Build(defMaxCycles int64) (system.Config, error) {
 	d, err := system.ParseDesign(js.Design)
 	if err != nil {
 		return system.Config{}, err
@@ -168,10 +163,6 @@ func (js Spec) Build(defMaxWall time.Duration, defMaxCycles int64) (system.Confi
 	cfg.Adapt.Arms = js.Arms
 	if js.Arms != "" && d != system.NDPExtMAB {
 		return system.Config{}, fmt.Errorf("arms applies only to the NDPExt-MAB design")
-	}
-	cfg.MaxWall = defMaxWall
-	if js.MaxWallMS > 0 {
-		cfg.MaxWall = time.Duration(js.MaxWallMS) * time.Millisecond
 	}
 	cfg.MaxCycles = defMaxCycles
 	if js.MaxCycles > 0 {

@@ -15,7 +15,7 @@ func TestSpecNormalizeAndKey(t *testing.T) {
 	keyOf := func(js Spec) string {
 		t.Helper()
 		js = js.Normalize()
-		cfg, err := js.Build(0, 0)
+		cfg, err := js.Build(0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,13 +20,13 @@ func TestMABSpecDefaultsAndKeying(t *testing.T) {
 	if spec.BanditSeed != 1 {
 		t.Fatalf("bandit_seed default = %d, want 1", spec.BanditSeed)
 	}
-	cfg, err := spec.Build(0, 0)
+	cfg, err := spec.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.BanditSeed = 2
-	ocfg, err := other.Build(0, 0)
+	ocfg, err := other.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestMABSpecDefaultsAndKeying(t *testing.T) {
 
 	armed := spec
 	armed.Arms = "paper,greedy"
-	acfg, err := armed.Build(0, 0)
+	acfg, err := armed.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMABSpecDefaultsAndKeying(t *testing.T) {
 	}
 
 	bad := JobSpec{Workload: "pr", Arms: "greedy"}.Normalize()
-	if _, err := bad.Build(0, 0); err == nil || !strings.Contains(err.Error(), "NDPExt-MAB") {
+	if _, err := bad.Build(0); err == nil || !strings.Contains(err.Error(), "NDPExt-MAB") {
 		t.Fatalf("arms on a non-adaptive design: err = %v, want rejection", err)
 	}
 }
@@ -53,7 +53,7 @@ func TestMABSpecDefaultsAndKeying(t *testing.T) {
 // TestMABUnknownDesignStructured: the spec surfaces ParseDesign's
 // structured error so the transport can map it to a 422 with the list.
 func TestMABUnknownDesignStructured(t *testing.T) {
-	_, err := JobSpec{Workload: "pr", Design: "bogus"}.Normalize().Build(0, 0)
+	_, err := JobSpec{Workload: "pr", Design: "bogus"}.Normalize().Build(0)
 	ude, ok := err.(*system.UnknownDesignError)
 	if !ok {
 		t.Fatalf("error type %T, want *system.UnknownDesignError", err)
@@ -71,7 +71,7 @@ func TestMABUnknownDesignStructured(t *testing.T) {
 func TestMABDeterminismAcrossSchedulers(t *testing.T) {
 	spec := JobSpec{Workload: "recsys", Design: "ndpext-mab", Seed: 7,
 		Accesses: 1000, BanditSeed: 7, EpochCycles: 50_000}.Normalize()
-	cfg, err := spec.Build(0, 0)
+	cfg, err := spec.Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ import (
 // scheduling would show up here as a document mismatch.
 func TestDeterminismAcrossExecutionPaths(t *testing.T) {
 	spec := JobSpec{Workload: "pr", Seed: 7, Accesses: 1000, EpochCycles: 50_000}.Normalize()
-	cfg, err := spec.Build(0, 0) // no watchdogs: nothing wall-clock-dependent
+	cfg, err := spec.Build(0) // no cycle budget
 	if err != nil {
 		t.Fatal(err)
 	}

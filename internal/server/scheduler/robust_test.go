@@ -2,13 +2,16 @@ package scheduler
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"ndpext/internal/server/result"
 	"ndpext/internal/server/store"
 	"ndpext/internal/system"
 	"ndpext/internal/trace"
@@ -187,6 +190,51 @@ func TestDeadlineTruncates(t *testing.T) {
 	// Negative deadlines are rejected at validation.
 	if _, err := s.Submit(JobSpec{Workload: "pr", DeadlineMS: -5}); err == nil {
 		t.Error("negative deadline_ms accepted")
+	}
+}
+
+// TestMaxWallNotKeyed: Options.MaxWall (ndpserve's -max-wall) is a
+// deadline, not an input, so a spec keys the same under any default
+// wall limit and nodes started with different flags share results.
+func TestMaxWallNotKeyed(t *testing.T) {
+	spec := JobSpec{Workload: "pr"}
+	keyUnder := func(wall time.Duration) string {
+		t.Helper()
+		k, err := New(newTestStore(t, store.Options{}), nil, Options{MaxWall: wall}).KeyFor(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k.String()
+	}
+	if none, tenSec := keyUnder(0), keyUnder(10*time.Second); none != tenSec {
+		t.Errorf("spec keys %s with no wall limit and %s under 10s", none, tenSec)
+	}
+}
+
+// TestMaxWallTruncates: a job that sets no deadline_ms runs under
+// Options.MaxWall and, when it expires, lands truncated with the
+// wall-clock reason and a partial document that never enters the store.
+func TestMaxWallTruncates(t *testing.T) {
+	s := newTestScheduler(t, Options{Workers: 1, QueueDepth: 4, MaxWall: time.Nanosecond})
+	defer s.Drain(context.Background())
+
+	j, err := s.Submit(JobSpec{Workload: "pr", Accesses: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, j)
+	if got := j.State(); got != StateTruncated {
+		t.Fatalf("wall-limited job state = %s, want truncated (err %q)", got, j.Status().Error)
+	}
+	var doc result.Doc
+	if err := json.Unmarshal(j.Result(), &doc); err != nil {
+		t.Fatalf("partial result document: %v", err)
+	}
+	if doc.TruncateReason != "wall-clock limit exceeded" {
+		t.Errorf("truncate reason = %q, want the wall-clock limit", doc.TruncateReason)
+	}
+	if s.st.Contains(j.Key) {
+		t.Error("wall-truncated result entered the store")
 	}
 }
 

@@ -50,8 +50,9 @@ type Options struct {
 	RetryAfter time.Duration
 	// RetryAfterMax clamps the adaptive retry hint; default 60s.
 	RetryAfterMax time.Duration
-	// MaxWall / MaxCycles are per-job watchdog defaults applied when a
-	// spec does not set its own (0 disables).
+	// MaxWall is the wall-clock deadline of a job whose spec sets no
+	// deadline_ms, and MaxCycles the cycle budget of one that sets no
+	// max_cycles (0 disables). MaxWall never enters a cache key.
 	MaxWall   time.Duration
 	MaxCycles int64
 	// SimHook, when non-nil, runs at the top of every simulation on the
@@ -178,7 +179,7 @@ var ErrDraining = errors.New("scheduler: draining, not accepting jobs")
 // ready for admission.
 func (s *Scheduler) prepare(spec JobSpec) (*Job, error) {
 	spec = spec.Normalize()
-	cfg, err := spec.Build(s.opt.MaxWall, s.opt.MaxCycles)
+	cfg, err := spec.Build(s.opt.MaxCycles)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +400,7 @@ func (s *Scheduler) RetryAfterHint() time.Duration {
 }
 
 // errNotCacheable marks outcomes that must not enter the result store:
-// wall-clock truncation (nondeterministic) and drain checkpoints.
+// checkpoints of runs a deadline or a drain stopped.
 var errNotCacheable = errors.New("scheduler: result not cacheable")
 
 // ErrPanicked marks a job whose simulation panicked. The worker
@@ -491,7 +492,7 @@ func (s *Scheduler) complete(job *Job, state State, doc []byte, errMsg string) {
 
 // simulate runs the job's simulation, publishing progress events, and
 // returns the canonical result document. Errors wrap errNotCacheable
-// when the outcome is nondeterministic (wall truncation, cancellation).
+// when the outcome is nondeterministic (deadline, cancellation).
 func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 	s.simsRun.Add(1)
 	if s.opt.SimHook != nil {
@@ -545,17 +546,22 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 			}})
 		}
 	}
-	// An optional per-job deadline nests inside the drain context: the
-	// run checkpoints as truncated when it expires, exactly like a
-	// drain cancellation. The deadline is deliberately NOT part of the
-	// cache key — a run that finishes under it is byte-identical to one
-	// without it, and a deadline-truncated result is never cached. (A
-	// submission that piggybacks on an in-flight identical job rides
-	// that job's deadline, not its own.)
+	// The job's deadline (its deadline_ms, else Options.MaxWall) nests
+	// inside the drain context: the run checkpoints as truncated when
+	// it expires, exactly like a drain cancellation. The deadline is
+	// deliberately NOT part of the cache key — a run that finishes
+	// under it is byte-identical to one without it, and a
+	// deadline-truncated result is never cached. (A submission that
+	// piggybacks on an in-flight identical job rides that job's
+	// deadline, not its own.)
 	runCtx := s.runCtx
+	wall := s.opt.MaxWall
 	if job.Spec.DeadlineMS > 0 {
+		wall = time.Duration(job.Spec.DeadlineMS) * time.Millisecond
+	}
+	if wall > 0 {
 		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(runCtx, time.Duration(job.Spec.DeadlineMS)*time.Millisecond)
+		runCtx, cancel = context.WithTimeout(runCtx, wall)
 		defer cancel()
 	}
 	res, err := system.RunContext(runCtx, cfg, src)
@@ -578,15 +584,7 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		}
 		return doc, fmt.Errorf("%w: %w", errNotCacheable, err)
 	}
-	doc, err := result.Encode(res)
-	if err != nil {
-		return nil, err
-	}
-	if res.Truncated && res.TruncateReason == "wall-clock limit exceeded" {
-		// Wall truncation depends on machine speed; never cache it.
-		return doc, fmt.Errorf("%w: %s", errNotCacheable, res.TruncateReason)
-	}
-	return doc, nil
+	return result.Encode(res)
 }
 
 // quarantineIfCorrupt marks the named trace's digest bad when err

@@ -379,7 +379,7 @@ func TestLaggedSubscriber(t *testing.T) {
 
 func mustBuild(t *testing.T, js JobSpec) system.Config {
 	t.Helper()
-	cfg, err := js.Normalize().Build(0, 0)
+	cfg, err := js.Normalize().Build(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestPersistWarmRestart(t *testing.T) {
 func TestScaleBeyondGraphLimitRejected(t *testing.T) {
 	const largest = 1 << 13 // 2^28 vertices over the graph kernels' 2^15
 	for scale, ok := range map[float64]bool{largest: true, largest + 0.01: false} {
-		if _, err := (JobSpec{Workload: "pr", Scale: scale}).Normalize().Build(0, 0); (err == nil) != ok {
+		if _, err := (JobSpec{Workload: "pr", Scale: scale}).Normalize().Build(0); (err == nil) != ok {
 			t.Errorf("scale %g: build error %v, want accepted=%v", scale, err, ok)
 		}
 	}

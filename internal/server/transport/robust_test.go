@@ -79,6 +79,7 @@ func TestMalformedSubmissions(t *testing.T) {
 		{"negative epoch_cycles", "/v1/jobs", `{"workload":"pr","epoch_cycles":-1}`, http.StatusBadRequest},
 		{"negative deadline", "/v1/jobs", `{"workload":"pr","deadline_ms":-100}`, http.StatusBadRequest},
 		{"string deadline", "/v1/jobs", `{"workload":"pr","deadline_ms":"soon"}`, http.StatusBadRequest},
+		{"removed max_wall_ms", "/v1/jobs", `{"workload":"pr","max_wall_ms":1000}`, http.StatusBadRequest},
 		{"unknown workload", "/v1/jobs", `{"workload":"nope"}`, http.StatusBadRequest},
 		{"unknown mem", "/v1/jobs", `{"workload":"pr","mem":"ddr"}`, http.StatusBadRequest},
 		{"workload and trace", "/v1/jobs", `{"workload":"pr","trace":"t.ndptrc"}`, http.StatusBadRequest},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -76,17 +77,14 @@ func TestTTLExpiry(t *testing.T) {
 func TestDoSingleflight(t *testing.T) {
 	c := New[int](16, 0)
 	var execs atomic.Int64
-	var started sync.WaitGroup
 	release := make(chan struct{})
 	const waiters = 16
 
-	started.Add(waiters)
 	var wg sync.WaitGroup
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			started.Done()
 			v, _, err := c.Do(key("same"), func() (int, error) {
 				execs.Add(1)
 				<-release // hold the flight open until everyone piled on
@@ -97,16 +95,17 @@ func TestDoSingleflight(t *testing.T) {
 			}
 		}()
 	}
-	started.Wait()
-	// Give stragglers a moment to reach Do before releasing the leader.
-	time.Sleep(10 * time.Millisecond)
+	// Release the leader once every other caller has joined its flight.
+	for c.Stats().Dedups < waiters-1 {
+		runtime.Gosched()
+	}
 	close(release)
 	wg.Wait()
 	if n := execs.Load(); n != 1 {
 		t.Fatalf("fn executed %d times, want 1", n)
 	}
-	if s := c.Stats(); s.Dedups == 0 {
-		t.Fatalf("no dedups recorded: %+v", s)
+	if s := c.Stats(); s.Dedups != waiters-1 {
+		t.Fatalf("dedups = %d, want %d: %+v", s.Dedups, waiters-1, s)
 	}
 	// A later Do is a pure cache hit.
 	if _, hit, _ := c.Do(key("same"), func() (int, error) { t.Error("re-executed"); return 0, nil }); !hit {

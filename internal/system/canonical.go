@@ -9,7 +9,7 @@ import (
 // whenever the layout below (or the meaning of a serialized field)
 // changes, so stale content-addressed cache entries miss instead of
 // aliasing results from a different simulator semantics.
-const canonicalVersion = "ndpext-config/v3"
+const canonicalVersion = "ndpext-config/v4"
 
 // CanonicalBytes returns a deterministic, versioned serialization of
 // every simulation-affecting field of the configuration. Two configs
@@ -20,9 +20,8 @@ const canonicalVersion = "ndpext-config/v3"
 // machines for a given format version, but is not a decodable wire
 // format.
 //
-// The watchdog limits ARE included: MaxCycles changes where a run
-// truncates, and MaxWall makes truncation nondeterministic, so runs
-// with different limits must never share a cache entry.
+// The cycle budget IS included: MaxCycles changes where a run truncates.
+// A wall-clock limit is a context deadline, never part of the config.
 func (c Config) CanonicalBytes() []byte {
 	var b bytes.Buffer
 	b.WriteString(canonicalVersion)
@@ -49,7 +48,7 @@ func (c Config) CanonicalBytes() []byte {
 	// matter to the NDPExt-MAB design but must always key the cache.
 	fmt.Fprintf(&b, "|adapt=%+v|bseed=%d", c.Adapt, c.BanditSeed)
 	fmt.Fprintf(&b, "|faults=%s|fseed=%d", c.Faults.String(), c.FaultSeed)
-	fmt.Fprintf(&b, "|maxwall=%d|maxcycles=%d", int64(c.MaxWall), c.MaxCycles)
+	fmt.Fprintf(&b, "|maxcycles=%d", c.MaxCycles)
 	fmt.Fprintf(&b, "|seed=%d", c.Seed)
 	return b.Bytes()
 }

@@ -3,7 +3,6 @@ package system
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"ndpext/internal/fault"
 	"ndpext/internal/telemetry"
@@ -38,7 +37,6 @@ func TestCanonicalBytesSensitivity(t *testing.T) {
 		"host":       func(c *Config) { c.HostCores = 32 },
 		"faults":     func(c *Config) { c.Faults, _ = fault.Parse("cxl-retry,rate=0.5") },
 		"fault-seed": func(c *Config) { c.FaultSeed = 99 },
-		"max-wall":   func(c *Config) { c.MaxWall = time.Second },
 		"max-cycles": func(c *Config) { c.MaxCycles = 1 },
 		"seed":       func(c *Config) { c.Seed = 2 },
 	}

@@ -12,7 +12,6 @@ package system
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"ndpext/internal/adapt"
 	"ndpext/internal/cxl"
@@ -222,12 +221,10 @@ type Config struct {
 	// FaultSeed seeds the injector's RNG substream; 0 falls back to Seed.
 	FaultSeed uint64
 
-	// Watchdog limits. MaxWall aborts a runaway run after that much
-	// wall-clock time (inherently nondeterministic: use for protection,
-	// not reproducible truncation); MaxCycles aborts deterministically
-	// once simulated time passes that many core cycles. Either trip
-	// flushes partial results with Result.Truncated set. Zero disables.
-	MaxWall   time.Duration
+	// MaxCycles aborts a run deterministically once simulated time
+	// passes that many core cycles, flushing partial results with
+	// Result.Truncated set. Zero disables. A wall-clock limit is a
+	// deadline on the run's context, never a config field.
 	MaxCycles int64
 
 	Seed uint64
@@ -366,8 +363,8 @@ func (c Config) Validate() error {
 	if err := c.Faults.Validate(c.NumUnits()); err != nil {
 		return err
 	}
-	if c.MaxWall < 0 || c.MaxCycles < 0 {
-		return fmt.Errorf("system: watchdog limits must be non-negative")
+	if c.MaxCycles < 0 {
+		return fmt.Errorf("system: cycle budget must be non-negative")
 	}
 	if c.Design == Host && c.HostCores < 1 {
 		return fmt.Errorf("system: Host design needs HostCores >= 1, got %d", c.HostCores)

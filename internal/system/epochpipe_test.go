@@ -3,12 +3,12 @@ package system
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"ndpext/internal/workloads"
 )
@@ -147,17 +147,19 @@ func TestPipelinedCancellation(t *testing.T) {
 	}
 }
 
-// A tripped wall-clock watchdog must likewise join the worker before
-// finishStats reads the counters.
+// An expired deadline must likewise join the worker before finishStats
+// reads the counters.
 func TestPipelinedWatchdog(t *testing.T) {
-	cfg := smallConfig(NDPExt)
-	cfg.MaxWall = time.Nanosecond
-	res, err := Run(cfg, tinyTrace(t, "pr"))
-	if err != nil {
-		t.Fatal(err)
+	tr := tinyTrace(t, "pr")
+	res, err := RunContext(expired(t), smallConfig(NDPExt), tr.Source())
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("error = %v, want context.DeadlineExceeded", err)
 	}
-	if !res.Truncated {
-		t.Fatal("watchdog did not trip")
+	if !res.Truncated || res.TruncateReason != truncatedWall {
+		t.Fatalf("deadline did not truncate: %v %q", res.Truncated, res.TruncateReason)
+	}
+	if res.Accesses >= uint64(tr.TotalAccesses()) {
+		t.Fatal("expired deadline still simulated the whole trace")
 	}
 }
 

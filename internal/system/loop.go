@@ -2,8 +2,8 @@ package system
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"ndpext/internal/cache"
 	"ndpext/internal/sim"
@@ -13,8 +13,8 @@ import (
 	"ndpext/internal/workloads"
 )
 
-// truncatedCanceled is the TruncateReason for context cancellation.
-const truncatedCanceled = "canceled"
+// The TruncateReasons of a context stop by its deadline and by cancellation.
+const truncatedWall, truncatedCanceled = "wall-clock limit exceeded", "canceled"
 
 // eventLoop is the event loop every design runs, together with the L1
 // front end its cores share. Each core holds a one-access lookahead; a
@@ -68,11 +68,11 @@ func (l *eventLoop) access(start sim.Time, core int, a workloads.Access) (sim.Ti
 }
 
 // run drives the queue over src, one sequence per core, until every core
-// is exhausted or a watchdog limit (simulated-cycle budget, wall-clock
-// deadline) or cancellation stops it; a stopped run sets res.Truncated
-// and its counters cover the simulated prefix. It then fills res's
-// makespan and counter views. The error is src's read error, or
-// context.Cause(ctx) when ctx canceled the run.
+// is exhausted, the simulated-cycle budget runs out, or ctx stops it (a
+// deadline or a cancellation); a stopped run sets res.Truncated and its
+// counters cover the simulated prefix. It then fills res's makespan and
+// counter views. The error is src's read error, or context.Cause(ctx)
+// when ctx stopped the run.
 func (l *eventLoop) run(ctx context.Context, src workloads.Source, res *Result) error {
 	cfg, tel, probe := l.cfg, l.tel, l.cfg.Probe
 	var q sim.EventQueue
@@ -87,31 +87,26 @@ func (l *eventLoop) run(ctx context.Context, src workloads.Source, res *Result) 
 	if cfg.MaxCycles > 0 {
 		cycleBudget = l.clock.Cycles(cfg.MaxCycles)
 	}
-	var deadline time.Time
-	if cfg.MaxWall > 0 {
-		deadline = time.Now().Add(cfg.MaxWall)
-	}
 	epoch := l.clock.Cycles(cfg.EpochCycles)
 	nextEpoch := epoch
 	var end sim.Time
+	var stopped error
 	for n := 0; q.Len() > 0; n++ {
 		ev := q.Pop()
 		if cycleBudget > 0 && ev.When >= cycleBudget {
 			res.Truncated, res.TruncateReason = true, "cycle budget exceeded"
 			break
 		}
-		// The wall and cancellation checks are amortized over event
-		// batches; they include n == 0 so a tiny budget truncates
-		// before any work.
-		if n&1023 == 0 {
-			if cfg.MaxWall > 0 && !time.Now().Before(deadline) {
-				res.Truncated, res.TruncateReason = true, "wall-clock limit exceeded"
-				break
+		// The context check is amortized over event batches; it
+		// includes n == 0 so an expired context truncates before any
+		// work.
+		if n&1023 == 0 && ctx.Err() != nil {
+			stopped = context.Cause(ctx)
+			res.Truncated, res.TruncateReason = true, truncatedCanceled
+			if errors.Is(stopped, context.DeadlineExceeded) {
+				res.TruncateReason = truncatedWall
 			}
-			if ctx.Err() != nil {
-				res.Truncated, res.TruncateReason = true, truncatedCanceled
-				break
-			}
+			break
 		}
 		if l.boundary != nil {
 			for ev.When >= nextEpoch {
@@ -170,8 +165,5 @@ func (l *eventLoop) run(ctx context.Context, src workloads.Source, res *Result) 
 	if err := src.Err(); err != nil {
 		return fmt.Errorf("system: access feed failed mid-run: %w", err)
 	}
-	if res.TruncateReason == truncatedCanceled {
-		return context.Cause(ctx)
-	}
-	return nil
+	return stopped
 }

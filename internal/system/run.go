@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ndpext/internal/adapt"
@@ -55,9 +56,9 @@ type Result struct {
 	AdaptArm      string
 	AdaptSwitches int
 
-	// Truncated is set when a watchdog (Config.MaxWall / MaxCycles)
-	// aborted the run early; the counters then cover only the simulated
-	// prefix. TruncateReason names which limit tripped.
+	// Truncated is set when Config.MaxCycles or the run's context
+	// stopped the run early; the counters then cover only the simulated
+	// prefix. TruncateReason names which stop tripped.
 	Truncated      bool
 	TruncateReason string
 
@@ -123,14 +124,14 @@ func (r *Result) StreamReports() []StreamReport { return r.streams }
 // (pipeline.go). Host, NDPExt-static and static interleave do not
 // profile and start no worker.
 //
-// Cancellation is cooperative: when ctx is canceled mid-run the event
-// loop stops at the next check point, partial statistics are flushed
-// exactly as for a tripped watchdog (Truncated set, TruncateReason =
-// "canceled"), and the partial Result is returned ALONGSIDE ctx.Err().
-// Callers that only want clean aborts can ignore the Result on error;
-// callers that checkpoint (the serving layer) use both. A source read
-// error likewise surfaces after the event loop alongside the partial
-// Result.
+// The context is the run's one wall-clock stop, checked cooperatively:
+// once its deadline passes ("wall-clock limit exceeded") or it is
+// canceled ("canceled"), the event loop stops at its next check point,
+// flushes partial statistics with Truncated set, and the partial Result
+// is returned ALONGSIDE context.Cause(ctx); a context canceled before
+// the run returns no Result. Callers that only want clean aborts can
+// ignore the Result on error; callers that checkpoint (the serving
+// layer) use both. A source read error likewise surfaces alongside it.
 func RunContext(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
 	return runContext(ctx, cfg, src, false)
 }
@@ -145,7 +146,7 @@ func runContext(ctx context.Context, cfg Config, src workloads.Source, inlineWor
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); errors.Is(err, context.Canceled) {
 		return nil, err
 	}
 	if cfg.Design == Host {
