@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"ndpext/internal/client"
@@ -14,6 +16,9 @@ import (
 // cellRouteAttempts bounds how many times one cell is re-routed after
 // transport failures before the accepting node runs it itself.
 const cellRouteAttempts = 4
+
+// maxQueueWait caps one wait on a full queue's Retry-After hint.
+const maxQueueWait = 2 * time.Second
 
 // runCell drives one cell to a terminal state: route to the current
 // owner, follow its progress, and — when the owner dies mid-flight —
@@ -59,13 +64,7 @@ func (n *Node) runCellLocal(c *scheduler.BatchCell) {
 			c.Fail(err.Error())
 			return
 		}
-		wait := n.sched.RetryAfterHint()
-		if wait > 2*time.Second {
-			wait = 2 * time.Second
-		}
-		select {
-		case <-time.After(wait):
-		case <-n.baseCtx.Done():
+		if !n.waitQueue(n.sched.RetryAfterHint()) {
 			c.Fail("cluster: node shutting down")
 			return
 		}
@@ -74,8 +73,22 @@ func (n *Node) runCellLocal(c *scheduler.BatchCell) {
 	c.Follow(n.cfg.Self, job)
 }
 
+// waitQueue sleeps out a full queue's Retry-After hint, capped at
+// maxQueueWait. It reports false when the node shuts down first.
+func (n *Node) waitQueue(hint time.Duration) bool {
+	t := time.NewTimer(min(hint, maxQueueWait))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-n.baseCtx.Done():
+		return false
+	}
+}
+
 // runCellRemote submits the cell to owner and follows it to a terminal
-// state, relaying proxied SSE into the batch. It returns false when the
+// state, relaying proxied SSE into the batch. A full owner queue is
+// waited out as runCellLocal waits out its own. It returns false when the
 // owner failed at the transport level (or forgot the job after a
 // restart) and the cell should be re-routed; in that case the peer has
 // already been reported down. A replay after re-routing can repeat
@@ -86,16 +99,27 @@ func (n *Node) runCellRemote(c *scheduler.BatchCell, owner string) bool {
 	defer cancel()
 	cl := n.forwardClient(owner, 1)
 
-	st, err := cl.Submit(ctx, c.Spec)
-	if err != nil {
+	var st scheduler.JobStatus
+	for {
+		var err error
+		if st, err = cl.Forward(ctx, c.Spec); err == nil {
+			break
+		}
 		var apiErr *client.APIError
-		if errors.As(err, &apiErr) {
+		if !errors.As(err, &apiErr) {
+			n.members.ReportFailure(owner, err)
+			return false
+		}
+		if apiErr.StatusCode != http.StatusTooManyRequests {
 			// The owner answered and rejected: a verdict, not an outage.
 			c.Fail(fmt.Sprintf("cluster: owner %s rejected cell: %v", owner, apiErr))
 			return true
 		}
-		n.members.ReportFailure(owner, err)
-		return false
+		// An owner that gives no hint is asked again after a second.
+		if !n.waitQueue(cmp.Or(apiErr.RetryAfter, time.Second)) {
+			c.Fail("cluster: node shutting down")
+			return true
+		}
 	}
 	n.forwardsOut.Add(1)
 	c.Routed(owner, st.ID)

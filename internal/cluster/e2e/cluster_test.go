@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -148,6 +149,97 @@ func TestForwardedQueueFull(t *testing.T) {
 	}
 	if got := nodes[owner].Node.Info().ForwardsIn; got != 1 {
 		t.Errorf("owner saw %d forwarded submits, want 1", got)
+	}
+}
+
+// TestBatchCellWaitsOutFullOwner: a batch cell whose owner's queue is
+// full waits out the owner's Retry-After, as a cell on the accepting
+// node waits out its own queue, and completes once the owner frees up.
+// The owner's worker is held and its one queue slot filled until the
+// cell's forwards have met the full queue as many times as the
+// forwarding client makes attempts; then the worker is released.
+func TestBatchCellWaitsOutFullOwner(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	var once, releaseOnce sync.Once
+	hold := func(scheduler.JobSpec) {
+		once.Do(func() { close(started) })
+		<-release
+	}
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	nodes := newTestCluster(t, 2, scheduler.Options{Workers: 1, QueueDepth: 1, SimHook: hold})
+	defer free() // before the cleanup drains the held worker
+
+	// Three NDPExt pr cells with one owner: the first holds the owner's
+	// worker, the second fills its queue, the third is the batch's cell.
+	byOwner := map[int][]scheduler.JobSpec{}
+	var owner, other int
+	for seed := uint64(1); len(byOwner[owner]) < 3; seed++ {
+		spec := scheduler.JobSpec{Workload: "pr", Design: "NDPExt", Seed: seed, Accesses: 1000}
+		o, x := ownerIndex(t, nodes, spec)
+		byOwner[o] = append(byOwner[o], spec)
+		owner, other = o, x
+	}
+	specs := byOwner[owner]
+
+	// Room for the rejections the test waits for and a few more; any
+	// beyond are dropped, never blocking the owner's handler.
+	rejected := make(chan struct{}, 16)
+	nodes[owner].wrap(func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method != http.MethodPost || r.URL.Path != "/v1/jobs" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+			if rec.Code == http.StatusTooManyRequests {
+				select {
+				case rejected <- struct{}{}:
+				default:
+				}
+			}
+		})
+	})
+
+	if _, err := nodes[owner].Sched.Submit(specs[0]); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := nodes[owner].Sched.Submit(specs[1]); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	cl := client.New(nodes[other].URL, testClientOptions())
+	base := specs[2]
+	base.Workload, base.Design = "", ""
+	bst, err := cl.SubmitBatch(ctx, scheduler.BatchSpec{
+		Designs: []string{"NDPExt"}, Workloads: []string{"pr"}, Base: base,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < testClientOptions().MaxAttempts; i++ {
+		select {
+		case <-rejected:
+		case <-ctx.Done():
+			t.Fatalf("owner rejected the cell %d times before the deadline", i)
+		}
+	}
+	free()
+
+	final, err := cl.AwaitBatch(ctx, bst.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != scheduler.StateDone {
+		t.Fatalf("batch ended %s: %+v", final.State, final.Cells)
 	}
 }
 

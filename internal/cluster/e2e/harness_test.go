@@ -45,6 +45,14 @@ type testNode struct {
 	Node  *cluster.Node
 	Sched *scheduler.Scheduler
 	Srv   *httptest.Server
+	swap  *swapHandler
+}
+
+// wrap interposes mw in front of the node's handler.
+func (tn *testNode) wrap(mw func(http.Handler) http.Handler) {
+	tn.swap.mu.Lock()
+	tn.swap.h = mw(tn.swap.h)
+	tn.swap.mu.Unlock()
 }
 
 // Kill force-closes every connection (active SSE streams included) and
@@ -77,7 +85,7 @@ func newTestCluster(t *testing.T, n int, schedOpt scheduler.Options) []*testNode
 		swaps[i] = &swapHandler{}
 		srv := httptest.NewServer(swaps[i])
 		urls[i] = srv.URL
-		nodes[i] = &testNode{URL: srv.URL, Srv: srv}
+		nodes[i] = &testNode{URL: srv.URL, Srv: srv, swap: swaps[i]}
 	}
 	for i := range nodes {
 		node, err := cluster.NewNode(cluster.Config{

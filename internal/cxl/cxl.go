@@ -131,6 +131,27 @@ func New(cfg Config) *Device {
 // (the default) disables injection.
 func (d *Device) SetFaults(inj *fault.Injector) { d.inj = inj }
 
+// SetClock attaches the run's clock to both link directions and every
+// channel (see sim.Resource.SetClock); no access may then arrive before
+// it.
+func (d *Device) SetClock(clock *sim.Time) {
+	d.down.SetClock(clock)
+	d.up.SetClock(clock)
+	for _, c := range d.chans {
+		c.SetClock(clock)
+	}
+}
+
+// MaxLive reports the most reservations any one link direction, bank or
+// channel bus holds.
+func (d *Device) MaxLive() int {
+	m := max(d.down.Live(), d.up.Live())
+	for _, c := range d.chans {
+		m = max(m, c.MaxLive())
+	}
+	return m
+}
+
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 

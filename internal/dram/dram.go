@@ -127,6 +127,24 @@ func (d *Device) SetFaults(inj *fault.Injector, vault int) {
 	d.vault = vault
 }
 
+// SetClock attaches the run's clock to every bank and the bus (see
+// sim.Resource.SetClock); no access may then arrive before it.
+func (d *Device) SetClock(clock *sim.Time) {
+	for i := range d.banks {
+		d.banks[i].res.SetClock(clock)
+	}
+	d.bus.SetClock(clock)
+}
+
+// MaxLive reports the most reservations any one bank or the bus holds.
+func (d *Device) MaxLive() int {
+	m := d.bus.Live()
+	for i := range d.banks {
+		m = max(m, d.banks[i].res.Live())
+	}
+	return m
+}
+
 // Offline reports whether this device's vault is failed at time t.
 // Callers (the memory path) must redirect accesses elsewhere; the model
 // itself keeps working so off-path bookkeeping cannot crash.

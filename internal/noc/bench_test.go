@@ -8,9 +8,12 @@ import (
 
 // BenchmarkRoute measures one Route on the default 128-unit topology
 // between random unit pairs, with messages issued 2 ns apart so the
-// inter-stack links carry a steady load.
+// inter-stack links carry a steady load. The links run on a clock at
+// each message's issue time, as in a simulation.
 func BenchmarkRoute(b *testing.B) {
 	n := New(DefaultConfig())
+	var now sim.Time
+	n.SetClock(&now)
 	rng := sim.NewRNG(1)
 	pairs := make([][2]int, 1<<12)
 	for i := range pairs {
@@ -21,6 +24,7 @@ func BenchmarkRoute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := pairs[i&(len(pairs)-1)]
-		n.Route(sim.Time(i)*step, p[0], p[1], 64)
+		now = sim.Time(i) * step
+		n.Route(now, p[0], p[1], 64)
 	}
 }

@@ -98,20 +98,35 @@ type Stats struct {
 // Network is the interconnect instance. It is not safe for concurrent use.
 type Network struct {
 	cfg Config
-	// interLink[s][d] is the directed link leaving stack s toward
-	// direction d (0:+X, 1:-X, 2:+Y, 3:-Y). Links to outside the grid
-	// are present but unused.
-	interLink [][]sim.Resource
-	// cxlLink[s][dir] is stack s's dedicated link to the central CXL
+	// links holds every contended link. links[4*s+d] is the directed
+	// inter-stack link leaving stack s toward direction d (0:+X, 1:-X,
+	// 2:+Y, 3:-Y); links to outside the grid are present but unused.
+	// The CXL links follow.
+	links []sim.Resource
+	// cxlLink[2*s+dir] is stack s's dedicated link to the central CXL
 	// controller (paper Fig. 1), dir 0 = toward the controller,
 	// 1 = back. Extended-memory traffic uses these instead of crossing
 	// the stack mesh.
-	cxlLink [][2]sim.Resource
+	cxlLink []sim.Resource
+	// walks[d] lists the hops of every line of the stack grid walked in
+	// direction d: rows for ±X, columns for ±Y, each line in the order
+	// the walk crosses it. The X leg of an XY route is then one run of
+	// its source row and the Y leg one run of its destination column
+	// (legs), so Route reads its hops from the table instead of
+	// deciding a direction per hop.
+	walks [4][]hop
 	// loc[u] is unit u's position, computed once so that routing does no
 	// integer division and never copies cfg.
 	loc   []unitLoc
 	inj   *fault.Injector
 	stats Stats
+}
+
+// hop is one inter-stack link crossing: the directed link to reserve
+// and the stack and direction it leaves, for fault lookups.
+type hop struct {
+	link       *sim.Resource
+	stack, dir int32
 }
 
 // unitLoc places one unit: its stack, its (x, y) in the stack's unit
@@ -126,12 +141,22 @@ func NewChecked(cfg Config) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{cfg: cfg}
-	n.interLink = make([][]sim.Resource, cfg.NumStacks())
-	for i := range n.interLink {
-		n.interLink[i] = make([]sim.Resource, 4)
+	stacks, sx, sy := cfg.NumStacks(), cfg.StacksX, cfg.StacksY
+	links := make([]sim.Resource, 6*stacks)
+	n := &Network{cfg: cfg, links: links, cxlLink: links[4*stacks:]}
+	for d := range n.walks {
+		n.walks[d] = make([]hop, stacks)
 	}
-	n.cxlLink = make([][2]sim.Resource, cfg.NumStacks())
+	for y := 0; y < sy; y++ {
+		for x := 0; x < sx; x++ {
+			s := y*sx + x
+			h := func(d int) hop { return hop{link: &links[4*s+d], stack: int32(s), dir: int32(d)} }
+			n.walks[0][y*sx+x] = h(0)
+			n.walks[1][y*sx+sx-1-x] = h(1)
+			n.walks[2][x*sy+y] = h(2)
+			n.walks[3][x*sy+sy-1-y] = h(3)
+		}
+	}
 	n.loc = make([]unitLoc, cfg.NumUnits())
 	per := cfg.UnitsPerStack()
 	for u := range n.loc {
@@ -155,6 +180,23 @@ func New(cfg Config) *Network {
 // SetFaults attaches a fault injector whose noc-flap clauses delay
 // inter-stack hops; nil (the default) disables injection.
 func (n *Network) SetFaults(inj *fault.Injector) { n.inj = inj }
+
+// SetClock attaches the run's clock to every link (see
+// sim.Resource.SetClock); no message may then be routed before it.
+func (n *Network) SetClock(clock *sim.Time) {
+	for i := range n.links {
+		n.links[i].SetClock(clock)
+	}
+}
+
+// MaxLive reports the most reservations any one link holds.
+func (n *Network) MaxLive() int {
+	m := 0
+	for i := range n.links {
+		m = max(m, n.links[i].Live())
+	}
+	return m
+}
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -277,31 +319,10 @@ func (n *Network) Route(t sim.Time, from, to int, bytes int) Transit {
 	// serialization time) is paid once at the destination.
 	if inter > 0 {
 		ser := sim.FromNS(float64(bytes) / n.cfg.InterGBps)
-		fl, tl := &n.loc[from], &n.loc[to]
-		sx, sy, tx, ty := int(fl.sx), int(fl.sy), int(tl.sx), int(tl.sy)
-		before := tr.Arrive
-		head := tr.Arrive
-		for sx != tx || sy != ty {
-			d := dirOut(sx, sy, tx, ty)
-			s := sy*n.cfg.StacksX + sx
-			start, _ := n.interLink[s][d].Acquire(head, ser)
-			head = start + n.cfg.InterHopLat
-			if n.inj != nil {
-				head += n.inj.NoCFlapDelay(s, d, start)
-			}
-			switch d {
-			case 0:
-				sx++
-			case 1:
-				sx--
-			case 2:
-				sy++
-			case 3:
-				sy--
-			}
-		}
+		xs, ys := n.legs(&n.loc[from], &n.loc[to])
+		head := n.cross(n.cross(tr.Arrive, xs, ser), ys, ser)
+		tr.InterDelay = head + ser - tr.Arrive
 		tr.Arrive = head + ser
-		tr.InterDelay = tr.Arrive - before
 		tr.EnergyPJ += float64(bytes*8) * n.cfg.InterPJPerBit * float64(inter)
 	}
 
@@ -312,6 +333,41 @@ func (n *Network) Route(t sim.Time, from, to int, bytes int) Transit {
 	n.stats.IntraDelay += tr.IntraDelay
 	n.stats.InterDelay += tr.InterDelay
 	return tr
+}
+
+// legs returns the hops of the XY route between two units' stacks:
+// xs along the source stack's row, then ys along the destination
+// stack's column.
+func (n *Network) legs(f, t *unitLoc) (xs, ys []hop) {
+	sx, sy, tx, ty := int(f.sx), int(f.sy), int(t.sx), int(t.sy)
+	row, col := sy*n.cfg.StacksX, tx*n.cfg.StacksY
+	switch lastX := n.cfg.StacksX - 1; {
+	case tx > sx:
+		xs = n.walks[0][row+sx : row+tx]
+	case tx < sx:
+		xs = n.walks[1][row+lastX-sx : row+lastX-tx]
+	}
+	switch lastY := n.cfg.StacksY - 1; {
+	case ty > sy:
+		ys = n.walks[2][col+sy : col+ty]
+	case ty < sy:
+		ys = n.walks[3][col+lastY-sy : col+lastY-ty]
+	}
+	return xs, ys
+}
+
+// cross sends a head flit that is ready at head over the hops of leg,
+// reserving each link for the serialization time ser, and returns when
+// the head is ready past the last one.
+func (n *Network) cross(head sim.Time, leg []hop, ser sim.Time) sim.Time {
+	for _, h := range leg {
+		start, _ := h.link.Acquire(head, ser)
+		head = start + n.cfg.InterHopLat
+		if n.inj != nil {
+			head += n.inj.NoCFlapDelay(int(h.stack), int(h.dir), start)
+		}
+	}
+	return head
 }
 
 // RouteCXL carries a message between a unit and the central CXL
@@ -336,7 +392,7 @@ func (n *Network) RouteCXL(t sim.Time, unit int, bytes int, toCXL bool) Transit 
 		dir = 1
 	}
 	ser := sim.FromNS(float64(bytes) / n.cfg.InterGBps)
-	start, _ := n.cxlLink[s][dir].Acquire(tr.Arrive, ser)
+	start, _ := n.cxlLink[2*s+dir].Acquire(tr.Arrive, ser)
 	before := tr.Arrive
 	tr.Arrive = start + n.cfg.InterHopLat + ser
 	tr.InterHops = 1
@@ -369,14 +425,8 @@ func (n *Network) Stats() Stats { return n.stats }
 
 // Reset clears link reservations and statistics.
 func (n *Network) Reset() {
-	for s := range n.interLink {
-		for d := range n.interLink[s] {
-			n.interLink[s][d].Reset()
-		}
-	}
-	for s := range n.cxlLink {
-		n.cxlLink[s][0].Reset()
-		n.cxlLink[s][1].Reset()
+	for i := range n.links {
+		n.links[i].Reset()
 	}
 	n.stats = Stats{}
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -286,5 +287,42 @@ func TestWormholePipelineProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The route table walks exactly the links of XY routing: for every
+// stack pair of several grid shapes, the legs' hops are the (stack,
+// direction) sequence of stepping X first, then Y, one hop at a time,
+// and each hop reserves that stack's link in that direction.
+func TestRouteTableMatchesXYWalk(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {4, 1}, {1, 3}, {4, 2}, {3, 5}} {
+		cfg := DefaultConfig()
+		cfg.StacksX, cfg.StacksY, cfg.UnitsX, cfg.UnitsY = dims[0], dims[1], 1, 1
+		n := New(cfg)
+		for from := 0; from < n.NumUnits(); from++ {
+			for to := 0; to < n.NumUnits(); to++ {
+				var want [][2]int
+				sx, sy, tx, ty := from%dims[0], from/dims[0], to%dims[0], to/dims[0]
+				for sx != tx || sy != ty {
+					d := dirOut(sx, sy, tx, ty)
+					want = append(want, [2]int{sy*dims[0] + sx, d})
+					sx += [4]int{1, -1, 0, 0}[d]
+					sy += [4]int{0, 0, 1, -1}[d]
+				}
+				var got [][2]int
+				xs, ys := n.legs(&n.loc[from], &n.loc[to])
+				for _, leg := range [2][]hop{xs, ys} {
+					for _, h := range leg {
+						if h.link != &n.links[4*h.stack+h.dir] {
+							t.Fatalf("%v: hop %+v reserves the wrong link", dims, h)
+						}
+						got = append(got, [2]int{int(h.stack), int(h.dir)})
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v: route %d -> %d = %v, want %v", dims, from, to, got, want)
+				}
+			}
+		}
 	}
 }

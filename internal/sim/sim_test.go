@@ -297,7 +297,7 @@ func TestResourceContention(t *testing.T) {
 		t.Fatalf("BusyTotal = %v, want 90", r.BusyTotal())
 	}
 	r.Reset()
-	if r.FreeAt() != 0 || r.BusyTotal() != 0 {
+	if r.Live() != 0 || r.BusyTotal() != 0 {
 		t.Fatal("Reset did not clear state")
 	}
 }
@@ -359,34 +359,27 @@ func TestResourceGapFill(t *testing.T) {
 	}
 }
 
+// The clock bounds the interval list: with strictly increasing arrivals
+// and the clock at each arrival, only the newest reservation stays live,
+// while a resource without a clock keeps every one.
 func TestResourcePruningBoundsMemory(t *testing.T) {
-	var r Resource
-	// Far more reservations than maxIntervals, with strictly increasing
-	// arrivals: the interval list must stay bounded.
-	at := Time(0)
+	var clock Time
+	var clocked, unclocked Resource
+	clocked.SetClock(&clock)
 	for i := 0; i < 100000; i++ {
-		at += 1000
-		r.Acquire(at, 1) // 1ps each: never merge
+		clock += 1000
+		clocked.Acquire(clock, 1) // 1ps each: never merge
+		unclocked.Acquire(clock, 1)
 	}
-	if n := r.n; n > maxIntervals {
-		t.Fatalf("interval list grew to %d (> %d)", n, maxIntervals)
+	if n := clocked.Live(); n != 1 {
+		t.Fatalf("clocked interval list holds %d, want 1", n)
+	}
+	if n := unclocked.Live(); n != 100000 {
+		t.Fatalf("unclocked interval list holds %d, want 100000", n)
 	}
 	// BusyTotal survives pruning.
-	if r.BusyTotal() != 100000 {
-		t.Fatalf("BusyTotal = %v", r.BusyTotal())
-	}
-}
-
-func TestResourceFloorAfterPrune(t *testing.T) {
-	var r Resource
-	r.Acquire(0, 10)
-	// Jump far ahead so the first interval prunes into the floor.
-	r.Acquire(pruneWindow*4, 10)
-	// A straggler arriving before the floor is clamped to it, never
-	// placed inside the pruned past.
-	s, _ := r.Acquire(0, 5)
-	if s < 10 {
-		t.Fatalf("straggler scheduled at %v inside the pruned region", s)
+	if clocked.BusyTotal() != 100000 {
+		t.Fatalf("BusyTotal = %v", clocked.BusyTotal())
 	}
 }
 
@@ -396,11 +389,8 @@ func TestResourceMergeAdjacent(t *testing.T) {
 	r.Acquire(0, 10)  // [10,20) -- merges with previous
 	r.Acquire(50, 10) // [50,60)
 	r.Acquire(20, 30) // exactly fills [20,50): everything merges
-	if n := r.n; n != 1 {
-		t.Fatalf("intervals = %d, want 1 after merges", n)
-	}
-	if r.FreeAt() != 60 {
-		t.Fatalf("FreeAt = %v, want 60", r.FreeAt())
+	if r.Live() != 1 || r.ivals[0] != (ival{0, 60}) {
+		t.Fatalf("intervals = %+v, want one [0,60) after merges", r.ivals)
 	}
 }
 

@@ -106,3 +106,24 @@ func BenchmarkApply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLocate measures one home lookup on the rings of the
+// benchmark allocations: sid 1's 2,175 spots over all 128 units and one
+// of sid 2's 16-unit groups of 768 spots, with random item IDs.
+func BenchmarkLocate(b *testing.B) {
+	allocs := benchAllocs(0)
+	rings := [2]*ring{buildRing(1, allocs[1], 0), buildRing(2, allocs[2], 0)}
+	rng := sim.NewRNG(1)
+	ids := make([]uint64, 1<<12)
+	for i := range ids {
+		ids[i] = rng.Uint64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		locateSink = rings[i&1].locate(stream.ID(1+i&1), ids[i&(len(ids)-1)])
+	}
+}
+
+// locateSink keeps BenchmarkLocate's calls from being optimized away.
+var locateSink spot

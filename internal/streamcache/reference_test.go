@@ -1,6 +1,7 @@
 package streamcache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"testing"
@@ -666,6 +667,55 @@ func FuzzResidencyMatchesReference(f *testing.F) {
 				}
 			}
 			p.apply(step, allocs)
+		}
+	})
+}
+
+// FuzzLocateGuide checks the guide-table locate against bisection of the
+// whole ring. Each 9-byte chunk of the input adds one spot and one probe
+// item v, on one stream sid: the spot's hash is v itself, the probe's
+// own hash (an exact hit), one off it on either side, or v shifted right
+// so spots crowd the low buckets and leave the rest empty. A one-chunk
+// input is a one-spot ring; repeated chunks give equal hashes.
+func FuzzLocateGuide(f *testing.F) {
+	chunk := func(kind byte, v uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{kind}, v)
+	}
+	f.Add(chunk(0, 1<<63))
+	f.Add(append(chunk(1, 7), chunk(1, 7)...))
+	f.Add(append(append(chunk(3|40<<2, ^uint64(0)), chunk(3|50<<2, 12345)...), chunk(2, 99)...))
+	var many []byte
+	for i := uint64(0); i < 40; i++ {
+		many = append(many, chunk(byte(i*29), i*0x9e3779b97f4a7c15)...)
+	}
+	f.Add(many)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sid := stream.ID(3)
+		probe := func(id uint64) uint64 { return hash64(id, uint64(sid)*0x6c62272e07bb0142+1) }
+		var spots []spot
+		var ids []uint64
+		for ; len(data) >= 9; data = data[9:] {
+			kind, v := data[0], binary.LittleEndian.Uint64(data[1:])
+			h := v
+			switch kind & 3 {
+			case 1:
+				h = probe(v)
+			case 2:
+				h = probe(v) + uint64(kind>>2&1)*2 - 1
+			case 3:
+				h = v >> (kind >> 2 & 63)
+			}
+			spots = append(spots, spot{hash: h, unit: int32(len(spots)), ord: uint32(kind)})
+			ids = append(ids, v, v+1)
+		}
+		if len(spots) == 0 {
+			return
+		}
+		r := newRing(spots)
+		for _, id := range ids {
+			if got, want := r.locate(sid, id), refLocate(r, sid, id); got != want {
+				t.Fatalf("locate(%d) = %+v, want %+v over %d spots", id, got, want, len(spots))
+			}
 		}
 	})
 }

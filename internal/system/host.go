@@ -44,6 +44,7 @@ func runHost(ctx context.Context, cfg Config, src workloads.Source) (*Result, er
 		chans: make([]*dram.Device, cfg.CXL.Channels), rowBytes: uint64(dram.DDR5().RowBytes)}
 	for i := range h.chans {
 		h.chans[i] = dram.NewDevice(dram.DDR5(), cfg.CXL.BanksPerChannel)
+		h.chans[i].SetClock(&l.now)
 	}
 	l.miss = h.miss
 	res := &Result{Design: Host, Workload: src.Name()}

@@ -26,6 +26,10 @@ const truncatedWall, truncatedCanceled = "wall-clock limit exceeded", "canceled"
 type eventLoop struct {
 	cfg   *Config
 	clock sim.Clock
+	// now is the time of the event being served. The design's
+	// contended resources run on it (sim.Resource.SetClock): every
+	// reservation an access makes arrives at or after it.
+	now   sim.Time
 	l1Lat sim.Time
 	tel   *telemetry.Counters
 	l1s   []*cache.Cache // one private L1 per core
@@ -93,6 +97,7 @@ func (l *eventLoop) run(ctx context.Context, src workloads.Source, res *Result) 
 	var stopped error
 	for n := 0; q.Len() > 0; n++ {
 		ev := q.Pop()
+		l.now = ev.When
 		if cycleBudget > 0 && ev.When >= cycleBudget {
 			res.Truncated, res.TruncateReason = true, "cycle budget exceeded"
 			break

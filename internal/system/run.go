@@ -160,6 +160,11 @@ func runContext(ctx context.Context, cfg Config, src workloads.Source, inlineWor
 	if err != nil {
 		return nil, err
 	}
+	return &s.res, s.run(ctx, src, inlineWorker)
+}
+
+// run simulates src on s until the event loop ends and fills s.res.
+func (s *ndpSim) run(ctx context.Context, src workloads.Source, inlineWorker bool) error {
 	s.bootstrap()
 	if s.profiles() {
 		s.startPipe(inlineWorker)
@@ -173,9 +178,9 @@ func runContext(ctx context.Context, cfg Config, src workloads.Source, inlineWor
 			}
 		}()
 	}
-	err = s.events.run(ctx, src, &s.res)
+	err := s.events.run(ctx, src, &s.res)
 	s.finishStats()
-	return &s.res, err
+	return err
 }
 
 // Run simulates the trace (RunContext without cancellation).
@@ -364,6 +369,11 @@ func newNDPSim(cfg Config, src workloads.Source) (*ndpSim, error) {
 	s.events.boundary = s.epochBoundary
 	for i := 0; i < n; i++ {
 		s.devs = append(s.devs, dram.NewDevice(cfg.Mem, cfg.BanksPerUnit))
+	}
+	s.net.SetClock(&s.events.now)
+	s.ext.SetClock(&s.events.now)
+	for _, d := range s.devs {
+		d.SetClock(&s.events.now)
 	}
 	if !cfg.Faults.Empty() {
 		seed := cfg.FaultSeed
